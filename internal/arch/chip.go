@@ -77,11 +77,13 @@ type stageHW struct {
 	// conv geometry (kind == "conv")
 	kh, kw, stride, pad int
 	inC, outC, groups   int
+	// gather is the conv stage's receptive-field fetch table, derived
+	// from the geometry and the compiled input shape by programPositions.
+	gather *gatherTable
 	// pool (kind == "pool")
 	pool *snn.AvgPoolIF
 	// output weights (kind == "output") — digitally accumulated at RUs.
 	outW, outB *tensor.Tensor
-	outAcc     *tensor.Tensor
 	// spill holds the multi-core ADC-path realization of a dense stage
 	// whose receptive field exceeds one super-tile (nil otherwise).
 	spill *RUSpillCore

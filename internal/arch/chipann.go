@@ -24,6 +24,10 @@ type annStageHW struct {
 	// conv geometry (kind == "conv")
 	kh, kw, stride, pad int
 	groups, outC, gcIn  int
+	// gather is the conv stage's receptive-field fetch table when the
+	// compile fixed its input size (nil: each run state derives one for
+	// the size it sees).
+	gather *gatherTable
 	// bias injected at the driver stage before thresholding.
 	bias *tensor.Tensor
 	// pool geometry (kind == "pool")

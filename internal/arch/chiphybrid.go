@@ -27,8 +27,11 @@ func NewAccumulatorUnit(lambda float64) *AccumulatorUnit {
 }
 
 // Accumulate folds one timestep of boundary spikes into the registers.
+//
+//nebula:hotpath
 func (au *AccumulatorUnit) Accumulate(spikes *tensor.Tensor) {
-	if au.counts == nil {
+	if au.counts == nil || !tensor.SameShape(au.counts, spikes) {
+		//nebula:coldpath first timestep, or a new boundary shape
 		au.counts = tensor.New(spikes.Shape()...)
 	}
 	cd, sd := au.counts.Data(), spikes.Data()
@@ -43,17 +46,29 @@ func (au *AccumulatorUnit) Accumulate(spikes *tensor.Tensor) {
 
 // Read returns the recovered activation estimate: rate × λ.
 func (au *AccumulatorUnit) Read() *tensor.Tensor {
+	return au.ReadInto(nil)
+}
+
+// ReadInto is Read writing into dst when dst has the registers' shape
+// (a fresh tensor otherwise); it returns the tensor written, or nil
+// before the first timestep.
+func (au *AccumulatorUnit) ReadInto(dst *tensor.Tensor) *tensor.Tensor {
 	if au.counts == nil || au.steps == 0 {
 		return nil
 	}
-	out := au.counts.Clone()
-	out.ScaleInPlace(au.Lambda / float64(au.steps))
-	return out
+	if dst == nil || !tensor.SameShape(dst, au.counts) {
+		dst = tensor.New(au.counts.Shape()...)
+	}
+	copy(dst.Data(), au.counts.Data())
+	dst.ScaleInPlace(au.Lambda / float64(au.steps))
+	return dst
 }
 
-// Reset clears the registers.
+// Reset clears the registers, keeping their storage for the next input.
 func (au *AccumulatorUnit) Reset() {
-	au.counts = nil
+	if au.counts != nil {
+		clear(au.counts.Data())
+	}
 	au.steps = 0
 	au.Adds = 0
 }

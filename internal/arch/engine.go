@@ -47,12 +47,17 @@ func (s *Session) reserveStreams(n int) []runStreams {
 }
 
 // runState is the per-run mutable half of a compiled session: one entry
-// per spiking stage plus the hybrid accumulator. Instances are recycled
-// through the session arena; reset returns every component to the
-// post-programming rest state so each run is an independent inference.
+// per spiking stage and per continuous stage, plus the hybrid
+// accumulator. Instances are recycled through the session arena; reset
+// returns every component to the post-programming rest state so each
+// run is an independent inference, while keeping every buffer — a warm
+// run allocates nothing per timestep or position (DESIGN.md §15).
 type runState struct {
 	stages []*stageRun
+	ann    []*annRun
 	au     *AccumulatorUnit
+	// auOut receives the accumulator's read-out at the hybrid boundary.
+	auOut *tensor.Tensor
 	// encPlane is the packed spike plane of the encoder's output, the
 	// head of the event-driven plane chain threaded through the stages.
 	encPlane spikeplane.Plane
@@ -69,14 +74,18 @@ type stageRun struct {
 	neurons []*device.SpikingNeuron
 	// membranes are the RU registers of a spill stage.
 	membranes []float64
-	// poolIF is the IF bank following NU average pooling.
-	poolIF *snn.IFState
-	// outAcc accumulates read-out increments across timesteps.
+	// poolIF is the IF bank following NU average pooling; poolCur
+	// receives the pooled current and poolOut the emitted spikes.
+	poolIF           *snn.IFState
+	poolCur, poolOut *tensor.Tensor
+	// outAcc accumulates read-out increments across timesteps; outInc
+	// is the per-step increment.
 	outAcc *tensor.Tensor
+	outInc []float64
 
 	// sums receives the stage's crossbar column sums (frozen path only;
 	// the wear path keeps its allocating reads). fire receives the spike
-	// vector; its tensor wrapper is rebuilt per step (cheap header).
+	// vector.
 	sums, fire []float64
 	// act gathers the indices of the non-zero input entries — the spike
 	// list handed down to the crossbar kernels.
@@ -86,24 +95,19 @@ type stageRun struct {
 	sc EvalScratch
 	// total accumulates a spill stage's digitized block partials.
 	total []float64
-	// colBuf / cols are a conv stage's receptive-field window and its
-	// reused im2col unfold; convOut is its reused output plane.
+	// colBuf is a conv stage's receptive-field window; convOut is its
+	// output plane.
 	colBuf  []float64
-	cols    *tensor.Tensor
 	convOut *tensor.Tensor
-	// outInc is the read-out stage's per-step increment row; outIncFlat
-	// is the same buffer viewed as a vector.
-	outInc, outIncFlat *tensor.Tensor
-	// fireT is the cached tensor view over fire a dense stage emits.
-	fireT *tensor.Tensor
+	// view is the cached tensor a dense stage emits (over fire) or a
+	// flatten stage emits (over its input's data).
+	view *tensor.Tensor
 
 	// outPlane is the stage's packed output spike plane (event path).
 	outPlane spikeplane.Plane
 	// winPlane is the packed scratch for conv receptive-field windows
 	// and spill-block views.
 	winPlane spikeplane.Plane
-	// poolZero is the cached zero output of a silent pool stage.
-	poolZero *tensor.Tensor
 
 	// Timestep-repeat cache of a dense in-core stage (event path).
 	// The cached column sums are a pure function of (input values,
@@ -120,28 +124,51 @@ type stageRun struct {
 	haveLast  bool
 }
 
+// annRun holds one continuous stage's per-run buffers, sized on first
+// use and reused by every later run of the recycled state.
+type annRun struct {
+	// gather is the table for an input size the compile did not fix.
+	gather *gatherTable
+	// col is a conv window; row receives one core read; sc is the
+	// core's evaluation scratch.
+	col, row []float64
+	sc       EvalScratch
+	// out is the stage's output tensor (a view over row for dense
+	// stages, over the input's data for flatten).
+	out *tensor.Tensor
+}
+
 // newRunState allocates scratch state shaped for the compiled pipeline.
 func (s *Session) newRunState() *runState {
-	st := &runState{stages: make([]*stageRun, len(s.snnStages))}
+	st := &runState{stages: make([]*stageRun, len(s.snnStages)), ann: make([]*annRun, len(s.annStages))}
 	for i, hw := range s.snnStages {
 		sr := &stageRun{}
 		switch {
 		case hw.snnCore != nil:
-			sr.neurons = make([]*device.SpikingNeuron, len(hw.snnCore.neurons))
-			for j := range sr.neurons {
-				sr.neurons[j] = device.NewSpikingNeuron(hw.snnCore.ST.P)
-			}
+			sr.neurons = neuronSlab(hw.snnCore.ST.P, len(hw.snnCore.neurons))
 			sr.sums = make([]float64, hw.snnCore.ST.cols)
 			sr.fire = make([]float64, hw.snnCore.ST.cols)
+			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
+			if gt := hw.gather; gt != nil {
+				sr.colBuf = make([]float64, gt.rfg)
+				sr.convOut = tensor.New(hw.outC, gt.oh, gt.ow)
+			}
 		case hw.spill != nil:
 			sr.membranes = make([]float64, len(hw.spill.membranes))
 			sr.sums = make([]float64, hw.spill.kernels)
 			sr.total = make([]float64, hw.spill.kernels)
 			sr.fire = make([]float64, hw.spill.kernels)
+			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
 		case hw.kind == "pool":
 			sr.poolIF = snn.NewIFState(1.0, snn.ResetToZero)
+		case hw.kind == "output":
+			sr.outAcc = tensor.New(hw.outW.Dim(0))
+			sr.outInc = make([]float64, hw.outW.Dim(0))
 		}
 		st.stages[i] = sr
+	}
+	for j := range st.ann {
+		st.ann[j] = &annRun{}
 	}
 	if s.cfg.Mode == ModeHybrid {
 		st.au = NewAccumulatorUnit(s.lambda)
@@ -155,13 +182,13 @@ func (st *runState) reset() {
 		for _, n := range sr.neurons {
 			n.Reset()
 		}
-		for i := range sr.membranes {
-			sr.membranes[i] = 0
-		}
+		clear(sr.membranes)
 		if sr.poolIF != nil {
 			sr.poolIF.Reset()
 		}
-		sr.outAcc = nil
+		if sr.outAcc != nil {
+			clear(sr.outAcc.Data())
+		}
 	}
 	if st.au != nil {
 		st.au.Reset()
@@ -190,9 +217,6 @@ type execEnv struct {
 	// Only enabled off the wear path with a nil read-noise stream, so
 	// skipping reads cannot shift an RNG stream (DESIGN.md §15).
 	event bool
-	// sc is the evaluation scratch of callers without a stage-owned one
-	// (the continuous ANN stages).
-	sc EvalScratch
 }
 
 // stageMark snapshots the run counters before one stage executes, so
@@ -254,9 +278,6 @@ func (env *execEnv) evaluate(st *SuperTile, in []float64, act []int, dst []float
 	}
 	if dst == nil || len(dst) != st.cols {
 		dst = make([]float64, st.cols)
-	}
-	if sc == nil {
-		sc = &env.sc
 	}
 	if err := st.EvaluateReadInto(dst, in, act, env.noise, env.cross, sc); err != nil {
 		return nil, err
@@ -516,71 +537,62 @@ func biasData(b *tensor.Tensor) []float64 {
 // tensor and is nil when the stage does not produce one. Event-driven
 // skips are value-preserving by construction: a silent stage or window
 // can only be skipped when doing so leaves every membrane, accumulator
-// and output bit identical to the dense walk (DESIGN.md §15).
+// and output bit identical to the dense walk (DESIGN.md §15). Every
+// buffer the step touches is owned by sr, so a warm step allocates
+// nothing; the returned tensor is valid until the stage's next step.
+//
+//nebula:hotpath
 func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	switch hw.kind {
 	case "conv":
-		if hw.snnCore.neurons == nil {
+		gt := hw.gather
+		if gt == nil {
 			return nil, nil, fmt.Errorf("arch: conv stage not programmed (compile with WithInputShape)")
 		}
-		h, w := x.Dim(1), x.Dim(2)
-		oh := tensor.ConvOutSize(h, hw.kh, hw.stride, hw.pad)
-		ow := tensor.ConvOutSize(w, hw.kw, hw.stride, hw.pad)
-		out := sr.convOut
-		if out == nil || out.Dim(0) != hw.outC || out.Dim(1) != oh || out.Dim(2) != ow {
-			out = tensor.New(hw.outC, oh, ow)
-			sr.convOut = out
+		if x.NDim() != 3 || !gt.fits(x.Dim(1), x.Dim(2)) || x.Size() != hw.inC*gt.h*gt.w {
+			return nil, nil, fmt.Errorf("arch: conv stage %s compiled for a %d×%d×%d input, got %v", hw.name, hw.inC, gt.h, gt.w, x.Shape())
 		}
+		out := sr.convOut
+		od := out.Data()
 		if pl != nil {
 			// Event path: pre-zero the output plane so skipped positions
 			// need no writes, and take the whole-stage exit on a silent
 			// input (zero windows integrate nothing, so no neuron state
 			// moves; a bias would break that, hence the guard).
-			od := out.Data()
-			for i := range od {
-				od[i] = 0
-			}
+			clear(od)
 			res.PackedWords += int64(len(pl.WordSlice()))
 			if hw.bias == nil && pl.IsZero() {
 				res.SilentStageSkips++
 				res.SpikesSkipped += int64(pl.Len())
-				sr.outPlane.Reset(out.Size())
+				sr.outPlane.Reset(len(od))
 				return out, &sr.outPlane, nil
 			}
 		}
 		gcIn := hw.inC / hw.groups
 		gcOut := hw.outC / hw.groups
-		rfg := gcIn * hw.kh * hw.kw
-		if len(sr.colBuf) != rfg {
-			sr.colBuf = make([]float64, rfg)
-		}
+		npos := gt.npos()
+		subLen := gcIn * gt.h * gt.w
 		colBuf := sr.colBuf
-		area := h * w
+		bias := biasData(hw.bias)
 		for g := 0; g < hw.groups; g++ {
-			sub := tensor.FromSlice(x.Data()[g*gcIn*area:(g+1)*gcIn*area], gcIn, h, w)
-			if sr.cols == nil || sr.cols.Dim(0) != rfg || sr.cols.Dim(1) != oh*ow {
-				sr.cols = tensor.New(rfg, oh*ow)
-			}
-			cols := sr.cols
-			tensor.Im2ColInto(cols, sub, hw.kh, hw.kw, hw.stride, hw.pad)
-			for pos := 0; pos < oh*ow; pos++ {
+			sub := x.Data()[g*subLen : (g+1)*subLen]
+			for pos := 0; pos < npos; pos++ {
 				// Grouped case: per-group kernel matrices share the row
 				// space; each (position, group) pair owns a replica bank.
 				bankPos := pos
 				if hw.groups > 1 {
 					bankPos = pos*hw.groups + g
 				}
+				gt.gather(colBuf, sub, pos)
 				var spikes []float64
 				var err error
 				if pl != nil {
-					// Gather the receptive-field window and pack its
-					// spike plane in one pass (im2col scatters indices,
-					// so the window plane is rebuilt, not windowed).
+					// Pack the window's spike plane (the table scatters
+					// indices, so the window plane is rebuilt, not
+					// windowed from pl).
 					wp := &sr.winPlane
-					wp.Reset(rfg)
-					for r := 0; r < rfg; r++ {
-						v := cols.At(r, pos)
-						colBuf[r] = v
+					wp.Reset(len(colBuf))
+					for r, v := range colBuf {
 						if v != 0 {
 							wp.Set(r)
 							//nebula:lint-ignore float-eq binary detection is exact by design: only the literal 1.0 lets the bit pattern stand in for the value
@@ -589,33 +601,29 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 							}
 						}
 					}
-					if hw.bias == nil && wp.IsZero() {
+					if bias == nil && wp.IsZero() {
 						// Silent window: the replica bank integrates
 						// nothing and every output slot stays zero.
 						res.PackedWords += int64(len(wp.WordSlice()))
-						res.SpikesSkipped += int64(rfg)
+						res.SpikesSkipped += int64(len(colBuf))
 						continue
 					}
-					spikes, err = env.coreStepEvent(hw.snnCore, sr, bankPos, colBuf, wp, nil, biasData(hw.bias), false, res)
+					spikes, err = env.coreStepEvent(hw.snnCore, sr, bankPos, colBuf, wp, nil, bias, false, res)
 				} else {
-					// Gather the receptive-field window and its spike
-					// list in one pass; the kernels skip silent rows.
-					act := sr.act[:0]
-					for r := 0; r < rfg; r++ {
-						v := cols.At(r, pos)
-						colBuf[r] = v
+					// The window's spike list; the kernels skip silent rows.
+					sr.act = sr.act[:0]
+					for r, v := range colBuf {
 						if v != 0 {
-							act = append(act, r)
+							sr.act = append(sr.act, r)
 						}
 					}
-					sr.act = act
-					spikes, err = env.coreStep(hw.snnCore, sr, bankPos, colBuf, act, biasData(hw.bias), res)
+					spikes, err = env.coreStep(hw.snnCore, sr, bankPos, colBuf, sr.act, bias, res)
 				}
 				if err != nil {
 					return nil, nil, err
 				}
-				for k := 0; k < gcOut; k++ {
-					out.Set(spikes[g*gcOut+k], g*gcOut+k, pos/ow, pos%ow)
+				for k := g * gcOut; k < (g+1)*gcOut; k++ {
+					od[k*npos+pos] = spikes[k]
 				}
 			}
 		}
@@ -623,21 +631,21 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		// mesh simulator is only driven on the sequential wear path.
 		res.NoCPackets++
 		res.NoCHops += env.hops
+		//nebula:coldpath wear runs drive the shared mesh simulator
 		if env.wear {
 			env.ch.Mesh.Send(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}, maxInt(1, int(out.Sum())), 0)
 		}
 		if pl != nil {
-			sr.outPlane.Pack(out.Data())
+			sr.outPlane.Pack(od)
 			return out, &sr.outPlane, nil
 		}
 		return out, nil, nil
 	case "dense":
-		flat := x.Reshape(x.Size())
-		var spikes []float64
+		in := x.Data()
 		var err error
 		switch {
 		case hw.spill != nil:
-			spikes, err = env.spillStep(hw.spill, sr, 0, flat.Data(), biasData(hw.bias), pl, res)
+			_, err = env.spillStep(hw.spill, sr, 0, in, biasData(hw.bias), pl, res)
 		case pl != nil:
 			if hw.bias == nil && pl.IsZero() {
 				// Whole-stage skip: integrateBankInto ignores zero
@@ -647,85 +655,81 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				res.SilentStageSkips++
 				res.PackedWords += int64(len(pl.WordSlice()))
 				res.SpikesSkipped += int64(pl.Len())
-				if len(sr.fire) != hw.snnCore.ST.cols {
-					sr.fire = make([]float64, hw.snnCore.ST.cols)
-				}
-				for i := range sr.fire {
-					sr.fire[i] = 0
-				}
-				if sr.fireT == nil || sr.fireT.Size() != len(sr.fire) {
-					sr.fireT = tensor.FromSlice(sr.fire, len(sr.fire))
-				}
+				clear(sr.fire)
 				sr.outPlane.Reset(len(sr.fire))
-				return sr.fireT, &sr.outPlane, nil
+				return sr.view, &sr.outPlane, nil
 			}
-			spikes, err = env.coreStepEvent(hw.snnCore, sr, 0, flat.Data(), pl, &sr.outPlane, biasData(hw.bias), true, res)
+			_, err = env.coreStepEvent(hw.snnCore, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
 		default:
 			// Gather the previous layer's spike list so the crossbar
 			// kernels touch only the active rows.
-			act := sr.act[:0]
-			for i, v := range flat.Data() {
+			sr.act = sr.act[:0]
+			for i, v := range in {
 				if v != 0 {
-					act = append(act, i)
+					sr.act = append(sr.act, i)
 				}
 			}
-			sr.act = act
-			spikes, err = env.coreStep(hw.snnCore, sr, 0, flat.Data(), act, biasData(hw.bias), res)
+			_, err = env.coreStep(hw.snnCore, sr, 0, in, sr.act, biasData(hw.bias), res)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		if env.wear {
-			return tensor.FromSlice(spikes, len(spikes)), nil, nil
-		}
-		// Frozen path: spikes aliases sr.fire, whose backing array only
-		// changes when its length does — the cached view stays valid.
-		if sr.fireT == nil || sr.fireT.Size() != len(spikes) {
-			sr.fireT = tensor.FromSlice(spikes, len(spikes))
-		}
+		// Both step kinds emit into sr.fire, which sr.view wraps.
 		if pl != nil {
 			// sr.outPlane was filled during the integrate (coreStepEvent)
 			// or threshold (spillStep) walk — no Pack re-scan needed.
-			return sr.fireT, &sr.outPlane, nil
+			return sr.view, &sr.outPlane, nil
 		}
-		return sr.fireT, nil, nil
+		return sr.view, nil, nil
 	case "pool":
+		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+		oh := tensor.ConvOutSize(h, hw.pool.K, hw.pool.Stride, 0)
+		ow := tensor.ConvOutSize(w, hw.pool.K, hw.pool.Stride, 0)
+		if sr.poolOut == nil || sr.poolOut.Dim(0) != c || sr.poolOut.Dim(1) != oh || sr.poolOut.Dim(2) != ow {
+			//nebula:coldpath first step of a fresh run state
+			sr.poolCur, sr.poolOut = tensor.New(c, oh, ow), tensor.New(c, oh, ow)
+		}
+		out := sr.poolOut
 		if pl != nil {
 			res.PackedWords += int64(len(pl.WordSlice()))
 			if pl.IsZero() {
 				// Silent input: average pooling of zeros is zero, and a
 				// zero-current IF step moves no membrane (leak 1, no
-				// refractory) and fires nothing — the cached zero
-				// output is the exact dense result.
+				// refractory) and fires nothing — a zero output is the
+				// exact dense result.
 				res.SilentStageSkips++
 				res.SpikesSkipped += int64(pl.Len())
-				if sr.poolZero == nil {
-					sr.poolZero = snn.AvgPool(x, hw.pool.K, hw.pool.Stride)
-				}
-				sr.outPlane.Reset(sr.poolZero.Size())
-				return sr.poolZero, &sr.outPlane, nil
+				clear(out.Data())
+				sr.outPlane.Reset(out.Size())
+				return out, &sr.outPlane, nil
 			}
-			out := sr.poolIF.Fire(snn.AvgPool(x, hw.pool.K, hw.pool.Stride))
+		}
+		snn.AvgPoolInto(sr.poolCur, x, hw.pool.K, hw.pool.Stride)
+		sr.poolIF.FireInto(out, sr.poolCur)
+		if pl != nil {
 			sr.outPlane.Pack(out.Data())
 			return out, &sr.outPlane, nil
 		}
-		return sr.poolIF.Fire(snn.AvgPool(x, hw.pool.K, hw.pool.Stride)), nil, nil
+		return out, nil, nil
 	case "flatten":
-		// Flattening reorders nothing, so the plane carries over.
-		return x.Reshape(x.Size()), pl, nil
+		// Flattening reorders nothing, so the plane carries over; the
+		// view is rebuilt only when the input buffer changes (the first
+		// step, or an encoder that emits a fresh tensor per step).
+		if !isFlatView(sr.view, x) {
+			//nebula:coldpath once per input buffer
+			sr.view = x.Reshape(x.Size())
+		}
+		return sr.view, pl, nil
 	case "output":
 		// Digital accumulation at the routing units.
-		flat := x.Reshape(1, -1)
-		n := hw.outW.Dim(0)
-		if sr.outInc == nil || sr.outInc.Dim(1) != n {
-			sr.outInc = tensor.New(1, n)
-			sr.outIncFlat = sr.outInc.Reshape(n)
+		in := x.Data()
+		n, inLen := hw.outW.Dim(0), hw.outW.Dim(1)
+		if len(in) != inLen {
+			return nil, nil, fmt.Errorf("arch: read-out %s expects %d inputs, got %d", hw.name, inLen, len(in))
 		}
-		if sr.outAcc == nil {
-			sr.outAcc = tensor.New(n)
-		}
+		inc := sr.outInc
 		if pl != nil {
 			res.PackedWords += int64(len(pl.WordSlice()))
 			if hw.outB == nil && pl.IsZero() {
@@ -735,143 +739,207 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				res.SpikesSkipped += int64(pl.Len())
 				return sr.outAcc, nil, nil
 			}
-			if pl.Binary() {
-				// Binary plane: each active bit contributes its weight
-				// verbatim (1.0·w == w), and summing in ascending index
-				// order matches the dense inner product bit for bit —
-				// skipped zero terms only ever add ±0 to a sum that is
-				// never −0.
-				wd := hw.outW.Data()
-				inLen := flat.Size()
-				od := sr.outIncFlat.Data()
-				for k := 0; k < n; k++ {
-					row := wd[k*inLen : (k+1)*inLen]
-					s := 0.0
-					it := pl.Iter()
-					for j, ok := it.Next(); ok; j, ok = it.Next() {
-						s += row[j]
-					}
-					od[k] = s
+		}
+		if pl != nil && pl.Binary() {
+			// Binary plane: each active bit contributes its weight
+			// verbatim (1.0·w == w), and summing in ascending index
+			// order matches the dense inner product bit for bit —
+			// skipped zero terms only ever add ±0 to a sum that is
+			// never −0.
+			wd := hw.outW.Data()
+			for k := 0; k < n; k++ {
+				row := wd[k*inLen : (k+1)*inLen]
+				s := 0.0
+				it := pl.Iter()
+				for j, ok := it.Next(); ok; j, ok = it.Next() {
+					s += row[j]
 				}
-				res.SpikesSkipped += int64(pl.Len() - pl.Count())
-			} else {
-				tensor.MatMulTransBInto(sr.outInc, flat, hw.outW)
+				inc[k] = s
 			}
-			if hw.outB != nil {
-				sr.outInc.Row(0).AddInPlace(hw.outB)
-			}
-			sr.outAcc.AddInPlace(sr.outIncFlat)
-			// The accumulator is only read after the final timestep;
-			// returning it uncloned avoids a per-step allocation.
-			return sr.outAcc, nil, nil
+			res.SpikesSkipped += int64(pl.Len() - pl.Count())
+		} else {
+			matVecInto(inc, hw.outW.Data(), in)
 		}
-		tensor.MatMulTransBInto(sr.outInc, flat, hw.outW)
 		if hw.outB != nil {
-			sr.outInc.Row(0).AddInPlace(hw.outB)
+			addInto(inc, hw.outB.Data())
 		}
-		sr.outAcc.AddInPlace(sr.outIncFlat)
-		return sr.outAcc.Clone(), nil, nil
+		addInto(sr.outAcc.Data(), inc)
+		// The accumulator is only read after the final timestep;
+		// returning it uncloned avoids a per-step allocation.
+		return sr.outAcc, nil, nil
 	}
 	return nil, nil, fmt.Errorf("arch: unknown stage kind %q", hw.kind)
 }
 
-// annExec drives a batch of input vectors through an ANN core with the
-// stage bias injected pre-saturation, mirroring the legacy
-// Execute/annExecuteWithBias pair without mutating the shared core.
-func (env *execEnv) annExec(core *ANNCore, inputs [][]float64, bias *tensor.Tensor, res *RunResult) ([][]float64, error) {
-	bd := biasData(bias)
-	out := make([][]float64, len(inputs))
-	for i, in := range inputs {
-		res.Cycles++ // cycle 1: eDRAM → IB
-		res.EDRAMAccesses++
-		sums, err := env.evaluate(core.ST, in, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Cycles++ // cycle 2: drive crossbars, threshold at NU
-		row := make([]float64, len(sums))
-		for j, v := range sums {
-			if bd != nil {
-				// Bias is added pre-saturation: rectify the raw sum at a
-				// lifted ceiling, inject the bias, then apply the device
-				// transfer — identical to the deprecated clip-lift dance.
-				if v < 0 {
-					v = 0
-				} else if v > 1e18 {
-					v = 1e18
-				}
-				if j < len(bd) {
-					v += bd[j]
-				}
-			}
-			if v < 0 {
-				v = 0
-			} else if v > core.Clip {
-				v = core.Clip
-			}
-			row[j] = v
-		}
-		out[i] = row
-		res.Cycles++ // cycle 3: OB → eDRAM
-		res.EDRAMAccesses++
+// isFlatView reports whether v is a one-dimensional view over exactly
+// x's data.
+//
+//nebula:hotpath
+func isFlatView(v, x *tensor.Tensor) bool {
+	if v == nil || v.NDim() != 1 || v.Size() != x.Size() {
+		return false
 	}
-	return out, nil
+	return v.Size() == 0 || &v.Data()[0] == &x.Data()[0]
 }
 
-// annStage executes one compiled stage in ANN mode.
-func (env *execEnv) annStage(hw *annStageHW, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
+// matVecInto sets dst[k] to the inner product of x with row k of the
+// row-major len(dst)×len(x) matrix w, summing in ascending index order
+// from +0 (the order tensor.MatMulTransBInto uses).
+//
+//nebula:hotpath
+func matVecInto(dst, w, x []float64) {
+	n := len(x)
+	for k := range dst {
+		row := w[k*n : (k+1)*n]
+		s := 0.0
+		for j, v := range x {
+			s += v * row[j]
+		}
+		dst[k] = s
+	}
+}
+
+// addInto adds src elementwise into dst.
+//
+//nebula:hotpath
+func addInto(dst, src []float64) {
+	for i, v := range src {
+		dst[i] += v
+	}
+}
+
+// annExec drives one input vector through an ANN core with the stage
+// bias injected pre-saturation, mirroring the legacy
+// Execute/annExecuteWithBias pair without mutating the shared core. The
+// saturated activations land in dst, which must hold core.ST.cols
+// values; sc is the stage's evaluation scratch.
+//
+//nebula:hotpath
+func (env *execEnv) annExec(core *ANNCore, in []float64, bias *tensor.Tensor, dst []float64, sc *EvalScratch, res *RunResult) error {
+	bd := biasData(bias)
+	res.Cycles++ // cycle 1: eDRAM → IB
+	res.EDRAMAccesses++
+	sums, err := env.evaluate(core.ST, in, nil, dst, sc)
+	if err != nil {
+		return err
+	}
+	res.Cycles++ // cycle 2: drive crossbars, threshold at NU
+	for j, v := range sums {
+		if bd != nil {
+			// Bias is added pre-saturation: rectify the raw sum at a
+			// lifted ceiling, inject the bias, then apply the device
+			// transfer — identical to the deprecated clip-lift dance.
+			if v < 0 {
+				v = 0
+			} else if v > 1e18 {
+				v = 1e18
+			}
+			if j < len(bd) {
+				v += bd[j]
+			}
+		}
+		if v < 0 {
+			v = 0
+		} else if v > core.Clip {
+			v = core.Clip
+		}
+		dst[j] = v
+	}
+	res.Cycles++ // cycle 3: OB → eDRAM
+	res.EDRAMAccesses++
+	return nil
+}
+
+// annStage executes one compiled stage in ANN mode. Its output lives in
+// ar and is valid until the stage's next execution.
+//
+//nebula:hotpath
+func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
 	switch hw.kind {
 	case "conv":
+		if x.NDim() != 3 {
+			return nil, fmt.Errorf("arch: conv stage %s needs a C×H×W input, got %v", hw.name, x.Shape())
+		}
 		h, w := x.Dim(1), x.Dim(2)
-		oh := tensor.ConvOutSize(h, hw.kh, hw.stride, hw.pad)
-		ow := tensor.ConvOutSize(w, hw.kw, hw.stride, hw.pad)
-		out := tensor.New(hw.outC, oh, ow)
-		gcOut := hw.outC / hw.groups
-		area := h * w
-		for g := 0; g < hw.groups; g++ {
-			sub := x
-			if hw.groups > 1 {
-				sub = tensor.FromSlice(x.Data()[g*hw.gcIn*area:(g+1)*hw.gcIn*area], hw.gcIn, h, w)
-			}
-			cols := tensor.Im2Col(sub, hw.kh, hw.kw, hw.stride, hw.pad)
-			inputs := make([][]float64, oh*ow)
-			for pos := range inputs {
-				col := make([]float64, cols.Dim(0))
-				for r := range col {
-					col[r] = cols.At(r, pos)
+		gt := hw.gather
+		if !gt.fits(h, w) {
+			if !ar.gather.fits(h, w) {
+				//nebula:coldpath input size the compile did not fix: derived once per run state
+				ag, err := newGatherTable(hw.gcIn, h, w, hw.kh, hw.kw, hw.stride, hw.pad)
+				if err != nil {
+					return nil, fmt.Errorf("arch: conv stage %s: %w", hw.name, err)
 				}
-				inputs[pos] = col
+				ar.gather = ag
 			}
-			sums, err := env.annExec(hw.core, inputs, hw.bias, res)
-			if err != nil {
-				return nil, err
-			}
-			for pos, row := range sums {
+			gt = ar.gather
+		}
+		subLen := hw.gcIn * h * w
+		if x.Size() != hw.groups*subLen {
+			return nil, fmt.Errorf("arch: conv stage %s expects %d input channels, got %v", hw.name, hw.groups*hw.gcIn, x.Shape())
+		}
+		if ar.out == nil || ar.out.Dim(1) != gt.oh || ar.out.Dim(2) != gt.ow {
+			//nebula:coldpath first run of a fresh run state
+			ar.out, ar.col, ar.row = tensor.New(hw.outC, gt.oh, gt.ow), make([]float64, gt.rfg), make([]float64, hw.core.ST.cols)
+		}
+		od := ar.out.Data()
+		npos := gt.npos()
+		gcOut := hw.outC / hw.groups
+		for g := 0; g < hw.groups; g++ {
+			sub := x.Data()[g*subLen : (g+1)*subLen]
+			for pos := 0; pos < npos; pos++ {
+				gt.gather(ar.col, sub, pos)
+				if err := env.annExec(hw.core, ar.col, hw.bias, ar.row, &ar.sc, res); err != nil {
+					return nil, err
+				}
 				for k := g * gcOut; k < (g+1)*gcOut; k++ {
-					out.Set(row[k], k, pos/ow, pos%ow)
+					od[k*npos+pos] = ar.row[k]
 				}
 			}
 		}
-		return out, nil
+		return ar.out, nil
 	case "dense":
-		flat := x.Reshape(x.Size())
-		sums, err := env.annExec(hw.core, [][]float64{flat.Data()}, hw.bias, res)
-		if err != nil {
+		if ar.out == nil {
+			//nebula:coldpath first run of a fresh run state
+			ar.row = make([]float64, hw.core.ST.cols)
+			//nebula:coldpath
+			ar.out = tensor.FromSlice(ar.row, len(ar.row))
+		}
+		if err := env.annExec(hw.core, x.Data(), hw.bias, ar.row, &ar.sc, res); err != nil {
 			return nil, err
 		}
-		return tensor.FromSlice(sums[0], len(sums[0])), nil
+		return ar.out, nil
 	case "pool":
 		// ANN mode: plain average pooling in the NU datapath (no IF).
-		return snn.AvgPool(x, hw.poolK, hw.poolStride), nil
-	case "flatten":
-		return x.Reshape(x.Size()), nil
-	case "output":
-		flat := x.Reshape(1, -1)
-		out := tensor.MatMulTransB(flat, hw.outW)
-		if hw.outB != nil {
-			out.Row(0).AddInPlace(hw.outB)
+		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+		oh := tensor.ConvOutSize(h, hw.poolK, hw.poolStride, 0)
+		ow := tensor.ConvOutSize(w, hw.poolK, hw.poolStride, 0)
+		if ar.out == nil || ar.out.Dim(0) != c || ar.out.Dim(1) != oh || ar.out.Dim(2) != ow {
+			//nebula:coldpath first run of a fresh run state
+			ar.out = tensor.New(c, oh, ow)
 		}
-		return out.Reshape(hw.outW.Dim(0)), nil
+		snn.AvgPoolInto(ar.out, x, hw.poolK, hw.poolStride)
+		return ar.out, nil
+	case "flatten":
+		if !isFlatView(ar.out, x) {
+			//nebula:coldpath once per input buffer
+			ar.out = x.Reshape(x.Size())
+		}
+		return ar.out, nil
+	case "output":
+		n, inLen := hw.outW.Dim(0), hw.outW.Dim(1)
+		if x.Size() != inLen {
+			return nil, fmt.Errorf("arch: read-out %s expects %d inputs, got %d", hw.name, inLen, x.Size())
+		}
+		if ar.out == nil {
+			//nebula:coldpath first run of a fresh run state
+			ar.out = tensor.New(n)
+		}
+		od := ar.out.Data()
+		matVecInto(od, hw.outW.Data(), x.Data())
+		if hw.outB != nil {
+			addInto(od, hw.outB.Data())
+		}
+		return ar.out, nil
 	}
 	return nil, fmt.Errorf("arch: unknown ANN stage kind %q", hw.kind)
 }
@@ -899,12 +967,12 @@ func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun
 
 // annStageObs executes continuous stage j, attributing the counter
 // delta to its bucket when the run carries a shard.
-func (s *Session) annStageObs(env *execEnv, j int, hw *annStageHW, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
+func (s *Session) annStageObs(env *execEnv, j int, hw *annStageHW, ar *annRun, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
 	if env.shard == nil {
-		return env.annStage(hw, x, res)
+		return env.annStage(hw, ar, x, res)
 	}
 	m := env.mark(res)
-	out, err := env.annStage(hw, x, res)
+	out, err := env.annStage(hw, ar, x, res)
 	if err != nil {
 		return nil, err
 	}
@@ -913,37 +981,33 @@ func (s *Session) annStageObs(env *execEnv, j int, hw *annStageHW, x *tensor.Ten
 }
 
 // encodeObs encodes one timestep, attributing the input spikes entering
-// the pipeline to the input bucket (stage 0 of spiking layouts). On the
-// event-driven path it encodes into the run's recycled buffer, packs
-// the spike plane that heads the per-timestep plane chain, and derives
-// the spike count from the plane's popcount.
+// the pipeline to the input bucket (stage 0 of spiking layouts).
+// IntoEncoders write the run's recycled buffer. On the event-driven path
+// it also packs the spike plane that heads the per-timestep plane chain
+// and derives the spike count from the plane's popcount.
 func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *tensor.Tensor, t int) (*tensor.Tensor, *spikeplane.Plane) {
 	var x *tensor.Tensor
 	var pl *spikeplane.Plane
-	if env.event {
-		pl = &st.encPlane
-		switch ie := enc.(type) {
-		case snn.PlaneEncoder:
+	switch ie := enc.(type) {
+	case snn.IntoEncoder:
+		if st.encT == nil || !tensor.SameShape(st.encT, img) {
+			st.encT = tensor.New(img.Shape()...)
+		}
+		x = st.encT
+		if pe, ok := ie.(snn.PlaneEncoder); ok && env.event {
 			// The encoder builds the packed plane during its own walk —
 			// no Pack re-scan of the dense vector.
-			if st.encT == nil || !tensor.SameShape(st.encT, img) {
-				st.encT = tensor.New(img.Shape()...)
-			}
-			ie.EncodeIntoPlane(st.encT, pl, img)
-			x = st.encT
-		case snn.IntoEncoder:
-			if st.encT == nil || !tensor.SameShape(st.encT, img) {
-				st.encT = tensor.New(img.Shape()...)
-			}
-			ie.EncodeInto(st.encT, img)
-			x = st.encT
-			pl.Pack(x.Data())
-		default:
-			x = enc.Encode(img)
-			pl.Pack(x.Data())
+			pl = &st.encPlane
+			pe.EncodeIntoPlane(x, pl, img)
+		} else {
+			ie.EncodeInto(x, img)
 		}
-	} else {
+	default:
 		x = enc.Encode(img)
+	}
+	if env.event && pl == nil {
+		pl = &st.encPlane
+		pl.Pack(x.Data())
 	}
 	if sh := env.shard; sh != nil {
 		var n int64
@@ -961,7 +1025,7 @@ func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *te
 }
 
 // execANN runs one continuous-activation pass.
-func (s *Session) execANN(ctx context.Context, img *tensor.Tensor, env *execEnv) (*RunResult, error) {
+func (s *Session) execANN(ctx context.Context, img *tensor.Tensor, env *execEnv, st *runState) (*RunResult, error) {
 	res := &RunResult{}
 	x := img
 	for j, hw := range s.annStages {
@@ -969,7 +1033,7 @@ func (s *Session) execANN(ctx context.Context, img *tensor.Tensor, env *execEnv)
 			return nil, err
 		}
 		var err error
-		x, err = s.annStageObs(env, j, hw, x, res)
+		x, err = s.annStageObs(env, j, hw, st.ann[j], x, res)
 		if err != nil {
 			return nil, err
 		}
@@ -1032,14 +1096,15 @@ func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execE
 	// The recovered activations are in the source (unnormalized) scale of
 	// the boundary; renormalize to [0,1] with λ so the normalized weights
 	// of the remaining stages apply directly.
-	x := st.au.Read()
+	st.auOut = st.au.ReadInto(st.auOut)
+	x := st.auOut
 	x.ScaleInPlace(1 / s.lambda)
 	for j, hw := range s.annStages {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var err error
-		x, err = s.annStageObs(env, j, hw, x, res)
+		x, err = s.annStageObs(env, j, hw, st.ann[j], x, res)
 		if err != nil {
 			return nil, err
 		}
@@ -1101,7 +1166,7 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	var err error
 	switch s.cfg.Mode {
 	case ModeANN:
-		res, err = s.execANN(ctx, input, env)
+		res, err = s.execANN(ctx, input, env, st)
 	case ModeSNN:
 		res, err = s.execSNN(ctx, input, env, enc, st)
 	default:

@@ -403,10 +403,13 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 	switch cfg.Mode {
 	case ModeANN:
 		s.annStages, err = ch.buildANNStages(model, 0)
+		if err == nil && len(cfg.InputShape) == 3 {
+			err = deriveANNGather(s.annStages, cfg.InputShape[1], cfg.InputShape[2])
+		}
 	case ModeSNN:
 		s.snnStages, err = ch.buildSNN(model)
 		if err == nil {
-			err = ch.programPositions(s.snnStages, cfg.InputShape)
+			_, _, err = ch.programPositions(s.snnStages, cfg.InputShape)
 		}
 	case ModeHybrid:
 		var splitStage int
@@ -417,12 +420,16 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 			// allocation orders are identical.
 			s.snnStages, err = ch.buildSNN(model)
 		}
+		var h, w int
 		if err == nil {
 			s.snnStages = s.snnStages[:model.Stages[splitStage].SNNLayer]
-			err = ch.programPositions(s.snnStages, cfg.InputShape)
+			h, w, err = ch.programPositions(s.snnStages, cfg.InputShape)
 		}
 		if err == nil {
 			s.annStages, err = ch.buildANNStages(model, splitStage)
+		}
+		if err == nil && h > 0 {
+			err = deriveANNGather(s.annStages, h, w)
 		}
 	}
 	if err != nil {
@@ -571,11 +578,12 @@ func (s *Session) Parallelism(n int) int {
 }
 
 // programPositions allocates and protects the position-replica banks of
-// spiking conv stages by propagating the input shape through the
-// pipeline; the legacy entry points did this lazily on the first
-// timestep. Dense-only pipelines need no shape.
-func (ch *Chip) programPositions(stages []*stageHW, shape []int) error {
-	h, w := 0, 0
+// spiking conv stages and derives their gather tables by propagating
+// the input shape through the pipeline; the legacy entry points did
+// this lazily on the first timestep. It returns the spatial size of the
+// pipeline's output (0×0 without a shape). Dense-only pipelines need no
+// shape.
+func (ch *Chip) programPositions(stages []*stageHW, shape []int) (h, w int, err error) {
 	haveShape := len(shape) == 3
 	if haveShape {
 		h, w = shape[1], shape[2]
@@ -584,22 +592,45 @@ func (ch *Chip) programPositions(stages []*stageHW, shape []int) error {
 		switch s.kind {
 		case "conv":
 			if !haveShape {
-				return fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
+				return 0, 0, fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
 			}
-			oh := tensor.ConvOutSize(h, s.kh, s.stride, s.pad)
-			ow := tensor.ConvOutSize(w, s.kw, s.stride, s.pad)
-			if err := s.kmProgram(oh * ow * s.groups); err != nil {
-				return err
+			gt, err := newGatherTable(s.inC/s.groups, h, w, s.kh, s.kw, s.stride, s.pad)
+			if err != nil {
+				return 0, 0, fmt.Errorf("stage %s: %w", s.name, err)
+			}
+			if err := s.kmProgram(gt.npos() * s.groups); err != nil {
+				return 0, 0, err
 			}
 			if err := ch.prepare(s.snnCore.ST); err != nil {
-				return err
+				return 0, 0, err
 			}
-			h, w = oh, ow
+			s.gather = gt
+			h, w = gt.oh, gt.ow
 		case "pool":
 			if haveShape {
 				h = tensor.ConvOutSize(h, s.pool.K, s.pool.Stride, 0)
 				w = tensor.ConvOutSize(w, s.pool.K, s.pool.Stride, 0)
 			}
+		}
+	}
+	return h, w, nil
+}
+
+// deriveANNGather derives the gather tables of continuous conv stages
+// by propagating an h×w input through the pipeline.
+func deriveANNGather(stages []*annStageHW, h, w int) error {
+	for _, s := range stages {
+		switch s.kind {
+		case "conv":
+			gt, err := newGatherTable(s.gcIn, h, w, s.kh, s.kw, s.stride, s.pad)
+			if err != nil {
+				return fmt.Errorf("stage %s: %w", s.name, err)
+			}
+			s.gather = gt
+			h, w = gt.oh, gt.ow
+		case "pool":
+			h = tensor.ConvOutSize(h, s.poolK, s.poolStride, 0)
+			w = tensor.ConvOutSize(w, s.poolK, s.poolStride, 0)
 		}
 	}
 	return nil

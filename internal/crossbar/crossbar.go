@@ -94,7 +94,10 @@ type Crossbar struct {
 	// levelPlus/levelMinus hold the stored device levels, indexed
 	// physRow*physCols+physCol. targetPlus/targetMinus hold the levels
 	// the last Program intended — what BIST verifies against and what
-	// write-verify rewrites toward.
+	// write-verify rewrites toward. The four planes are allocated
+	// together on the first write (ensurePlanes); all nil means a
+	// never-written array, every level zero — most arrays of a
+	// super-tile are spares that are never programmed.
 	levelPlus, levelMinus   []int16
 	targetPlus, targetMinus []int16
 
@@ -137,11 +140,7 @@ func New(rows, cols int, p device.Params, cfg Config, noise *rng.Rand) *Crossbar
 		Rows: rows, Cols: cols, P: p, Cfg: cfg,
 		physRows: physRows, physCols: physCols,
 		rowMap: make([]int, rows), colMap: make([]int, cols),
-		levelPlus:   make([]int16, physRows*physCols),
-		levelMinus:  make([]int16, physRows*physCols),
-		targetPlus:  make([]int16, physRows*physCols),
-		targetMinus: make([]int16, physRows*physCols),
-		noise:       noise,
+		noise: noise,
 	}
 	for i := range c.rowMap {
 		c.rowMap[i] = i
@@ -158,6 +157,20 @@ func New(rows, cols int, p device.Params, cfg Config, noise *rng.Rand) *Crossbar
 	return c
 }
 
+// ensurePlanes allocates the level and target planes of a never-written
+// array; every mutator that stores a level calls it first.
+//
+//nebula:genstamp-exempt materializing all-zero planes changes no level a read observes
+func (c *Crossbar) ensurePlanes() {
+	if c.levelPlus != nil {
+		return
+	}
+	n := c.physRows * c.physCols
+	slab := make([]int16, 4*n)
+	c.levelPlus, c.levelMinus = slab[:n:n], slab[n:2*n:2*n]
+	c.targetPlus, c.targetMinus = slab[2*n:3*n:3*n], slab[3*n:]
+}
+
 // Program loads a rows×cols weight matrix. Weights are clipped to ±wmax
 // and quantized to the device's discrete levels; positive weights program
 // the plus device, negative the minus device. Programming energy is
@@ -172,6 +185,7 @@ func (c *Crossbar) Program(w *tensor.Tensor, wmax float64) error {
 		return fmt.Errorf("crossbar: wmax must be positive")
 	}
 	c.invalidate()
+	c.ensurePlanes()
 	c.wmax = wmax
 	states := c.P.States()
 	stepEnergy := c.P.WriteEnergyFJ / float64(states-1)
@@ -217,6 +231,9 @@ func (c *Crossbar) Program(w *tensor.Tensor, wmax float64) error {
 
 // EffectiveWeight returns the programmed (quantized) weight at (row, col).
 func (c *Crossbar) EffectiveWeight(row, col int) float64 {
+	if c.levelPlus == nil {
+		return 0
+	}
 	states := c.P.States()
 	i := c.rowMap[row]*c.physCols + c.colMap[col]
 	return float64(c.levelPlus[i]-c.levelMinus[i]) / float64(states-1) * c.wmax
@@ -303,9 +320,10 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 			dst[col] = 0
 			continue
 		}
-		// Differential column current: Σ V_i·ΔG·(level⁺−level⁻).
+		// Differential column current: Σ V_i·ΔG·(level⁺−level⁻). A
+		// never-written array stores no levels and sources no current.
 		var iDiff float64 // in µA
-		for row := 0; row < c.Rows; row++ {
+		for row := 0; row < c.Rows && c.levelPlus != nil; row++ {
 			v := input[row]
 			if v == 0 {
 				continue
@@ -343,7 +361,7 @@ func (c *Crossbar) ResetStats() { c.stats = Stats{} }
 // level, the quantity behind the paper's morphable-tile motivation.
 func (c *Crossbar) Utilization() float64 {
 	used := 0
-	for r := 0; r < c.Rows; r++ {
+	for r := 0; r < c.Rows && c.levelPlus != nil; r++ {
 		for col := 0; col < c.Cols; col++ {
 			i := c.rowMap[r]*c.physCols + c.colMap[col]
 			if c.levelPlus[i] != 0 || c.levelMinus[i] != 0 {
@@ -378,6 +396,7 @@ func (c *Crossbar) InjectStuckFaults(r *rng.Rand, fraction float64, mode FaultMo
 	}
 	c.invalidate()
 	c.ensureFaults()
+	c.ensurePlanes()
 	states := c.P.States()
 	stuck := 0
 	if mode == StuckP {

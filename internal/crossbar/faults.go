@@ -98,6 +98,7 @@ func (c *Crossbar) Tick(steps int64) {
 func (c *Crossbar) SetStuck(row, col int, plus bool, mode FaultMode) {
 	c.invalidate()
 	c.ensureFaults()
+	c.ensurePlanes()
 	states := c.P.States()
 	rec := faultRec{kind: kindStuckAP}
 	if mode == StuckP {
@@ -119,6 +120,7 @@ func (c *Crossbar) SetStuck(row, col int, plus bool, mode FaultMode) {
 func (c *Crossbar) SetWeak(row, col int, plus bool, level int) {
 	c.invalidate()
 	c.ensureFaults()
+	c.ensurePlanes()
 	pi := row*c.physCols + col
 	rec := faultRec{kind: kindWeak, level: int16(clampLevel(level, c.P.States()))}
 	if plus {
@@ -244,7 +246,8 @@ func (c *Crossbar) Verify() *FaultMap {
 	for _, col := range m.DeadCols {
 		deadColSet[col] = true
 	}
-	for r := 0; r < c.Rows; r++ {
+	// A never-written array reads exactly its (all-zero) targets.
+	for r := 0; r < c.Rows && c.levelPlus != nil; r++ {
 		if c.deadRow != nil && c.deadRow[c.rowMap[r]] {
 			continue
 		}
@@ -267,6 +270,9 @@ func (c *Crossbar) Verify() *FaultMap {
 // PairError returns the differential level error (got − want) of the
 // logical pair (row, col).
 func (c *Crossbar) PairError(row, col int) int {
+	if c.levelPlus == nil {
+		return 0
+	}
 	pi := c.rowMap[row]*c.physCols + c.colMap[col]
 	return (int(c.levelPlus[pi]) - int(c.levelMinus[pi])) - (int(c.targetPlus[pi]) - int(c.targetMinus[pi]))
 }
@@ -276,6 +282,7 @@ func (c *Crossbar) PairError(row, col int) int {
 // devices ignore the write). Programming energy is accounted per level
 // moved.
 func (c *Crossbar) WritePair(row, col int) {
+	c.ensurePlanes()
 	pi := c.rowMap[row]*c.physCols + c.colMap[col]
 	c.writeDevice(pi, true, int(c.targetPlus[pi]))
 	c.writeDevice(pi, false, int(c.targetMinus[pi]))
@@ -285,6 +292,7 @@ func (c *Crossbar) WritePair(row, col int) {
 // honoring its fault record and accounting energy for the level moved.
 func (c *Crossbar) writeDevice(pi int, plus bool, want int) {
 	c.invalidate()
+	c.ensurePlanes()
 	applied := c.appliedLevel(pi, plus, want)
 	states := c.P.States()
 	stepEnergy := c.P.WriteEnergyFJ / float64(states-1)
@@ -309,6 +317,7 @@ func (c *Crossbar) writeDevice(pi int, plus bool, want int) {
 // target is returned.
 func (c *Crossbar) CompensatePair(row, col int) int {
 	c.ensureFaults()
+	c.ensurePlanes()
 	pi := c.rowMap[row]*c.physCols + c.colMap[col]
 	d := int(c.targetPlus[pi]) - int(c.targetMinus[pi])
 	fp, fm := c.faultPlus[pi], c.faultMinus[pi]
@@ -344,6 +353,7 @@ func (c *Crossbar) RemapRow(row int) bool {
 		return false
 	}
 	c.invalidate()
+	c.ensurePlanes()
 	old := c.rowMap[row]
 	c.rowMap[row] = phys
 	for col := 0; col < c.Cols; col++ {
@@ -365,6 +375,7 @@ func (c *Crossbar) RemapCol(col int) bool {
 		return false
 	}
 	c.invalidate()
+	c.ensurePlanes()
 	old := c.colMap[col]
 	c.colMap[col] = phys
 	for r := 0; r < c.Rows; r++ {
@@ -424,7 +435,7 @@ func (c *Crossbar) Refresh() {
 func (c *Crossbar) TargetWeights() (*tensor.Tensor, float64) {
 	states := c.P.States()
 	w := tensor.New(c.Rows, c.Cols)
-	for r := 0; r < c.Rows; r++ {
+	for r := 0; r < c.Rows && c.targetPlus != nil; r++ {
 		for col := 0; col < c.Cols; col++ {
 			pi := c.rowMap[r]*c.physCols + c.colMap[col]
 			w.Set(float64(c.targetPlus[pi]-c.targetMinus[pi])/float64(states-1)*c.wmax, r, col)
@@ -450,6 +461,7 @@ func (c *Crossbar) applyReadDisturb(active int) {
 		return
 	}
 	c.invalidate()
+	c.ensurePlanes()
 	for i := 0; i < n; i++ {
 		pr := c.rowMap[c.noise.Intn(c.Rows)]
 		pc := c.colMap[c.noise.Intn(c.Cols)]

@@ -81,6 +81,9 @@ func (c *Crossbar) BakeKernel() {
 		k.rowLive[row>>6] |= 1 << uint(row&63)
 		base := pr * c.physCols
 		trow := k.terms[row*c.Cols : (row+1)*c.Cols]
+		if c.levelPlus == nil {
+			continue // a never-written array's terms stay zero
+		}
 		for col := range trow {
 			idx := base + c.colMap[col]
 			trow[col] = float64(c.levelPlus[idx]-c.levelMinus[idx]) * deltaG

@@ -192,6 +192,9 @@ func (c *Crossbar) ImportState(st State) error {
 	c.invalidate()
 	c.rowMap = st.RowMap
 	c.colMap = st.ColMap
+	if c.levelPlus == nil && (st.LevelPlus != nil || st.LevelMinus != nil || st.TargetPlus != nil || st.TargetMinus != nil) {
+		c.ensurePlanes()
+	}
 	c.levelPlus = adoptPlane(c.levelPlus, st.LevelPlus)
 	c.levelMinus = adoptPlane(c.levelMinus, st.LevelMinus)
 	c.targetPlus = adoptPlane(c.targetPlus, st.TargetPlus)

@@ -718,11 +718,16 @@ func (c *Crossbar) ImportStateBlob(data []byte) error {
 		return r.err
 	}
 	states := c.P.States()
-	if err := fillPlanes(c.levelPlus, c.targetPlus, lvPlus, dPlus, pristine, states); err != nil {
-		return err
-	}
-	if err := fillPlanes(c.levelMinus, c.targetMinus, lvMinus, dMinus, pristine, states); err != nil {
-		return err
+	// An all-nil record of a never-written array leaves its planes
+	// unallocated; anything else materializes them.
+	if c.levelPlus != nil || !lvPlus.isNil || !lvMinus.isNil || !dPlus.isNil || !dMinus.isNil {
+		c.ensurePlanes()
+		if err := fillPlanes(c.levelPlus, c.targetPlus, lvPlus, dPlus, pristine, states); err != nil {
+			return err
+		}
+		if err := fillPlanes(c.levelMinus, c.targetMinus, lvMinus, dMinus, pristine, states); err != nil {
+			return err
+		}
 	}
 	faultsPlus := r.faults()
 	faultsMinus := r.faults()

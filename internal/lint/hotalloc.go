@@ -28,6 +28,11 @@ import (
 //     inside it — is skipped entirely, and calls made only there are
 //     not pulled into the closure. //nebula:coldpath on (or directly
 //     above) a statement marks other cold regions explicitly.
+//     Escape analysis does not share the excuse: a hot function's own
+//     slice or pointer parameter boxed into an interface anywhere in
+//     its body — panic(fmt.Sprintf("%v", idx)) in a cold exit included
+//     — is moved to the heap at every call site. Such boxing is
+//     reported even inside cold regions; format a copy instead.
 //   - Amortized growth guards. Inside the body of an if whose
 //     condition consults len/cap or compares against nil, allocation
 //     constructs are excused: "grow scratch when undersized" runs a
@@ -241,6 +246,80 @@ func (hc *hotChecker) analyze(coldFiles map[string]map[int]bool) {
 		}
 		return true
 	})
+
+	// Pass 3: inside cold regions, parameters boxed into interfaces.
+	params := hc.pointerParams()
+	if len(params) == 0 {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && hc.inCold(call.Pos()) {
+			hc.checkColdBoxing(call, params)
+		}
+		return true
+	})
+}
+
+// pointerParams returns the function's receiver and parameters whose
+// types are slices or pointers — what an interface conversion leaks.
+func (hc *hotChecker) pointerParams() map[types.Object]bool {
+	p := hc.fn.Pkg
+	out := map[types.Object]bool{}
+	var lists []*ast.FieldList
+	if hc.fn.Decl.Recv != nil {
+		lists = append(lists, hc.fn.Decl.Recv)
+	}
+	lists = append(lists, hc.fn.Decl.Type.Params)
+	for _, fl := range lists {
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				obj := p.Info.Defs[name]
+				if obj == nil {
+					continue
+				}
+				switch obj.Type().Underlying().(type) {
+				case *types.Slice, *types.Pointer:
+					out[obj] = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkColdBoxing flags arguments of a cold-region call that box one of
+// params into an interface: through an interface parameter (variadic
+// ...interface{} slots included), a conversion, or panic itself.
+func (hc *hotChecker) checkColdBoxing(call *ast.CallExpr, params map[types.Object]bool) {
+	p := hc.fn.Pkg
+	boxed := func(arg ast.Expr) {
+		id, ok := ast.Unparen(arg).(*ast.Ident)
+		if !ok || !params[p.Info.Uses[id]] {
+			return
+		}
+		hc.flag(arg.Pos(), "cold exit boxes parameter "+id.Name+" into an interface, so escape analysis moves it to the heap at every call site; format a copy")
+	}
+	if isBuiltinCall(p, call, "panic") {
+		for _, arg := range call.Args {
+			boxed(arg)
+		}
+		return
+	}
+	tv := p.Info.Types[call.Fun]
+	if tv.Type == nil {
+		return
+	}
+	if tv.IsType() {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+			boxed(call.Args[0])
+		}
+		return
+	}
+	if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
+		for _, arg := range interfaceArgs(call, sig) {
+			boxed(arg)
+		}
+	}
 }
 
 // flag records one finding with hot-path provenance.
@@ -304,15 +383,26 @@ func (hc *hotChecker) checkCall(call *ast.CallExpr, recycled map[string]bool) {
 // checkBoxing flags arguments that box concrete values into interface
 // parameters, including variadic ...interface{} slots.
 func (hc *hotChecker) checkBoxing(call *ast.CallExpr, sig *types.Signature) {
-	p := hc.fn.Pkg
+	for _, arg := range interfaceArgs(call, sig) {
+		if isConcrete(hc.fn.Pkg.Info.Types[arg].Type) {
+			hc.flag(arg.Pos(), "argument boxes a concrete value into an interface parameter")
+		}
+	}
+}
+
+// interfaceArgs returns the call's arguments that land in interface
+// parameters, including variadic ...interface{} slots (a spread
+// slice... passes an existing slice and boxes nothing).
+func interfaceArgs(call *ast.CallExpr, sig *types.Signature) []ast.Expr {
 	params := sig.Params()
 	if params == nil {
-		return
+		return nil
 	}
 	fixed := params.Len()
 	if sig.Variadic() {
 		fixed--
 	}
+	var out []ast.Expr
 	for i, arg := range call.Args {
 		var pt types.Type
 		switch {
@@ -323,10 +413,11 @@ func (hc *hotChecker) checkBoxing(call *ast.CallExpr, sig *types.Signature) {
 		default:
 			continue
 		}
-		if types.IsInterface(pt) && isConcrete(p.Info.Types[arg].Type) {
-			hc.flag(arg.Pos(), "argument boxes a concrete value into an interface parameter")
+		if types.IsInterface(pt) {
+			out = append(out, arg)
 		}
 	}
+	return out
 }
 
 // appendIsRecycled reports whether the append reuses capacity: its

@@ -269,3 +269,79 @@ func Cold() []float64 {
 		t.Errorf("findings without any //nebula:hotpath root: %v %v", active, suppressed)
 	}
 }
+
+// TestHotallocColdExitBoxesParameter pins the escape-analysis hole of
+// the cold-exit excuse, on a copy of a multi-index lookup whose panics
+// once boxed the caller's variadic index slice: the panic is skipped as
+// an allocation site, but boxing the parameter still moves every
+// caller's index slice to the heap. Formatting a copy, boxing a field
+// or boxing a scalar parameter is clean.
+func TestHotallocColdExitBoxesParameter(t *testing.T) {
+	src := `package fix
+
+import "fmt"
+
+type Tensor struct {
+	shape []int
+	data  []float64
+}
+
+//nebula:hotpath
+func (t *Tensor) At(idx ...int) float64 {
+	return t.data[t.offset(idx)]
+}
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+		}
+		off = off*t.shape[i] + x
+	}
+	return off
+}
+
+//nebula:hotpath
+func (t *Tensor) Set(v float64, idx ...int) {
+	t.data[t.offsetCopy(idx)] = v
+}
+
+func (t *Tensor) offsetCopy(idx []int) int {
+	if len(idx) != len(t.shape) {
+		panic(fmt.Sprintf("tensor: index %v does not match shape %v", append([]int(nil), idx...), t.shape))
+	}
+	return idx[0]
+}
+
+//nebula:hotpath
+func Check(xs []float64, p *Tensor, n int) error {
+	if n < 0 {
+		return fmt.Errorf("check: %v %d %v", xs, n, len(xs))
+	}
+	if n > 1 {
+		panic(p)
+	}
+	return nil
+}
+`
+	active, _ := hotallocMessages(t, src)
+	if got := countContaining(active, "offset (hot via root", "cold exit boxes parameter idx"); got != 2 {
+		t.Errorf("offset boxing findings = %d, want 2 (both panics)\nall: %v", got, active)
+	}
+	if got := countContaining(active, "offsetCopy"); got != 0 {
+		t.Errorf("formatting a copy flagged: %v", active)
+	}
+	if got := countContaining(active, "Check (declared", "cold exit boxes parameter xs"); got != 1 {
+		t.Errorf("error-tail boxing findings = %d, want 1\nall: %v", got, active)
+	}
+	if got := countContaining(active, "Check (declared", "cold exit boxes parameter p"); got != 1 {
+		t.Errorf("panic(p) findings = %d, want 1\nall: %v", got, active)
+	}
+	if len(active) != 4 {
+		t.Errorf("findings = %d, want 4 (n, len(xs) and t.shape are clean)\nall: %v", len(active), active)
+	}
+}

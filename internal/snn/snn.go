@@ -69,6 +69,9 @@ type IFState struct {
 	perNeuron *tensor.Tensor
 	// refractoryLeft tracks per-neuron remaining refractory steps.
 	refractoryLeft []int
+	// fired records whether the bank has integrated since the last
+	// Reset (Rates reports nil until it has).
+	fired bool
 }
 
 // newIFState allocates IF state for the given activation shape.
@@ -90,28 +93,44 @@ func (s *IFState) Fire(current *tensor.Tensor) *tensor.Tensor {
 	return s.fire(current)
 }
 
-// Reset clears membrane and counters.
+// Reset clears membrane and counters. The banks are zeroed in place, so
+// a state reused across inputs of one shape allocates only once.
 func (s *IFState) Reset() {
-	s.u = nil
-	s.perNeuron = nil
-	s.refractoryLeft = nil
+	if s.u != nil {
+		clear(s.u.Data())
+		clear(s.perNeuron.Data())
+		clear(s.refractoryLeft)
+	}
+	s.fired = false
 	s.count = 0
 }
 
 // fire integrates the input current and returns the binary spike tensor.
 func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
-	if s.u == nil || !tensor.SameShape(s.u, current) {
-		s.u = tensor.New(current.Shape()...)
-		s.perNeuron = tensor.New(current.Shape()...)
-		s.refractoryLeft = make([]int, current.Size())
-	}
 	out := tensor.New(current.Shape()...)
+	s.FireInto(out, current)
+	return out
+}
+
+// FireInto is Fire writing the spikes into out, a caller-owned tensor
+// of the current's size: every element is assigned (1 or 0), so
+// per-timestep callers reuse one output buffer.
+//
+//nebula:hotpath
+func (s *IFState) FireInto(out, current *tensor.Tensor) {
+	if s.u == nil || !tensor.SameShape(s.u, current) {
+		//nebula:coldpath first step, or a new activation shape
+		s.u, s.perNeuron, s.refractoryLeft = tensor.New(current.Shape()...), tensor.New(current.Shape()...), make([]int, current.Size())
+	}
+	s.fired = true
 	ud, cd, od, pd := s.u.Data(), current.Data(), out.Data(), s.perNeuron.Data()
+	od = od[:len(ud)] // out must hold one value per neuron
 	leak := s.Leak
 	if leak <= 0 || leak > 1 {
 		leak = 1
 	}
 	for i := range ud {
+		od[i] = 0
 		if s.refractoryLeft[i] > 0 {
 			s.refractoryLeft[i]--
 			continue
@@ -129,13 +148,12 @@ func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
 			s.refractoryLeft[i] = s.Refractory
 		}
 	}
-	return out
 }
 
 // Rates returns per-neuron firing rates (spike count / timesteps). It
 // returns nil before the first Step.
 func (s *IFState) Rates(timesteps int) *tensor.Tensor {
-	if s.perNeuron == nil {
+	if !s.fired {
 		return nil
 	}
 	out := s.perNeuron.Clone()
@@ -272,12 +290,28 @@ func (p *AvgPoolIF) Step(in *tensor.Tensor) *tensor.Tensor {
 // datapath half of AvgPoolIF, shared with the chip simulator's NU pooling
 // (spiking mode pairs it with a per-run IFState; ANN mode uses it alone).
 func AvgPool(in *tensor.Tensor, k, stride int) *tensor.Tensor {
+	oh := tensor.ConvOutSize(in.Dim(1), k, stride, 0)
+	ow := tensor.ConvOutSize(in.Dim(2), k, stride, 0)
+	pooled := tensor.New(in.Dim(0), oh, ow)
+	AvgPoolInto(pooled, in, k, stride)
+	return pooled
+}
+
+// AvgPoolInto is AvgPool writing into a caller-owned (C, OH, OW)
+// destination, so per-timestep callers reuse one buffer. Every element
+// of dst is assigned.
+//
+//nebula:hotpath
+func AvgPoolInto(dst, in *tensor.Tensor, k, stride int) {
 	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
 	oh := tensor.ConvOutSize(h, k, stride, 0)
 	ow := tensor.ConvOutSize(w, k, stride, 0)
-	pooled := tensor.New(c, oh, ow)
+	if dst.Size() != c*oh*ow {
+		//nebula:lint-ignore panic-audit a mis-sized destination is a caller bug, like a shape mismatch in tensor arithmetic
+		panic("snn: AvgPoolInto destination size does not match the pooled shape")
+	}
 	inv := 1.0 / float64(k*k)
-	id, pd := in.Data(), pooled.Data()
+	id, pd := in.Data(), dst.Data()
 	for ch := 0; ch < c; ch++ {
 		inBase := ch * h * w
 		outBase := ch * oh * ow
@@ -294,7 +328,6 @@ func AvgPool(in *tensor.Tensor, k, stride int) *tensor.Tensor {
 			}
 		}
 	}
-	return pooled
 }
 
 // Flatten reshapes spikes to a vector; it is stateless.

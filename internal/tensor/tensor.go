@@ -112,14 +112,17 @@ func (t *Tensor) Set(v float64, idx ...int) {
 	t.data[t.offset(idx)] = v
 }
 
+// offset flattens a multi-index. The panics format a copy of idx: boxing
+// the caller's variadic slice itself would make escape analysis move it
+// to the heap at every At/Set call site.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %v does not match shape %v", append([]int(nil), idx...), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

@@ -61,6 +61,41 @@ func TestAtOutOfBoundsPanics(t *testing.T) {
 	New(2, 2).At(2, 0)
 }
 
+// TestAtSetDoNotAllocate pins that the variadic index slice of At and
+// Set stays on the caller's stack: offset's panics format a copy, so
+// escape analysis does not move every call's index to the heap.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(3, 4, 5)
+	allocs := testing.AllocsPerRun(100, func() {
+		x.Set(x.At(1, 2, 3)+1, 2, 3, 4)
+	})
+	if allocs != 0 {
+		t.Fatalf("At/Set allocated %.0f times per call pair, want 0", allocs)
+	}
+}
+
+// TestOffsetPanicMessages pins the index panics' text.
+func TestOffsetPanicMessages(t *testing.T) {
+	x := New(2, 3)
+	for _, tc := range []struct {
+		idx  []int
+		want string
+	}{
+		{[]int{1}, "tensor: index [1] does not match shape [2 3]"},
+		{[]int{1, 3}, "tensor: index [1 3] out of bounds for shape [2 3]"},
+		{[]int{-1, 0}, "tensor: index [-1 0] out of bounds for shape [2 3]"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("At(%v) panicked with %v, want %q", tc.idx, got, tc.want)
+				}
+			}()
+			x.At(tc.idx...)
+		}()
+	}
+}
+
 func TestReshapeView(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	y := x.Reshape(3, 2)
