@@ -6,7 +6,7 @@ GO ?= go
 # to make a build pass.
 COVER_FLOOR ?= 76.0
 
-.PHONY: build test race lint flow-lint fmt-check smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check verify
+.PHONY: build test race lint flow-lint fmt-check smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check bench-module verify
 
 build:
 	$(GO) build ./...
@@ -74,7 +74,7 @@ cover:
 # Observability determinism gate: the exported counter record must be
 # bitwise identical between a sequential and a parallel run of the same
 # batch — the shard-merge contract of internal/obs (DESIGN.md §9).
-# The record embeds the full obs snapshot, so the event-driven skip
+# The record embeds the full obs snapshot, so the skip
 # counters (silent_stage_skips, spikes_skipped, packed_words,
 # repeat_reads) are byte-diffed across parallelism here too.
 obs-check:
@@ -84,25 +84,26 @@ obs-check:
 	@echo "obs snapshots bitwise identical across parallelism"
 
 # Frozen-kernel equivalence gate: the differential fuzz suite proving the
-# baked read kernels are bitwise identical to the dense reference, plus
-# the session-level kernel-on/kernel-off comparison, under the race
-# detector (DESIGN.md §10).
+# baked read kernels (index and packed, noiseless and noisy) are bitwise
+# identical to the dense read, plus the session-level production-vs-
+# reference identity matrix, under the race detector (DESIGN.md §10).
 kernel-check:
 	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked'
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionFrozenKernel|TestCompileBakesKernels|TestWearSessionSkipsBake'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestCompileBakesKernels|TestWearSessionSkipsBake'
 	@echo "frozen kernels bitwise identical to the dense reference"
 
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property
-# suite, the session-level event-vs-dense bitwise comparisons at
+# suite, the session-level Run-vs-RunReference identity matrix at
 # parallelism 1/4/NumCPU under the race detector, and the sparsity
 # study itself, which errors unless every activity level (1%, 10%,
-# 50%, dense) is bitwise identical between the event and dense walks.
-# Writes BENCH_sparse.json with the speedups and skip counters.
+# 50%, dense) is bitwise identical between the production and
+# reference walks. Writes BENCH_sparse.json with the speedups and skip
+# counters.
 sparse-check:
 	$(GO) test -race -count=1 ./internal/spikeplane
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionEventDriven|TestSuperTileEvaluateReadPacked'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestSuperTileEvaluateReadPacked'
 	$(GO) run ./cmd/nebula-bench -exp sparse
-	@echo "event-driven stepping bitwise identical to the dense walk"
+	@echo "production walk bitwise identical to the reference walk"
 
 # Chip-image determinism gate (DESIGN.md §13): two compiles of the same
 # model and options must emit byte-identical images, a session loaded
@@ -114,4 +115,10 @@ image-check:
 	$(GO) test -race -count=1 ./internal/image
 	@echo "chip images byte-deterministic; loaded sessions bitwise identical"
 
-verify: build fmt-check lint flow-lint test race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check
+# Benchmark-module gate: _benchmark is its own module (outside ./...),
+# so exported-API changes in the simulator must be checked against it
+# explicitly.
+bench-module:
+	cd _benchmark && $(GO) vet . && $(GO) test .
+
+verify: build fmt-check lint flow-lint test race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check bench-module

@@ -282,7 +282,7 @@ func BenchmarkPowerProfile_TraceReplay(b *testing.B) {
 
 func BenchmarkFaultResilience(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.FaultResilience(10, 50)
+		r, err := experiments.FaultResilience(context.Background(), 10, 50)
 		if err != nil {
 			b.Fatal(err)
 		}

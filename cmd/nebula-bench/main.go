@@ -60,6 +60,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -257,7 +258,7 @@ func run() int {
 			return nil
 		},
 		"faults": func() error {
-			r, err := experiments.FaultResilience(*samples/2+1, 60)
+			r, err := experiments.FaultResilience(context.Background(), *samples/2+1, 60)
 			if err != nil {
 				return err
 			}

@@ -17,11 +17,13 @@ import (
 )
 
 // sparsePoint is one row of the activity sweep: the same compiled SNN
-// workload driven at one controlled input-activity level, run once with
-// event-driven stepping (the default) and once on the dense reference
-// walk (WithEventDriven(false)). The skip counters come from the event
-// runs; the dense runs must report zeros — the dense walk never touches
-// the packed path.
+// workload driven at one controlled input-activity level, run once
+// through Session.RunBatch (the production walk, which skips silent
+// stages and windows) and once through Session.RunReference (the dense
+// reference walk). The skip counters come from the production runs; the
+// reference runs must report zeros — the reference never skips and
+// never reads through a packed plane. The dense_/event_ field names
+// keep the record's schema.
 type sparsePoint struct {
 	Activity         float64 `json:"activity"`
 	DenseSec         float64 `json:"dense_sec"`
@@ -45,8 +47,8 @@ type sparseBench struct {
 	Points    []sparsePoint `json:"points"`
 }
 
-// runSparseBench measures event-driven stepping against the dense walk
-// across input-activity levels, verifies bitwise-identical outputs at
+// runSparseBench measures the production walk against the reference
+// walk across input-activity levels, verifies bitwise-identical outputs at
 // every level, and writes the record to outPath.
 //
 // Activity is controlled through the input: every pixel of the
@@ -80,18 +82,18 @@ func runSparseBench(images, T int, outPath string) error {
 	// reps repeats the timed batch and the record carries the per-image
 	// average. The first (untimed) pass also warms the session arena.
 	const reps = 8
-	run := func(imgs []*tensor.Tensor, opts ...arch.Option) ([]*arch.RunResult, time.Duration, error) {
-		sess, err := pipe.CompileChip(T, 1, append([]arch.Option{bernoulli}, opts...)...)
+	run := func(imgs []*tensor.Tensor, ref bool) ([]*arch.RunResult, time.Duration, error) {
+		sess, err := pipe.CompileChip(T, 1, bernoulli)
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := sess.RunBatch(ctx, imgs)
+		res, err := runWalk(ctx, sess, imgs, ref)
 		if err != nil {
 			return nil, 0, err
 		}
 		start := time.Now()
 		for rep := 0; rep < reps; rep++ {
-			if _, err := sess.RunBatch(ctx, imgs); err != nil {
+			if _, err := runWalk(ctx, sess, imgs, ref); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -105,7 +107,7 @@ func runSparseBench(images, T int, outPath string) error {
 		Timesteps: T,
 	}
 
-	fmt.Printf("event-driven stepping vs dense walk: %s, %d images, T=%d\n", rec.Workload, images, T)
+	fmt.Printf("production walk vs reference walk: %s, %d images, T=%d\n", rec.Workload, images, T)
 	for _, activity := range []float64{0.01, 0.10, 0.50, 1.00} {
 		imgs := make([]*tensor.Tensor, images)
 		for i := range imgs {
@@ -117,11 +119,11 @@ func runSparseBench(images, T int, outPath string) error {
 			imgs[i] = img
 		}
 
-		denseRes, denseDur, err := run(imgs, arch.WithEventDriven(false))
+		denseRes, denseDur, err := run(imgs, true)
 		if err != nil {
 			return err
 		}
-		eventRes, eventDur, err := run(imgs)
+		eventRes, eventDur, err := run(imgs, false)
 		if err != nil {
 			return err
 		}
@@ -137,7 +139,7 @@ func runSparseBench(images, T int, outPath string) error {
 		}
 		for i := range denseRes {
 			if denseRes[i].PackedWords != 0 || denseRes[i].SilentStageSkips != 0 || denseRes[i].RepeatReads != 0 {
-				return fmt.Errorf("activity %v: dense walk touched the packed path: %+v", activity, denseRes[i])
+				return fmt.Errorf("activity %v: reference walk reported skip counters: %+v", activity, denseRes[i])
 			}
 			dd, ed := denseRes[i].Output.Data(), eventRes[i].Output.Data()
 			for j := range dd {
@@ -155,11 +157,11 @@ func runSparseBench(images, T int, outPath string) error {
 			pt.RepeatReads += eventRes[i].RepeatReads
 		}
 		rec.Points = append(rec.Points, pt)
-		fmt.Printf("  %3.0f%% activity: dense %7.2f ms/img, event %7.2f ms/img, %5.2fx  (stage skips %d, spikes skipped %d, repeats %d, identical %v)\n",
+		fmt.Printf("  %3.0f%% activity: reference %7.2f ms/img, production %7.2f ms/img, %5.2fx  (stage skips %d, spikes skipped %d, repeats %d, identical %v)\n",
 			activity*100, pt.DenseNsPerImg/1e6, pt.EventNsPerImg/1e6, pt.Speedup,
 			pt.SilentStageSkips, pt.SpikesSkipped, pt.RepeatReads, pt.BitwiseIdentical)
 		if !pt.BitwiseIdentical {
-			return fmt.Errorf("activity %v: event-driven outputs diverged from the dense walk", activity)
+			return fmt.Errorf("activity %v: production outputs diverged from the reference walk", activity)
 		}
 	}
 
@@ -175,4 +177,23 @@ func runSparseBench(images, T int, outPath string) error {
 	}
 	fmt.Printf("  [wrote %s]\n", outPath)
 	return nil
+}
+
+// runWalk runs imgs through sess in order: as one RunBatch on the
+// production walk, or one RunReference per image on the reference walk.
+// Both reserve the same per-run streams, so their outputs compare bit
+// for bit.
+func runWalk(ctx context.Context, sess *arch.Session, imgs []*tensor.Tensor, ref bool) ([]*arch.RunResult, error) {
+	if !ref {
+		return sess.RunBatch(ctx, imgs)
+	}
+	out := make([]*arch.RunResult, len(imgs))
+	for i, img := range imgs {
+		res, err := sess.RunReference(ctx, img)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
 }

@@ -2,12 +2,14 @@ package repro
 
 // Full-stack integration test: one model travels the entire flow the
 // repository implements — train → calibrate → quantize → convert → dense
-// SNN eval → event-driven eval → hybrid split → chip-level execution →
+// SNN eval → chip production vs reference walk → hybrid split → chip-level execution →
 // shape derivation → mapping → placement → compiled schedule → routed NoC
 // traffic → analytic energy → trace replay. Each stage's output feeds the
 // next, so this test fails if any cross-package contract drifts.
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/compiler"
@@ -15,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
-	"repro/internal/event"
 	"repro/internal/hybrid"
 	"repro/internal/mapping"
 	"repro/internal/models"
@@ -51,16 +52,33 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("SNN accuracy %v vs ANN %v", snnRes.Accuracy, annAcc)
 	}
 
-	// 3. Event-driven engine agrees with the dense simulator.
-	eng, err := event.FromConverted(pipe.Converted)
+	// 3. The chip session's production walk (packed planes, silent
+	// skips, repeat cache) agrees bit for bit with its reference walk.
+	img, label := testDS.Sample(0)
+	prod, err := pipe.CompileChip(T, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, label := testDS.Sample(0)
-	evRes := eng.Run(img, T, snn.NewPoissonEncoder(1.0, rng.New(5)))
-	dnRes := pipe.Converted.SNN.Run(img, T, snn.NewPoissonEncoder(1.0, rng.New(5)))
-	if evRes.Predict() != dnRes.Predict() {
-		t.Fatal("event and dense engines disagree")
+	ref, err := pipe.CompileChip(T, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pr, err := prod.Run(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := ref.RunReference(ctx, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Prediction != rr.Prediction || pr.Spikes != rr.Spikes {
+		t.Fatalf("production walk %d/%d spikes disagrees with reference %d/%d", pr.Prediction, pr.Spikes, rr.Prediction, rr.Spikes)
+	}
+	for j, v := range rr.Output.Data() {
+		if math.Float64bits(v) != math.Float64bits(pr.Output.Data()[j]) {
+			t.Fatalf("class %d: production %v != reference %v", j, pr.Output.Data()[j], v)
+		}
 	}
 
 	// 4. Hybrid split classifies.

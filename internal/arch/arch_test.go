@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/snn"
+	"repro/internal/spikeplane"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -124,20 +126,62 @@ func TestANNCoreSaturation(t *testing.T) {
 	if err := st.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := st.Execute([][]float64{{1, 1, 1, 0}})
+	st.ST.Bake()
+	in := []float64{1, 1, 1, 0}
+	var pl spikeplane.Plane
+	pl.Pack(in)
+	out := make([]float64, 2)
+	var env execEnv
+	var res RunResult
+	var sc EvalScratch
+	if err := env.annExec(st, in, &pl, nil, nil, out, &sc, &res); err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 1 {
+		t.Fatalf("column 0 should saturate at 1, got %v", out[0])
+	}
+	if out[1] != 0 {
+		t.Fatalf("column 1 should rectify to 0, got %v", out[1])
+	}
+	if res.Cycles != 3 {
+		t.Fatalf("pipeline cycles %d, want 3 (Fig. 8)", res.Cycles)
+	}
+}
+
+// coreRig drives one programmed SNN core through the session engine's
+// coreStep at output position 0, outside any session: the rig owns the
+// replica bank and scratch a run state would.
+type coreRig struct {
+	core *SNNCore
+	env  execEnv
+	sr   stageRun
+	res  RunResult
+	pl   spikeplane.Plane
+}
+
+func newCoreRig(core *SNNCore) *coreRig {
+	core.ST.Bake()
+	r := &coreRig{core: core, env: execEnv{skip: true}}
+	r.sr.neurons = neuronBank(core)
+	r.sr.sums = make([]float64, core.ST.cols)
+	r.sr.fire = make([]float64, core.ST.cols)
+	return r
+}
+
+// step advances one timestep on input spikes in and returns the fired
+// spike vector.
+func (r *coreRig) step(t *testing.T, in []float64) []float64 {
+	t.Helper()
+	r.pl.Pack(in)
+	out, err := r.env.coreStep(r.core, &r.sr, 0, in, &r.pl, &r.sr.outPlane, nil, false, &r.res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0][0] != 1 {
-		t.Fatalf("column 0 should saturate at 1, got %v", out[0][0])
-	}
-	if out[0][1] != 0 {
-		t.Fatalf("column 1 should rectify to 0, got %v", out[0][1])
-	}
-	if st.Stats.Cycles != 3 {
-		t.Fatalf("pipeline cycles %d, want 3 (Fig. 8)", st.Stats.Cycles)
-	}
+	return out
 }
+
+// membrane is the normalized membrane potential of neuron i.
+func (r *coreRig) membrane(i int) float64 { return r.sr.neurons[i].Membrane() }
 
 func TestSNNCoreIntegrateAndFire(t *testing.T) {
 	core := NewSNNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
@@ -147,13 +191,11 @@ func TestSNNCoreIntegrateAndFire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0.4 increments: fires on the 3rd step (1.2 ≥ 1).
+	rig := newCoreRig(core)
 	fires := 0
 	fireStep := -1
 	for i := 0; i < 5; i++ {
-		out, err := core.Step([]float64{1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := rig.step(t, []float64{1})
 		if out[0] == 1 {
 			fires++
 			if fireStep < 0 {
@@ -177,16 +219,17 @@ func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	core.Step([]float64{1})
-	m1 := core.Membranes()[0]
+	rig := newCoreRig(core)
+	rig.step(t, []float64{1})
+	m1 := rig.membrane(0)
 	if m1 <= 0 {
 		t.Fatal("no integration")
 	}
 	for i := 0; i < 10; i++ {
-		core.Step([]float64{0}) // no spikes: wall must hold
+		rig.step(t, []float64{0}) // no spikes: wall must hold
 	}
-	if core.Membranes()[0] != m1 {
-		t.Fatalf("membrane decayed: %v → %v", m1, core.Membranes()[0])
+	if rig.membrane(0) != m1 {
+		t.Fatalf("membrane decayed: %v → %v", m1, rig.membrane(0))
 	}
 }
 
@@ -198,10 +241,11 @@ func TestSNNCoreInhibition(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	core.Step([]float64{1, 0})
-	up := core.Membranes()[0]
-	core.Step([]float64{0, 1})
-	down := core.Membranes()[0]
+	rig := newCoreRig(core)
+	rig.step(t, []float64{1, 0})
+	up := rig.membrane(0)
+	rig.step(t, []float64{0, 1})
+	down := rig.membrane(0)
 	if down >= up {
 		t.Fatalf("inhibitory input did not lower membrane: %v → %v", up, down)
 	}
@@ -214,6 +258,7 @@ func TestSNNCoreRateTracksInput(t *testing.T) {
 	if err := core.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	rig := newCoreRig(core)
 	r := rng.New(9)
 	const T = 600
 	const rate = 0.3
@@ -223,8 +268,7 @@ func TestSNNCoreRateTracksInput(t *testing.T) {
 		if r.Bernoulli(rate) {
 			in = 1
 		}
-		out, _ := core.Step([]float64{in})
-		spikes += out[0]
+		spikes += rig.step(t, []float64{in})[0]
 	}
 	got := spikes / T
 	if math.Abs(got-rate) > 0.05 {
@@ -270,6 +314,21 @@ func chipFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
 	return chipConv, chipTest
 }
 
+// runOnce compiles a wear session over c for img — fresh cores on every
+// call, as a one-off hardware run sees them — and runs it once.
+func runOnce(ch *Chip, c *convert.Converted, img *tensor.Tensor, opts ...Option) (*RunResult, error) {
+	sess, err := ch.Compile(c, append([]Option{WithWear(true), WithInputShape(img.Shape()...)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Run(context.Background(), img)
+}
+
+// snnOnce is runOnce in SNN mode over T timesteps with encoder enc.
+func snnOnce(ch *Chip, c *convert.Converted, img *tensor.Tensor, T int, enc snn.Encoder) (*RunResult, error) {
+	return runOnce(ch, c, img, WithMode(ModeSNN), WithTimesteps(T), WithSharedEncoder(enc))
+}
+
 func TestChipRunSNNClassifies(t *testing.T) {
 	c, te := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
@@ -278,7 +337,7 @@ func TestChipRunSNNClassifies(t *testing.T) {
 	r := rng.New(3)
 	for i := 0; i < n; i++ {
 		img, label := te.Sample(i)
-		res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
+		res, err := snnOnce(chip, c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +362,7 @@ func TestChipRunANNMatchesSoftware(t *testing.T) {
 	const n = 30
 	for i := 0; i < n; i++ {
 		img, label := te.Sample(i)
-		res, err := chip.RunANN(c, img)
+		res, err := runOnce(chip, c, img, WithMode(ModeANN))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +389,7 @@ func TestChipSNNWithNoiseStillWorks(t *testing.T) {
 	r := rng.New(13)
 	for i := 0; i < n; i++ {
 		img, label := te.Sample(i)
-		res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
+		res, err := snnOnce(chip, c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +419,7 @@ func TestChipRunsGroupedConv(t *testing.T) {
 	}
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	img, _ := d.Sample(0)
-	res, err := chip.RunSNN(conv, img, 20, snn.NewPoissonEncoder(1, rng.New(1)))
+	res, err := snnOnce(chip, conv, img, 20, snn.NewPoissonEncoder(1, rng.New(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/convert"
@@ -111,24 +110,22 @@ type RunResult struct {
 	NoCHops int64
 	// EDRAMAccesses counts eDRAM transactions (pipeline stages 1 and 3).
 	EDRAMAccesses int64
-	// SilentStageSkips counts stage-timesteps the event-driven engine
-	// skipped entirely because the stage's input spike plane was zero.
+	// SilentStageSkips counts stage-timesteps the engine skipped
+	// entirely because the stage's input spike plane was zero.
 	// Skipped stages charge no cycles, packets or accesses — the
 	// hardware semantics of an event-driven chip (PAPER.md §IV).
 	SilentStageSkips int64
-	// SpikesSkipped counts silent input slots not driven on the
-	// event-driven path (plane length minus popcount per stage step).
+	// SpikesSkipped counts silent input slots not driven (plane length
+	// minus popcount per stage step).
 	SpikesSkipped int64
 	// PackedWords counts packed spike-plane words processed.
 	PackedWords int64
 	// RepeatReads counts crossbar reads served from the timestep-repeat
 	// cache; the replayed read's stats are re-charged, so results and
-	// crossbar accounting are identical to a cache-free event run.
+	// crossbar accounting are identical to a cache-free run.
 	RepeatReads int64
-	// Crossbar collects the run's crossbar activity on the session
-	// engine's frozen-conductance path (wear-mode runs accumulate into
-	// the arrays' own counters instead, as the deprecated entry points
-	// always did).
+	// Crossbar collects the run's crossbar activity on wear-free runs
+	// (wear runs accumulate into the arrays' own counters instead).
 	Crossbar crossbar.Stats
 }
 
@@ -277,28 +274,6 @@ func (ch *Chip) programSpill(sp *RUSpillCore, km *tensor.Tensor, positions int) 
 		return sp.configure(km, ch.WMax, positions)
 	}
 	return sp.Program(km, ch.WMax, positions)
-}
-
-// RunSNN executes T Poisson-encoded timesteps of one image through the
-// hardware. Conv stages time-multiplex output positions over their core
-// with per-position replica neurons; the membrane of every neuron lives
-// in its device between timesteps.
-//
-// Deprecated: RunSNN re-compiles the whole pipeline per call. Use
-// Compile with WithMode(ModeSNN) once, then Run/RunBatch per input; this
-// shim is a Compile + one wear-mode Run with the caller's encoder.
-func (ch *Chip) RunSNN(c *convert.Converted, img *tensor.Tensor, T int, enc *snn.PoissonEncoder) (*RunResult, error) {
-	sess, err := ch.Compile(c,
-		WithMode(ModeSNN),
-		WithTimesteps(T),
-		WithSharedEncoder(enc),
-		WithInputShape(img.Shape()...),
-		WithWear(true))
-	if err != nil {
-		return nil, err
-	}
-	//nebula:lint-ignore ctxflow deprecated shim has no ctx to thread; callers wanting deadlines use Compile+Run
-	return sess.Run(context.Background(), img)
 }
 
 func maxInt(a, b int) int {

@@ -1,10 +1,6 @@
 package arch
 
 import (
-	"context"
-
-	"repro/internal/convert"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -71,29 +67,4 @@ func (au *AccumulatorUnit) Reset() {
 	}
 	au.steps = 0
 	au.Adds = 0
-}
-
-// RunHybrid executes a hybrid inference on simulated hardware: the first
-// stages run on SNN cores for T timesteps, an AccumulatorUnit integrates
-// the boundary spikes, and the remaining stages run once on ANN cores.
-// nonSpiking counts weighted layers (including the read-out) executed in
-// the ANN domain, mirroring hybrid.Split.
-//
-// Deprecated: RunHybrid re-compiles both domains per call. Use Compile
-// with WithMode(ModeHybrid) and WithHybridSplit once, then Run/RunBatch
-// per input; this shim is a Compile + one wear-mode Run with the
-// caller's encoder.
-func (ch *Chip) RunHybrid(c *convert.Converted, nonSpiking int, img *tensor.Tensor, T int, enc *snn.PoissonEncoder) (*RunResult, error) {
-	sess, err := ch.Compile(c,
-		WithMode(ModeHybrid),
-		WithHybridSplit(nonSpiking),
-		WithTimesteps(T),
-		WithSharedEncoder(enc),
-		WithInputShape(img.Shape()...),
-		WithWear(true))
-	if err != nil {
-		return nil, err
-	}
-	//nebula:lint-ignore ctxflow deprecated shim has no ctx to thread; callers wanting deadlines use Compile+Run
-	return sess.Run(context.Background(), img)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/convert"
 	"repro/internal/crossbar"
 	"repro/internal/device"
 	"repro/internal/rng"
@@ -36,6 +37,12 @@ func TestAccumulatorUnitRecoverRate(t *testing.T) {
 	}
 }
 
+// hybridOnce is runOnce in hybrid mode: split trailing weighted layers
+// in the ANN domain after T spiking timesteps driven by enc.
+func hybridOnce(ch *Chip, c *convert.Converted, img *tensor.Tensor, split, T int, enc snn.Encoder) (*RunResult, error) {
+	return runOnce(ch, c, img, WithMode(ModeHybrid), WithHybridSplit(split), WithTimesteps(T), WithSharedEncoder(enc))
+}
+
 func TestChipRunHybridClassifies(t *testing.T) {
 	c, te := chipFixture(t)
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
@@ -44,7 +51,7 @@ func TestChipRunHybridClassifies(t *testing.T) {
 	r := rng.New(31)
 	for i := 0; i < n; i++ {
 		img, label := te.Sample(i)
-		res, err := chip.RunHybrid(c, 1, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
+		res, err := hybridOnce(chip, c, img, 1, T, snn.NewPoissonEncoder(1.0, r.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +77,11 @@ func TestChipRunHybridDeepSplit(t *testing.T) {
 	const n, T = 15, 80
 	for i := 0; i < n; i++ {
 		img, _ := te.Sample(i)
-		hyb, err := chip.RunHybrid(c, 2, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
+		hyb, err := hybridOnce(chip, c, img, 2, T, snn.NewPoissonEncoder(1.0, r.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ann, err := chip.RunANN(c, img)
+		ann, err := runOnce(chip, c, img, WithMode(ModeANN))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +99,10 @@ func TestChipRunHybridSplitBounds(t *testing.T) {
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	img, _ := te.Sample(0)
 	enc := snn.NewPoissonEncoder(1.0, rng.New(1))
-	if _, err := chip.RunHybrid(c, 0, img, 5, enc); err == nil {
+	if _, err := hybridOnce(chip, c, img, 0, 5, enc); err == nil {
 		t.Fatal("split 0 accepted")
 	}
-	if _, err := chip.RunHybrid(c, 3, img, 5, enc); err == nil {
+	if _, err := hybridOnce(chip, c, img, 3, 5, enc); err == nil {
 		t.Fatal("all-ANN split accepted (no spiking layer left)")
 	}
 }
@@ -112,7 +119,7 @@ func TestChipFaultResilience(t *testing.T) {
 		r := rng.New(23)
 		for i := 0; i < n; i++ {
 			img, label := te.Sample(i)
-			res, err := chip.RunSNN(c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
+			res, err := snnOnce(chip, c, img, T, snn.NewPoissonEncoder(1.0, r.Split()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,26 +11,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// PipelineStats counts the Fig. 8 pipeline activity of one neural core.
-type PipelineStats struct {
-	// Cycles is the number of 110 ns pipeline cycles consumed.
-	Cycles int64
-	// EDRAMReads / EDRAMWrites count eDRAM transactions (stage 1 and 3).
-	EDRAMReads, EDRAMWrites int64
-	// Evaluations counts crossbar evaluations (stage 2).
-	Evaluations int64
-	// Spikes counts output spikes (SNN mode).
-	Spikes int64
-}
-
 // ANNCore is a neural core configured for ANN inference: multi-level
 // drivers, saturating-ReLU MTJ neurons, continuous outputs.
 type ANNCore struct {
 	ST *SuperTile
 	// Clip is the neuron saturation ceiling in activation units (the
 	// device's finite wall travel); outputs are max(0, min(Clip, x)).
-	Clip  float64
-	Stats PipelineStats
+	Clip float64
 }
 
 // NewANNCore builds an ANN core around a fresh super-tile.
@@ -49,37 +36,6 @@ func (c *ANNCore) configure(km *tensor.Tensor, wmax float64) error {
 	return c.ST.Configure(km.Dim(0), km.Dim(1), wmax)
 }
 
-// Execute runs a batch of input vectors (the im2col columns of one image)
-// through the core, applying the saturating rectification of the
-// non-spiking MTJ neuron (Fig. 2(b)). Inputs must be in [0, 1] activation
-// units. Pipeline accounting follows Fig. 8: fetch, evaluate, write back.
-func (c *ANNCore) Execute(inputs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(inputs))
-	for i, in := range inputs {
-		c.Stats.Cycles++ // cycle 1: eDRAM → IB
-		c.Stats.EDRAMReads++
-		sums, err := c.ST.Evaluate(in)
-		if err != nil {
-			return nil, err
-		}
-		c.Stats.Cycles++ // cycle 2: drive crossbars, threshold at NU
-		c.Stats.Evaluations++
-		row := make([]float64, len(sums))
-		for j, v := range sums {
-			if v < 0 {
-				v = 0
-			} else if v > c.Clip {
-				v = c.Clip
-			}
-			row[j] = v
-		}
-		out[i] = row
-		c.Stats.Cycles++ // cycle 3: OB → eDRAM
-		c.Stats.EDRAMWrites++
-	}
-	return out, nil
-}
-
 // SNNCore is a neural core configured for spiking inference: 1-bit spike
 // drivers and integrate-and-fire MTJ neurons whose domain-wall position
 // stores the membrane potential between timesteps (§IV-B4) — no SRAM
@@ -88,12 +44,11 @@ type SNNCore struct {
 	ST *SuperTile
 	// VTh is the firing threshold in activation units (1 after weight
 	// normalization).
-	VTh     float64
-	kernels int
-	neurons []*device.SpikingNeuron
-	// scale converts crossbar dot-product units into wall displacement
-	// per cycle so that VTh corresponds to a full device traversal.
-	Stats PipelineStats
+	VTh float64
+	// kernels is the kernel count; positions the number of
+	// time-multiplexed output positions, each owning a replica bank of
+	// kernels MTJ neurons in every run's state.
+	kernels, positions int
 }
 
 // NewSNNCore builds an SNN core around a fresh super-tile.
@@ -101,10 +56,11 @@ func NewSNNCore(p device.Params, cfg crossbar.Config, vth float64, noise *rng.Ra
 	return &SNNCore{ST: NewSuperTile(p, cfg, noise), VTh: vth}
 }
 
-// Program loads the layer kernels and allocates MTJ neurons: one per
-// kernel per time-multiplexed output position. Positions model kernel
-// replication — each replica's neuron holds its own position's membrane
-// in its domain-wall, so no membrane ever visits SRAM (§IV-B4).
+// Program loads the layer kernels and sizes the MTJ neuron banks: one
+// neuron per kernel per time-multiplexed output position. Positions
+// model kernel replication — each replica's neuron holds its own
+// position's membrane in its domain-wall, so no membrane ever visits
+// SRAM (§IV-B4). The neurons themselves live in each run's state.
 func (c *SNNCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
 	if positions < 1 {
 		return fmt.Errorf("arch: positions must be ≥ 1")
@@ -112,27 +68,12 @@ func (c *SNNCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
 	if err := c.ST.Program(w, wmax); err != nil {
 		return err
 	}
-	c.kernels = w.Dim(1)
-	c.neurons = neuronSlab(c.ST.P, c.kernels*positions)
+	c.kernels, c.positions = w.Dim(1), positions
 	return nil
 }
 
-// neuronSlab allocates n neurons in one contiguous backing array so the
-// per-timestep integrate walk streams through memory instead of chasing
-// n separate heap objects. The pointer indirection is kept: callers
-// hold []*SpikingNeuron and individual neurons stay addressable.
-func neuronSlab(p device.Params, n int) []*device.SpikingNeuron {
-	slab := make([]device.SpikingNeuron, n)
-	out := make([]*device.SpikingNeuron, n)
-	for i := range slab {
-		slab[i].P = p
-		out[i] = &slab[i]
-	}
-	return out
-}
-
 // configure is the restore-path half of Program: switch geometry and
-// the position-replica neuron bank are laid out exactly as Program
+// the position-replica bank size are laid out exactly as Program
 // would, but no device is written — the image loader imports the
 // recorded conductance state immediately afterwards.
 func (c *SNNCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
@@ -142,149 +83,49 @@ func (c *SNNCore) configure(km *tensor.Tensor, wmax float64, positions int) erro
 	if err := c.ST.Configure(km.Dim(0), km.Dim(1), wmax); err != nil {
 		return err
 	}
-	c.kernels = km.Dim(1)
-	c.neurons = neuronSlab(c.ST.P, c.kernels*positions)
+	c.kernels, c.positions = km.Dim(1), positions
 	return nil
 }
 
-// Reset returns every neuron's domain wall to the resting edge.
-func (c *SNNCore) Reset() {
-	for _, n := range c.neurons {
-		n.Reset()
+// integrateBank drives one replica bank of MTJ neurons with the
+// evaluated membrane increments, writes the binary spike vector into
+// out (len(sums)) and returns the number of spikes emitted. It maps a
+// membrane increment of VTh to a full wall traversal within one 110 ns
+// cycle: current = increment/VTh · (current that moves the wall the
+// full length in one pulse) + the depinning offset. When pl is non-nil
+// the packed plane of out is built during the same walk, so the engine
+// skips the O(neurons) re-scan a post-hoc Pack would cost; fires are
+// exactly 1.0, so the plane stays binary.
+//
+//nebula:hotpath
+func integrateBank(out []float64, pl *spikeplane.Plane, p device.Params, vth float64, bank []device.SpikingNeuron, sums []float64) int64 {
+	if pl != nil {
+		pl.Reset(len(out))
 	}
-	c.Stats = PipelineStats{}
-}
-
-// Step advances one timestep at output position 0 — the dense-layer case.
-func (c *SNNCore) Step(spikes []float64) ([]float64, error) {
-	return c.StepAt(0, spikes)
-}
-
-// StepAt advances one timestep for output position pos: binary input
-// spikes drive the crossbar, the summed source-line current displaces
-// each position-neuron's domain wall in proportion to its membrane
-// increment, and neurons whose wall reaches the far edge emit a spike and
-// self-reset.
-func (c *SNNCore) StepAt(pos int, spikes []float64) ([]float64, error) {
-	return c.step(pos, spikes, nil)
-}
-
-func (c *SNNCore) step(pos int, spikes, bias []float64) ([]float64, error) {
-	if c.neurons == nil {
-		return nil, fmt.Errorf("arch: SNN core not programmed")
-	}
-	if (pos+1)*c.kernels > len(c.neurons) {
-		return nil, fmt.Errorf("arch: position %d beyond allocated replicas", pos)
-	}
-	c.Stats.Cycles++
-	c.Stats.EDRAMReads++
-	sums, err := c.ST.Evaluate(spikes)
-	if err != nil {
-		return nil, err
-	}
-	c.Stats.Cycles++
-	c.Stats.Evaluations++
-	if bias != nil {
-		for i := range sums {
-			if i < len(bias) {
-				sums[i] += bias[i]
+	clear(out)
+	span := p.LengthNM / (p.MobilityNMPerUAns * p.PulseNS)
+	var spikes int64
+	for i, inc := range sums {
+		if inc == 0 {
+			continue
+		}
+		mag := inc
+		if mag < 0 {
+			mag = -mag
+		}
+		cur := mag/vth*span + p.DepinningCurrentUA
+		if inc < 0 {
+			cur = -cur // inhibition drives the wall back toward reset
+		}
+		if bank[i].Integrate(cur, p.PulseNS) {
+			out[i] = 1
+			if pl != nil {
+				pl.Set(i)
 			}
-		}
-	}
-	bank := c.neurons[pos*c.kernels : (pos+1)*c.kernels]
-	out, fired := integrateBank(c.ST.P, c.VTh, bank, sums)
-	c.Stats.Spikes += fired
-	c.Stats.Cycles++
-	c.Stats.EDRAMWrites++
-	return out, nil
-}
-
-// integrateBank drives one replica bank of MTJ neurons with the evaluated
-// membrane increments and returns the binary spike vector plus the number
-// of spikes emitted. It maps a membrane increment of VTh to a full wall
-// traversal within one 110 ns cycle: current = increment/VTh · (current
-// that moves the wall the full length in one pulse) + the depinning
-// offset. Shared by SNNCore (core-owned neurons) and the session engine
-// (per-run neuron banks).
-func integrateBank(p device.Params, vth float64, bank []*device.SpikingNeuron, sums []float64) ([]float64, int64) {
-	out := make([]float64, len(sums))
-	return out, integrateBankInto(out, p, vth, bank, sums)
-}
-
-// integrateBankInto is integrateBank writing the spike vector into a
-// caller-provided buffer of len(sums), so the session engine's hot loop
-// reuses one buffer per stage instead of allocating per timestep.
-//
-//nebula:hotpath
-func integrateBankInto(out []float64, p device.Params, vth float64, bank []*device.SpikingNeuron, sums []float64) int64 {
-	for i := range out {
-		out[i] = 0
-	}
-	span := p.LengthNM / (p.MobilityNMPerUAns * p.PulseNS)
-	var spikes int64
-	for i, inc := range sums {
-		if inc == 0 {
-			continue
-		}
-		mag := inc
-		if mag < 0 {
-			mag = -mag
-		}
-		cur := mag/vth*span + p.DepinningCurrentUA
-		if inc < 0 {
-			cur = -cur // inhibition drives the wall back toward reset
-		}
-		if bank[i].Integrate(cur, p.PulseNS) {
-			out[i] = 1
 			spikes++
 		}
 	}
 	return spikes
-}
-
-// integrateBankIntoPlane is integrateBankInto additionally building the
-// packed spike plane of the emitted fire vector during the same walk,
-// so the event-driven engine skips the O(neurons) re-scan a post-hoc
-// Pack would cost. The plane is bitwise what Pack(out) would produce:
-// fires are exactly 1.0, so it stays binary.
-//
-//nebula:hotpath
-func integrateBankIntoPlane(out []float64, pl *spikeplane.Plane, p device.Params, vth float64, bank []*device.SpikingNeuron, sums []float64) int64 {
-	pl.Reset(len(out))
-	for i := range out {
-		out[i] = 0
-	}
-	span := p.LengthNM / (p.MobilityNMPerUAns * p.PulseNS)
-	var spikes int64
-	for i, inc := range sums {
-		if inc == 0 {
-			continue
-		}
-		mag := inc
-		if mag < 0 {
-			mag = -mag
-		}
-		cur := mag/vth*span + p.DepinningCurrentUA
-		if inc < 0 {
-			cur = -cur // inhibition drives the wall back toward reset
-		}
-		if bank[i].Integrate(cur, p.PulseNS) {
-			out[i] = 1
-			pl.Set(i)
-			spikes++
-		}
-	}
-	return spikes
-}
-
-// Membranes returns the normalized membrane potentials (wall positions)
-// of position 0's neuron bank.
-func (c *SNNCore) Membranes() []float64 {
-	out := make([]float64, c.kernels)
-	for i := range out {
-		out[i] = c.neurons[i].Membrane()
-	}
-	return out
 }
 
 // FitsInCore reports whether a kernel matrix of rf×k maps onto a single

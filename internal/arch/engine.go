@@ -16,13 +16,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the session execution engine: the unified stage stepper
+// This file is the session execution engine: the one stage stepper
 // shared by every mode, the per-run scratch arena, and the RunBatch
-// worker pool. One implementation serves both execution regimes — the
-// wear path (sequential, mutating crossbar reads, retention ticking,
-// mesh traffic: the semantics of the deprecated entry points) and the
-// frozen-conductance path (wear-free crossbar reads against programmed
-// state, safe for any number of concurrent workers).
+// worker pool. Every run walks the same path: packed spike planes flow
+// between stages and every crossbar read is driven by one. What differs
+// between runs is only what may be skipped — silent stages, silent
+// windows and repeated timesteps are skipped exactly when no read-noise
+// draw or wear effect could notice (execEnv.skip) — and, on wear runs,
+// the mutating read at the one call that reaches the arrays.
+//
+// RunReference walks the same stages as a reference: no skips, no
+// repeat cache, every read through the index path.
 
 // runStreams are the two private RNG streams reserved for one input:
 // the encoder stream and the crossbar read-noise stream. Reservation
@@ -59,10 +63,13 @@ type runState struct {
 	// auOut receives the accumulator's read-out at the hybrid boundary.
 	auOut *tensor.Tensor
 	// encPlane is the packed spike plane of the encoder's output, the
-	// head of the event-driven plane chain threaded through the stages.
+	// head of the per-timestep plane chain threaded through the stages.
 	encPlane spikeplane.Plane
 	// encT is the recycled encoder output buffer (IntoEncoder path).
 	encT *tensor.Tensor
+	// annPlane is the packed plane of the continuous pipeline's input
+	// (the image in ANN mode, the accumulator read-out in hybrid mode).
+	annPlane spikeplane.Plane
 }
 
 // stageRun holds one stage's per-run state. Exactly one group of the
@@ -70,8 +77,9 @@ type runState struct {
 // fields below them are reused across the stage's timesteps so the
 // steady-state hot loop allocates nothing per step.
 type stageRun struct {
-	// neurons is the position-replica MTJ bank of an in-core stage.
-	neurons []*device.SpikingNeuron
+	// neurons is the position-replica MTJ bank of an in-core stage, one
+	// contiguous slab so the integrate walk streams through memory.
+	neurons []device.SpikingNeuron
 	// membranes are the RU registers of a spill stage.
 	membranes []float64
 	// poolIF is the IF bank following NU average pooling; poolCur
@@ -83,13 +91,9 @@ type stageRun struct {
 	outAcc *tensor.Tensor
 	outInc []float64
 
-	// sums receives the stage's crossbar column sums (frozen path only;
-	// the wear path keeps its allocating reads). fire receives the spike
-	// vector.
+	// sums receives the stage's crossbar column sums; fire receives the
+	// spike vector.
 	sums, fire []float64
-	// act gathers the indices of the non-zero input entries — the spike
-	// list handed down to the crossbar kernels.
-	act []int
 	// sc holds the super-tile evaluation scratch (window, partials,
 	// per-height active lists).
 	sc EvalScratch
@@ -103,13 +107,13 @@ type stageRun struct {
 	// flatten stage emits (over its input's data).
 	view *tensor.Tensor
 
-	// outPlane is the stage's packed output spike plane (event path).
+	// outPlane is the stage's packed output spike plane.
 	outPlane spikeplane.Plane
 	// winPlane is the packed scratch for conv receptive-field windows
 	// and spill-block views.
 	winPlane spikeplane.Plane
 
-	// Timestep-repeat cache of a dense in-core stage (event path).
+	// Timestep-repeat cache of a dense in-core stage (skipping walk).
 	// The cached column sums are a pure function of (input values,
 	// conductance generation), so the cache stays valid across runs
 	// recycled through the arena; lastIn is only kept for graded
@@ -136,6 +140,9 @@ type annRun struct {
 	// out is the stage's output tensor (a view over row for dense
 	// stages, over the input's data for flatten).
 	out *tensor.Tensor
+	// win is the packed plane of the conv window in col; outPlane is
+	// the packed plane of out.
+	win, outPlane spikeplane.Plane
 }
 
 // newRunState allocates scratch state shaped for the compiled pipeline.
@@ -145,7 +152,7 @@ func (s *Session) newRunState() *runState {
 		sr := &stageRun{}
 		switch {
 		case hw.snnCore != nil:
-			sr.neurons = neuronSlab(hw.snnCore.ST.P, len(hw.snnCore.neurons))
+			sr.neurons = neuronBank(hw.snnCore)
 			sr.sums = make([]float64, hw.snnCore.ST.cols)
 			sr.fire = make([]float64, hw.snnCore.ST.cols)
 			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
@@ -154,7 +161,7 @@ func (s *Session) newRunState() *runState {
 				sr.convOut = tensor.New(hw.outC, gt.oh, gt.ow)
 			}
 		case hw.spill != nil:
-			sr.membranes = make([]float64, len(hw.spill.membranes))
+			sr.membranes = make([]float64, hw.spill.kernels*hw.spill.positions)
 			sr.sums = make([]float64, hw.spill.kernels)
 			sr.total = make([]float64, hw.spill.kernels)
 			sr.fire = make([]float64, hw.spill.kernels)
@@ -176,11 +183,21 @@ func (s *Session) newRunState() *runState {
 	return st
 }
 
+// neuronBank allocates a core's position-replica neurons: kernels MTJ
+// neurons for every output position, at rest.
+func neuronBank(core *SNNCore) []device.SpikingNeuron {
+	bank := make([]device.SpikingNeuron, core.kernels*core.positions)
+	for i := range bank {
+		bank[i].P = core.ST.P
+	}
+	return bank
+}
+
 // reset returns the scratch state to rest.
 func (st *runState) reset() {
 	for _, sr := range st.stages {
-		for _, n := range sr.neurons {
-			n.Reset()
+		for i := range sr.neurons {
+			sr.neurons[i].Reset()
 		}
 		clear(sr.membranes)
 		if sr.poolIF != nil {
@@ -203,20 +220,23 @@ type execEnv struct {
 	// no noise generator or in wear mode, where arrays draw from their
 	// own streams).
 	noise *rng.Rand
-	// cross collects crossbar activity on the frozen-conductance path
-	// (nil in wear mode, where the arrays' shared counters accumulate).
+	// cross collects crossbar activity on wear-free runs (nil in wear
+	// mode, where the arrays' shared counters accumulate).
 	cross *crossbar.Stats
 	// shard is the run's private counter shard (nil: observation
 	// disabled, the engine takes no accounting branches).
 	shard *obs.RunRecord
 	// hops is the mesh distance charged per inter-stage packet.
 	hops int64
-	// event selects the bit-packed event-driven stepping path: spike
-	// planes thread between stages, silent stages and windows skip
-	// their reads, and dense stages consult the timestep-repeat cache.
-	// Only enabled off the wear path with a nil read-noise stream, so
-	// skipping reads cannot shift an RNG stream (DESIGN.md §15).
-	event bool
+	// skip lets silent stages and windows skip their reads and dense
+	// stages consult the timestep-repeat cache. It holds exactly when the
+	// run neither wears the arrays nor draws read noise (!wear && noise
+	// == nil): a noisy read draws once per live column, so skipping one
+	// would shift every later draw (DESIGN.md §15).
+	skip bool
+	// ref selects the reference walk (RunReference): every read goes
+	// through the index path and no packed-plane counter is charged.
+	ref bool
 }
 
 // stageMark snapshots the run counters before one stage executes, so
@@ -241,9 +261,8 @@ func (env *execEnv) mark(res *RunResult) stageMark {
 
 // observe folds the delta since m into one shard bucket and returns the
 // stage's spike count for tracing. Crossbar-level counters (MAC reads,
-// driven rows, output current) are only attributable on the
-// frozen-conductance path; wear-mode runs accumulate them into the
-// arrays' own counters, as the deprecated entry points always did.
+// driven rows, output current) are only attributable on wear-free runs;
+// wear runs accumulate them into the arrays' own counters.
 func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 {
 	dSpikes := res.Spikes - m.spikes
 	c.SpikesEmitted += dSpikes
@@ -265,59 +284,38 @@ func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 
 	return dSpikes
 }
 
-// evaluate drives a super-tile through the regime's read path. On the
-// frozen-conductance path the result lands in dst (allocated when nil)
-// through the baked kernels, skipping the rows outside act — the spike
-// list of the previous layer (nil: scan the input). The wear path keeps
-// its legacy allocating reads and ignores act/dst/sc.
+// charge counts one consumed spike plane: its packed words and the
+// silent input slots the stage did not drive. The reference walk reads
+// through the index path and charges neither.
 //
 //nebula:hotpath
-func (env *execEnv) evaluate(st *SuperTile, in []float64, act []int, dst []float64, sc *EvalScratch) ([]float64, error) {
-	if env.wear {
-		return st.Evaluate(in)
+func (env *execEnv) charge(res *RunResult, pl *spikeplane.Plane, silent int) {
+	if !env.ref {
+		res.PackedWords += int64(len(pl.WordSlice()))
+		res.SpikesSkipped += int64(silent)
 	}
-	if dst == nil || len(dst) != st.cols {
-		dst = make([]float64, st.cols)
-	}
-	if err := st.EvaluateReadInto(dst, in, act, env.noise, env.cross, sc); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
-// coreStep advances one in-core spiking position by one timestep against
-// the run's private neuron bank, mirroring SNNCore.step cycle for cycle.
-// act is the input spike list (nil: scan); the spike vector returned
-// aliases sr.fire and is valid until the stage's next step.
+// read drives one super-tile read of in, whose packed plane is pl, into
+// dst (length K). The production walk reads through the plane; the
+// reference walk through the index path. Wear runs keep the allocating
+// read that disturbs the arrays and bumps their shared counters.
 //
 //nebula:hotpath
-func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64, act []int, bias []float64, res *RunResult) ([]float64, error) {
-	bank := sr.neurons
-	if (pos+1)*core.kernels > len(bank) {
-		return nil, fmt.Errorf("arch: position %d beyond allocated replicas", pos)
-	}
-	res.Cycles++ // cycle 1: eDRAM → IB
-	res.EDRAMAccesses++
-	sums, err := env.evaluate(core.ST, in, act, sr.sums, &sr.sc)
-	if err != nil {
-		return nil, err
-	}
-	res.Cycles++ // cycle 2: drive crossbars, integrate at NU
-	if bias != nil {
-		for i := range sums {
-			if i < len(bias) {
-				sums[i] += bias[i]
-			}
+func (env *execEnv) read(st *SuperTile, dst, in []float64, pl *spikeplane.Plane, stats *crossbar.Stats, sc *EvalScratch) error {
+	//nebula:coldpath wear runs mutate the arrays on every read
+	if env.wear {
+		sums, err := st.Evaluate(in)
+		if err != nil {
+			return err
 		}
+		copy(dst, sums)
+		return nil
 	}
-	if len(sr.fire) != len(sums) {
-		sr.fire = make([]float64, len(sums))
+	if env.ref {
+		return st.EvaluateReadInto(dst, in, nil, env.noise, stats, sc)
 	}
-	spikes := integrateBankInto(sr.fire, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
-	res.Spikes += spikes
-	res.Cycles++ // cycle 3: OB → eDRAM
-	res.EDRAMAccesses++
-	return sr.fire, nil
+	return st.EvaluateReadPacked(dst, in, pl, env.noise, stats, sc)
 }
 
 // float64sEqual reports bitwise equality of two value vectors.
@@ -335,53 +333,52 @@ func float64sEqual(a, b []float64) bool {
 	return true
 }
 
-// coreStepEvent is coreStep on the event-driven path: the input spike
-// plane drives a packed super-tile read (silent stack-height windows
-// skip their AC reads entirely), and dense stages additionally consult
-// the timestep-repeat cache — when the input plane and the
-// super-tile's conductance generation both match the previous step,
-// the cached column sums and the read's crossbar-stats delta are
-// replayed instead of recomputed. Membrane integration always runs
-// against the replica bank, so neuron state stays cycle-exact and the
-// emitted spikes are bitwise identical to the dense walk. When outPl
-// is non-nil the emitted fire vector's plane is built during the
-// integrate walk (no separate Pack scan).
+// coreStep advances one in-core spiking position by one timestep against
+// the run's private neuron bank: the input plane pl drives the
+// super-tile read, the summed currents (plus bias) integrate at the
+// bank's MTJ neurons, and the spike vector returned aliases sr.fire,
+// valid until the stage's next step. When outPl is non-nil the fire
+// vector's plane is built during the integrate walk (no Pack re-scan).
+//
+// On the skipping walk, stages with useCache consult the
+// timestep-repeat cache: when the input plane and the super-tile's
+// conductance generation both match the previous step, the cached
+// column sums and the read's crossbar-stats delta are replayed instead
+// of recomputed. Membrane integration always runs, so neuron state
+// stays cycle-exact and the emitted spikes are bitwise identical to the
+// reference walk.
 //
 //nebula:hotpath
-func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []float64, pl *spikeplane.Plane, outPl *spikeplane.Plane, bias []float64, useCache bool, res *RunResult) ([]float64, error) {
+func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64, pl, outPl *spikeplane.Plane, bias []float64, useCache bool, res *RunResult) ([]float64, error) {
 	bank := sr.neurons
 	if (pos+1)*core.kernels > len(bank) {
 		return nil, fmt.Errorf("arch: position %d beyond allocated replicas", pos)
 	}
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
-	res.PackedWords += int64(len(pl.WordSlice()))
-	res.SpikesSkipped += int64(pl.Len() - pl.Count())
-	if len(sr.sums) != core.ST.cols {
-		sr.sums = make([]float64, core.ST.cols)
-	}
-	hit := false
-	if useCache && sr.haveLast {
-		if gen := core.ST.GenSum(); gen == sr.lastGen &&
-			pl.Binary() == sr.lastPlane.Binary() &&
-			pl.EqualWords(&sr.lastPlane) &&
-			(pl.Binary() || float64sEqual(in, sr.lastIn)) {
-			copy(sr.sums, sr.lastSums)
-			res.RepeatReads++
-			hit = true
-		}
-	}
-	if !hit {
-		// Evaluate into a private stats bucket and fold it below with
-		// the exact adds the hit path replays — that shared fold is
-		// what makes a cache hit's accounting bitwise identical to a
+	env.charge(res, pl, pl.Len()-pl.Count())
+	cache := useCache && env.skip
+	if cache && sr.haveLast && core.ST.GenSum() == sr.lastGen &&
+		pl.Binary() == sr.lastPlane.Binary() &&
+		pl.EqualWords(&sr.lastPlane) &&
+		(pl.Binary() || float64sEqual(in, sr.lastIn)) {
+		copy(sr.sums, sr.lastSums)
+		res.RepeatReads++
+	} else {
+		// A skipping walk's read lands in a private stats bucket, folded
+		// below with the exact adds a cache hit replays — that shared
+		// fold is what makes a hit's accounting bitwise identical to a
 		// miss (a scalar after-minus-before delta would round
 		// differently than the original per-array accumulation).
-		sr.lastCross = crossbar.Stats{}
-		if err := core.ST.EvaluateReadPacked(sr.sums, in, pl, env.noise, &sr.lastCross, &sr.sc); err != nil {
+		stats := env.cross
+		if env.skip {
+			sr.lastCross = crossbar.Stats{}
+			stats = &sr.lastCross
+		}
+		if err := env.read(core.ST, sr.sums, in, pl, stats, &sr.sc); err != nil {
 			return nil, err
 		}
-		if useCache {
+		if cache {
 			sr.lastPlane.CopyFrom(pl)
 			if !pl.Binary() {
 				sr.lastIn = append(sr.lastIn[:0], in...)
@@ -394,7 +391,7 @@ func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []flo
 			sr.haveLast = true
 		}
 	}
-	if env.cross != nil {
+	if env.skip && env.cross != nil {
 		env.cross.MACs += sr.lastCross.MACs
 		env.cross.ActiveRowSum += sr.lastCross.ActiveRowSum
 		env.cross.OutputCurrentUA += sr.lastCross.OutputCurrentUA
@@ -408,26 +405,19 @@ func (env *execEnv) coreStepEvent(core *SNNCore, sr *stageRun, pos int, in []flo
 			}
 		}
 	}
-	if len(sr.fire) != len(sums) {
-		sr.fire = make([]float64, len(sums))
-	}
-	var spikes int64
-	if outPl != nil {
-		spikes = integrateBankIntoPlane(sr.fire, outPl, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
-	} else {
-		spikes = integrateBankInto(sr.fire, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
-	}
-	res.Spikes += spikes
+	res.Spikes += integrateBank(sr.fire, outPl, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
 	res.Cycles++ // cycle 3: OB → eDRAM
 	res.EDRAMAccesses++
 	return sr.fire, nil
 }
 
 // spillStep advances one spill-stage position against the run's private
-// RU membrane registers, mirroring RUSpillCore.StepAt. The spike vector
-// returned aliases sr.fire. Spill blocks let the kernels rediscover
-// their slice's activity (the per-block row windows would need the
-// spike list re-based anyway).
+// RU membrane registers: every block reads its row slice of the input
+// plane, each partial sum is digitized, the RU reduces them and updates
+// the digital membranes, and threshold crossings emit spikes (reset by
+// subtraction, matching the converted network). The spike vector
+// returned aliases sr.fire; its plane is built in sr.outPlane during
+// the threshold walk.
 //
 //nebula:hotpath
 func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias []float64, pl *spikeplane.Plane, res *RunResult) ([]float64, error) {
@@ -440,49 +430,27 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 	}
 	res.Cycles++ // fetch
 	res.EDRAMAccesses++
-	if len(sr.total) != sp.kernels {
-		sr.total = make([]float64, sp.kernels)
-	}
 	total := sr.total
-	for i := range total {
-		total[i] = 0
-	}
-	if env.event && pl != nil {
-		res.PackedWords += int64(len(pl.WordSlice()))
-		res.SpikesSkipped += int64(pl.Len() - pl.Count())
-	}
+	clear(total)
+	env.charge(res, pl, pl.Len()-pl.Count())
 	for b, st := range sp.blocks {
 		lo, hi := sp.rowBounds[b], sp.rowBounds[b+1]
-		var part []float64
-		if env.event && pl != nil {
-			// Event path: window the stage's spike plane onto this
-			// block's rows (block bounds are 64-aligned, so the view is
-			// a subslice). A silent block contributes quantizePartial(0)
-			// = +0 to every kernel, exactly what total already holds —
-			// skip its reads and conversion charges. The membrane loop
-			// below always runs, because residual potentials can cross
-			// threshold on zero input.
-			win := spikeplane.Window(pl.WordSlice(), lo, hi, nil)
-			if spikeplane.IsZeroWords(win) {
-				continue
-			}
-			sr.winPlane.AsView(win, hi-lo, pl.Binary())
-			if len(sr.sums) != st.cols {
-				sr.sums = make([]float64, st.cols)
-			}
-			if err := st.EvaluateReadPacked(sr.sums, in[lo:hi], &sr.winPlane, env.noise, env.cross, &sr.sc); err != nil {
-				return nil, err
-			}
-			part = sr.sums
-		} else {
-			var err error
-			part, err = env.evaluate(st, in[lo:hi], nil, sr.sums, &sr.sc)
-			if err != nil {
-				return nil, err
-			}
+		// Window the stage's plane onto this block's rows (block bounds
+		// are 64-aligned, so the view is a subslice). A silent block
+		// contributes quantizePartial(0) = +0 to every kernel, exactly
+		// what total already holds, so the skipping walk skips its reads
+		// and conversion charges. The membrane loop below always runs,
+		// because residual potentials can cross threshold on zero input.
+		win := spikeplane.Window(pl.WordSlice(), lo, hi, nil)
+		if env.skip && spikeplane.IsZeroWords(win) {
+			continue
+		}
+		sr.winPlane.AsView(win, hi-lo, pl.Binary())
+		if err := env.read(st, sr.sums, in[lo:hi], &sr.winPlane, env.cross, &sr.sc); err != nil {
+			return nil, err
 		}
 		// Digitize the block's partial sums (one conversion per kernel).
-		for kIdx, v := range part {
+		for kIdx, v := range sr.sums {
 			total[kIdx] += sp.quantizePartial(v)
 		}
 		res.ADCConversions += int64(sp.kernels)
@@ -490,19 +458,9 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 	}
 	res.Cycles++ // reduce + activate at the RU
 	bank := membranes[pos*sp.kernels : (pos+1)*sp.kernels]
-	if len(sr.fire) != sp.kernels {
-		sr.fire = make([]float64, sp.kernels)
-	}
 	out := sr.fire
-	for i := range out {
-		out[i] = 0
-	}
-	// On the event path the fire plane is built during this walk, so
-	// the caller hands the packed output on without a Pack re-scan.
-	fill := env.event && pl != nil
-	if fill {
-		sr.outPlane.Reset(sp.kernels)
-	}
+	clear(out)
+	sr.outPlane.Reset(sp.kernels)
 	for kIdx := range bank {
 		inc := total[kIdx]
 		if bias != nil && kIdx < len(bias) {
@@ -511,9 +469,7 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 		bank[kIdx] += inc
 		if bank[kIdx] >= sp.VTh {
 			out[kIdx] = 1
-			if fill {
-				sr.outPlane.Set(kIdx)
-			}
+			sr.outPlane.Set(kIdx)
 			bank[kIdx] -= sp.VTh
 			res.Spikes++
 		}
@@ -532,14 +488,14 @@ func biasData(b *tensor.Tensor) []float64 {
 }
 
 // stepStage advances one spiking stage by one timestep. pl is the
-// packed spike plane of x on the event-driven path (nil selects the
-// exact legacy dense walk); the returned plane covers the returned
-// tensor and is nil when the stage does not produce one. Event-driven
-// skips are value-preserving by construction: a silent stage or window
-// can only be skipped when doing so leaves every membrane, accumulator
-// and output bit identical to the dense walk (DESIGN.md §15). Every
-// buffer the step touches is owned by sr, so a warm step allocates
-// nothing; the returned tensor is valid until the stage's next step.
+// packed spike plane of x; the returned plane covers the returned
+// tensor and is nil when the stage does not produce one. Skips are
+// value-preserving by construction: a silent stage or window is only
+// skipped on the skipping walk, and only when doing so leaves every
+// membrane, accumulator and output bit identical to the reference walk
+// (DESIGN.md §15). Every buffer the step touches is owned by sr, so a
+// warm step allocates nothing; the returned tensor is valid until the
+// stage's next step.
 //
 //nebula:hotpath
 func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
@@ -554,25 +510,24 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		}
 		out := sr.convOut
 		od := out.Data()
-		if pl != nil {
-			// Event path: pre-zero the output plane so skipped positions
-			// need no writes, and take the whole-stage exit on a silent
-			// input (zero windows integrate nothing, so no neuron state
-			// moves; a bias would break that, hence the guard).
-			clear(od)
-			res.PackedWords += int64(len(pl.WordSlice()))
-			if hw.bias == nil && pl.IsZero() {
-				res.SilentStageSkips++
-				res.SpikesSkipped += int64(pl.Len())
-				sr.outPlane.Reset(len(od))
-				return out, &sr.outPlane, nil
-			}
+		// Pre-zero the output so skipped positions need no writes, and
+		// take the whole-stage exit on a silent input (zero windows
+		// integrate nothing, so no neuron state moves; a bias would
+		// break that, hence the guard).
+		clear(od)
+		if env.skip && hw.bias == nil && pl.IsZero() {
+			res.SilentStageSkips++
+			env.charge(res, pl, pl.Len())
+			sr.outPlane.Reset(len(od))
+			return out, &sr.outPlane, nil
 		}
+		env.charge(res, pl, 0)
 		gcIn := hw.inC / hw.groups
 		gcOut := hw.outC / hw.groups
 		npos := gt.npos()
 		subLen := gcIn * gt.h * gt.w
 		colBuf := sr.colBuf
+		wp := &sr.winPlane
 		bias := biasData(hw.bias)
 		for g := 0; g < hw.groups; g++ {
 			sub := x.Data()[g*subLen : (g+1)*subLen]
@@ -583,42 +538,17 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				if hw.groups > 1 {
 					bankPos = pos*hw.groups + g
 				}
+				// The table scatters indices, so the window plane is
+				// packed from the gathered window, not windowed from pl.
 				gt.gather(colBuf, sub, pos)
-				var spikes []float64
-				var err error
-				if pl != nil {
-					// Pack the window's spike plane (the table scatters
-					// indices, so the window plane is rebuilt, not
-					// windowed from pl).
-					wp := &sr.winPlane
-					wp.Reset(len(colBuf))
-					for r, v := range colBuf {
-						if v != 0 {
-							wp.Set(r)
-							//nebula:lint-ignore float-eq binary detection is exact by design: only the literal 1.0 lets the bit pattern stand in for the value
-							if v != 1.0 {
-								wp.MarkGraded()
-							}
-						}
-					}
-					if bias == nil && wp.IsZero() {
-						// Silent window: the replica bank integrates
-						// nothing and every output slot stays zero.
-						res.PackedWords += int64(len(wp.WordSlice()))
-						res.SpikesSkipped += int64(len(colBuf))
-						continue
-					}
-					spikes, err = env.coreStepEvent(hw.snnCore, sr, bankPos, colBuf, wp, nil, bias, false, res)
-				} else {
-					// The window's spike list; the kernels skip silent rows.
-					sr.act = sr.act[:0]
-					for r, v := range colBuf {
-						if v != 0 {
-							sr.act = append(sr.act, r)
-						}
-					}
-					spikes, err = env.coreStep(hw.snnCore, sr, bankPos, colBuf, sr.act, bias, res)
+				wp.Pack(colBuf)
+				if env.skip && bias == nil && wp.IsZero() {
+					// Silent window: the replica bank integrates nothing
+					// and every output slot stays zero.
+					env.charge(res, wp, len(colBuf))
+					continue
 				}
+				spikes, err := env.coreStep(hw.snnCore, sr, bankPos, colBuf, wp, nil, bias, false, res)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -635,54 +565,35 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		if env.wear {
 			env.ch.Mesh.Send(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}, maxInt(1, int(out.Sum())), 0)
 		}
-		if pl != nil {
-			sr.outPlane.Pack(od)
-			return out, &sr.outPlane, nil
-		}
-		return out, nil, nil
+		sr.outPlane.Pack(od)
+		return out, &sr.outPlane, nil
 	case "dense":
 		in := x.Data()
 		var err error
 		switch {
 		case hw.spill != nil:
 			_, err = env.spillStep(hw.spill, sr, 0, in, biasData(hw.bias), pl, res)
-		case pl != nil:
-			if hw.bias == nil && pl.IsZero() {
-				// Whole-stage skip: integrateBankInto ignores zero
-				// increments, so the dense walk would touch no neuron
-				// and emit no spike — return the zero vector without
-				// charging cycles, packets or accesses.
-				res.SilentStageSkips++
-				res.PackedWords += int64(len(pl.WordSlice()))
-				res.SpikesSkipped += int64(pl.Len())
-				clear(sr.fire)
-				sr.outPlane.Reset(len(sr.fire))
-				return sr.view, &sr.outPlane, nil
-			}
-			_, err = env.coreStepEvent(hw.snnCore, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
+		case env.skip && hw.bias == nil && pl.IsZero():
+			// Whole-stage skip: integrateBank ignores zero increments, so
+			// the read would touch no neuron and emit no spike — return
+			// the zero vector without charging cycles, packets or
+			// accesses.
+			res.SilentStageSkips++
+			env.charge(res, pl, pl.Len())
+			clear(sr.fire)
+			sr.outPlane.Reset(len(sr.fire))
+			return sr.view, &sr.outPlane, nil
 		default:
-			// Gather the previous layer's spike list so the crossbar
-			// kernels touch only the active rows.
-			sr.act = sr.act[:0]
-			for i, v := range in {
-				if v != 0 {
-					sr.act = append(sr.act, i)
-				}
-			}
-			_, err = env.coreStep(hw.snnCore, sr, 0, in, sr.act, biasData(hw.bias), res)
+			_, err = env.coreStep(hw.snnCore, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		// Both step kinds emit into sr.fire, which sr.view wraps.
-		if pl != nil {
-			// sr.outPlane was filled during the integrate (coreStepEvent)
-			// or threshold (spillStep) walk — no Pack re-scan needed.
-			return sr.view, &sr.outPlane, nil
-		}
-		return sr.view, nil, nil
+		// Both step kinds emit into sr.fire, which sr.view wraps, and
+		// fill sr.outPlane during their integrate or threshold walk.
+		return sr.view, &sr.outPlane, nil
 	case "pool":
 		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 		oh := tensor.ConvOutSize(h, hw.pool.K, hw.pool.Stride, 0)
@@ -692,27 +603,22 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 			sr.poolCur, sr.poolOut = tensor.New(c, oh, ow), tensor.New(c, oh, ow)
 		}
 		out := sr.poolOut
-		if pl != nil {
-			res.PackedWords += int64(len(pl.WordSlice()))
-			if pl.IsZero() {
-				// Silent input: average pooling of zeros is zero, and a
-				// zero-current IF step moves no membrane (leak 1, no
-				// refractory) and fires nothing — a zero output is the
-				// exact dense result.
-				res.SilentStageSkips++
-				res.SpikesSkipped += int64(pl.Len())
-				clear(out.Data())
-				sr.outPlane.Reset(out.Size())
-				return out, &sr.outPlane, nil
-			}
-		}
-		snn.AvgPoolInto(sr.poolCur, x, hw.pool.K, hw.pool.Stride)
-		sr.poolIF.FireInto(out, sr.poolCur)
-		if pl != nil {
-			sr.outPlane.Pack(out.Data())
+		if env.skip && pl.IsZero() {
+			// Silent input: average pooling of zeros is zero, and a
+			// zero-current IF step moves no membrane (leak 1, no
+			// refractory) and fires nothing — a zero output is the exact
+			// pooled result.
+			res.SilentStageSkips++
+			env.charge(res, pl, pl.Len())
+			clear(out.Data())
+			sr.outPlane.Reset(out.Size())
 			return out, &sr.outPlane, nil
 		}
-		return out, nil, nil
+		env.charge(res, pl, 0)
+		snn.AvgPoolInto(sr.poolCur, x, hw.pool.K, hw.pool.Stride)
+		sr.poolIF.FireInto(out, sr.poolCur)
+		sr.outPlane.Pack(out.Data())
+		return out, &sr.outPlane, nil
 	case "flatten":
 		// Flattening reorders nothing, so the plane carries over; the
 		// view is rebuilt only when the input buffer changes (the first
@@ -729,18 +635,15 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		if len(in) != inLen {
 			return nil, nil, fmt.Errorf("arch: read-out %s expects %d inputs, got %d", hw.name, inLen, len(in))
 		}
-		inc := sr.outInc
-		if pl != nil {
-			res.PackedWords += int64(len(pl.WordSlice()))
-			if hw.outB == nil && pl.IsZero() {
-				// Silent timestep contributes exactly zero to every
-				// class accumulator — skip the read-out entirely.
-				res.SilentStageSkips++
-				res.SpikesSkipped += int64(pl.Len())
-				return sr.outAcc, nil, nil
-			}
+		if env.skip && hw.outB == nil && pl.IsZero() {
+			// Silent timestep contributes exactly zero to every class
+			// accumulator — skip the read-out entirely.
+			res.SilentStageSkips++
+			env.charge(res, pl, pl.Len())
+			return sr.outAcc, nil, nil
 		}
-		if pl != nil && pl.Binary() {
+		inc := sr.outInc
+		if !env.ref && pl.Binary() {
 			// Binary plane: each active bit contributes its weight
 			// verbatim (1.0·w == w), and summing in ascending index
 			// order matches the dense inner product bit for bit —
@@ -756,8 +659,9 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				}
 				inc[k] = s
 			}
-			res.SpikesSkipped += int64(pl.Len() - pl.Count())
+			env.charge(res, pl, pl.Len()-pl.Count())
 		} else {
+			env.charge(res, pl, 0)
 			matVecInto(inc, hw.outW.Data(), in)
 		}
 		if hw.outB != nil {
@@ -808,27 +712,29 @@ func addInto(dst, src []float64) {
 	}
 }
 
-// annExec drives one input vector through an ANN core with the stage
-// bias injected pre-saturation, mirroring the legacy
-// Execute/annExecuteWithBias pair without mutating the shared core. The
-// saturated activations land in dst, which must hold core.ST.cols
-// values; sc is the stage's evaluation scratch.
+// annExec drives one input vector, whose packed plane is pl, through an
+// ANN core with the stage bias injected pre-saturation. The saturated
+// activations land in dst, which must hold core.ST.cols values; when
+// outPl is non-nil the graded plane of dst is built during the same
+// clip walk. sc is the stage's evaluation scratch.
 //
 //nebula:hotpath
-func (env *execEnv) annExec(core *ANNCore, in []float64, bias *tensor.Tensor, dst []float64, sc *EvalScratch, res *RunResult) error {
+func (env *execEnv) annExec(core *ANNCore, in []float64, pl, outPl *spikeplane.Plane, bias *tensor.Tensor, dst []float64, sc *EvalScratch, res *RunResult) error {
 	bd := biasData(bias)
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
-	sums, err := env.evaluate(core.ST, in, nil, dst, sc)
-	if err != nil {
+	if err := env.read(core.ST, dst, in, pl, env.cross, sc); err != nil {
 		return err
 	}
 	res.Cycles++ // cycle 2: drive crossbars, threshold at NU
-	for j, v := range sums {
+	if outPl != nil {
+		outPl.Reset(len(dst))
+	}
+	for j, v := range dst {
 		if bd != nil {
 			// Bias is added pre-saturation: rectify the raw sum at a
 			// lifted ceiling, inject the bias, then apply the device
-			// transfer — identical to the deprecated clip-lift dance.
+			// transfer.
 			if v < 0 {
 				v = 0
 			} else if v > 1e18 {
@@ -844,21 +750,30 @@ func (env *execEnv) annExec(core *ANNCore, in []float64, bias *tensor.Tensor, ds
 			v = core.Clip
 		}
 		dst[j] = v
+		if outPl != nil && v != 0 {
+			outPl.Set(j)
+			//nebula:lint-ignore float-eq binary detection is exact by design: only the literal 1.0 lets the bit pattern stand in for the value
+			if v != 1.0 {
+				outPl.MarkGraded()
+			}
+		}
 	}
 	res.Cycles++ // cycle 3: OB → eDRAM
 	res.EDRAMAccesses++
 	return nil
 }
 
-// annStage executes one compiled stage in ANN mode. Its output lives in
-// ar and is valid until the stage's next execution.
+// annStage executes one compiled stage in ANN mode; pl is the packed
+// plane of x. Its output and the output's plane live in ar and are
+// valid until the stage's next execution; the plane is nil after the
+// read-out, which ends the pipeline.
 //
 //nebula:hotpath
-func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
+func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	switch hw.kind {
 	case "conv":
 		if x.NDim() != 3 {
-			return nil, fmt.Errorf("arch: conv stage %s needs a C×H×W input, got %v", hw.name, x.Shape())
+			return nil, nil, fmt.Errorf("arch: conv stage %s needs a C×H×W input, got %v", hw.name, x.Shape())
 		}
 		h, w := x.Dim(1), x.Dim(2)
 		gt := hw.gather
@@ -867,7 +782,7 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 				//nebula:coldpath input size the compile did not fix: derived once per run state
 				ag, err := newGatherTable(hw.gcIn, h, w, hw.kh, hw.kw, hw.stride, hw.pad)
 				if err != nil {
-					return nil, fmt.Errorf("arch: conv stage %s: %w", hw.name, err)
+					return nil, nil, fmt.Errorf("arch: conv stage %s: %w", hw.name, err)
 				}
 				ar.gather = ag
 			}
@@ -875,7 +790,7 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 		}
 		subLen := hw.gcIn * h * w
 		if x.Size() != hw.groups*subLen {
-			return nil, fmt.Errorf("arch: conv stage %s expects %d input channels, got %v", hw.name, hw.groups*hw.gcIn, x.Shape())
+			return nil, nil, fmt.Errorf("arch: conv stage %s expects %d input channels, got %v", hw.name, hw.groups*hw.gcIn, x.Shape())
 		}
 		if ar.out == nil || ar.out.Dim(1) != gt.oh || ar.out.Dim(2) != gt.ow {
 			//nebula:coldpath first run of a fresh run state
@@ -888,15 +803,17 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 			sub := x.Data()[g*subLen : (g+1)*subLen]
 			for pos := 0; pos < npos; pos++ {
 				gt.gather(ar.col, sub, pos)
-				if err := env.annExec(hw.core, ar.col, hw.bias, ar.row, &ar.sc, res); err != nil {
-					return nil, err
+				ar.win.Pack(ar.col)
+				if err := env.annExec(hw.core, ar.col, &ar.win, nil, hw.bias, ar.row, &ar.sc, res); err != nil {
+					return nil, nil, err
 				}
 				for k := g * gcOut; k < (g+1)*gcOut; k++ {
 					od[k*npos+pos] = ar.row[k]
 				}
 			}
 		}
-		return ar.out, nil
+		ar.outPlane.Pack(od)
+		return ar.out, &ar.outPlane, nil
 	case "dense":
 		if ar.out == nil {
 			//nebula:coldpath first run of a fresh run state
@@ -904,10 +821,10 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 			//nebula:coldpath
 			ar.out = tensor.FromSlice(ar.row, len(ar.row))
 		}
-		if err := env.annExec(hw.core, x.Data(), hw.bias, ar.row, &ar.sc, res); err != nil {
-			return nil, err
+		if err := env.annExec(hw.core, x.Data(), pl, &ar.outPlane, hw.bias, ar.row, &ar.sc, res); err != nil {
+			return nil, nil, err
 		}
-		return ar.out, nil
+		return ar.out, &ar.outPlane, nil
 	case "pool":
 		// ANN mode: plain average pooling in the NU datapath (no IF).
 		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -918,17 +835,18 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 			ar.out = tensor.New(c, oh, ow)
 		}
 		snn.AvgPoolInto(ar.out, x, hw.poolK, hw.poolStride)
-		return ar.out, nil
+		ar.outPlane.Pack(ar.out.Data())
+		return ar.out, &ar.outPlane, nil
 	case "flatten":
 		if !isFlatView(ar.out, x) {
 			//nebula:coldpath once per input buffer
 			ar.out = x.Reshape(x.Size())
 		}
-		return ar.out, nil
+		return ar.out, pl, nil
 	case "output":
 		n, inLen := hw.outW.Dim(0), hw.outW.Dim(1)
 		if x.Size() != inLen {
-			return nil, fmt.Errorf("arch: read-out %s expects %d inputs, got %d", hw.name, inLen, x.Size())
+			return nil, nil, fmt.Errorf("arch: read-out %s expects %d inputs, got %d", hw.name, inLen, x.Size())
 		}
 		if ar.out == nil {
 			//nebula:coldpath first run of a fresh run state
@@ -939,9 +857,9 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, res *
 		if hw.outB != nil {
 			addInto(od, hw.outB.Data())
 		}
-		return ar.out, nil
+		return ar.out, nil, nil
 	}
-	return nil, fmt.Errorf("arch: unknown ANN stage kind %q", hw.kind)
+	return nil, nil, fmt.Errorf("arch: unknown ANN stage kind %q", hw.kind)
 }
 
 // stepStageObs advances spiking stage i by one timestep, attributing
@@ -965,57 +883,57 @@ func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun
 	return out, opl, nil
 }
 
-// annStageObs executes continuous stage j, attributing the counter
-// delta to its bucket when the run carries a shard.
-func (s *Session) annStageObs(env *execEnv, j int, hw *annStageHW, ar *annRun, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
-	if env.shard == nil {
-		return env.annStage(hw, ar, x, res)
+// runANN executes the continuous pipeline over x, attributing each
+// stage's counter delta to its bucket when the run carries a shard.
+func (s *Session) runANN(ctx context.Context, env *execEnv, st *runState, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
+	pl := &st.annPlane
+	pl.Pack(x.Data())
+	for j, hw := range s.annStages {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var m stageMark
+		if env.shard != nil {
+			m = env.mark(res)
+		}
+		var err error
+		x, pl, err = env.annStage(hw, st.ann[j], x, pl, res)
+		if err != nil {
+			return nil, err
+		}
+		if env.shard != nil {
+			env.observe(m, res, env.shard.Stage(s.annBase+j))
+		}
 	}
-	m := env.mark(res)
-	out, err := env.annStage(hw, ar, x, res)
-	if err != nil {
-		return nil, err
-	}
-	env.observe(m, res, env.shard.Stage(s.annBase+j))
-	return out, nil
+	return x, nil
 }
 
-// encodeObs encodes one timestep, attributing the input spikes entering
+// encodeObs encodes one timestep and packs the spike plane that heads
+// the per-timestep plane chain, attributing the input spikes entering
 // the pipeline to the input bucket (stage 0 of spiking layouts).
-// IntoEncoders write the run's recycled buffer. On the event-driven path
-// it also packs the spike plane that heads the per-timestep plane chain
-// and derives the spike count from the plane's popcount.
+// IntoEncoders write the run's recycled buffer; PlaneEncoders also
+// build the plane during their own walk (no Pack re-scan).
 func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *tensor.Tensor, t int) (*tensor.Tensor, *spikeplane.Plane) {
+	pl := &st.encPlane
 	var x *tensor.Tensor
-	var pl *spikeplane.Plane
 	switch ie := enc.(type) {
 	case snn.IntoEncoder:
 		if st.encT == nil || !tensor.SameShape(st.encT, img) {
 			st.encT = tensor.New(img.Shape()...)
 		}
 		x = st.encT
-		if pe, ok := ie.(snn.PlaneEncoder); ok && env.event {
-			// The encoder builds the packed plane during its own walk —
-			// no Pack re-scan of the dense vector.
-			pl = &st.encPlane
+		if pe, ok := ie.(snn.PlaneEncoder); ok {
 			pe.EncodeIntoPlane(x, pl, img)
 		} else {
 			ie.EncodeInto(x, img)
+			pl.Pack(x.Data())
 		}
 	default:
 		x = enc.Encode(img)
-	}
-	if env.event && pl == nil {
-		pl = &st.encPlane
 		pl.Pack(x.Data())
 	}
 	if sh := env.shard; sh != nil {
-		var n int64
-		if pl != nil {
-			n = int64(pl.Count())
-		} else {
-			n = snn.CountSpikes(x)
-		}
+		n := int64(pl.Count())
 		sh.Stage(0).SpikesEmitted += n
 		if sh.TraceEnabled() {
 			sh.AddTrace(obs.TraceEvent{Timestep: t, Stage: 0, Layer: "input", Spikes: n})
@@ -1027,16 +945,9 @@ func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *te
 // execANN runs one continuous-activation pass.
 func (s *Session) execANN(ctx context.Context, img *tensor.Tensor, env *execEnv, st *runState) (*RunResult, error) {
 	res := &RunResult{}
-	x := img
-	for j, hw := range s.annStages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		x, err = s.annStageObs(env, j, hw, st.ann[j], x, res)
-		if err != nil {
-			return nil, err
-		}
+	x, err := s.runANN(ctx, env, st, img, res)
+	if err != nil {
+		return nil, err
 	}
 	res.Output = x.Clone()
 	res.Prediction = x.ArgMax()
@@ -1097,17 +1008,10 @@ func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execE
 	// the boundary; renormalize to [0,1] with λ so the normalized weights
 	// of the remaining stages apply directly.
 	st.auOut = st.au.ReadInto(st.auOut)
-	x := st.auOut
-	x.ScaleInPlace(1 / s.lambda)
-	for j, hw := range s.annStages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		x, err = s.annStageObs(env, j, hw, st.ann[j], x, res)
-		if err != nil {
-			return nil, err
-		}
+	st.auOut.ScaleInPlace(1 / s.lambda)
+	x, err := s.runANN(ctx, env, st, st.auOut, res)
+	if err != nil {
+		return nil, err
 	}
 	res.Output = x.Clone()
 	res.Prediction = x.ArgMax()
@@ -1125,16 +1029,17 @@ func runOutput(st *runState, stages []*stageHW) *tensor.Tensor {
 	return tensor.New(1)
 }
 
-// runOne executes a single inference with the given reserved streams.
-// When the session carries a recorder, the run fills a private counter
-// shard and returns it alongside the result; the caller decides when
-// (and whether) to merge it. A failed run's shard is discarded.
-func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStreams) (*RunResult, *obs.RunRecord, error) {
+// runOne executes a single inference with the given reserved streams,
+// on the reference walk when ref is set. When the session carries a
+// recorder, a production run fills a private counter shard and returns
+// it alongside the result; the caller decides when (and whether) to
+// merge it. A failed run's shard is discarded.
+func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStreams, ref bool) (*RunResult, *obs.RunRecord, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &execEnv{ch: s.chip, wear: s.cfg.Wear, hops: s.engineHops}
-	if s.rec != nil {
+	env := &execEnv{ch: s.chip, wear: s.cfg.Wear, hops: s.engineHops, ref: ref}
+	if s.rec != nil && !ref {
 		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)
 	}
 	if env.wear {
@@ -1147,10 +1052,10 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 			env.noise = rs.noise
 		}
 		env.cross = &crossbar.Stats{}
-		// Event-driven stepping requires a nil read-noise stream: noise
-		// draws advance per live column, so skipping a read would shift
-		// every later draw. Without noise, skips are value-exact.
-		env.event = env.noise == nil && !s.cfg.noEvent
+		// Skipping requires a nil read-noise stream: noise draws advance
+		// per live column, so skipping a read would shift every later
+		// draw. Without noise, skips are value-exact.
+		env.skip = env.noise == nil && !ref
 	}
 	var enc snn.Encoder
 	if s.cfg.Mode != ModeANN {
@@ -1204,7 +1109,7 @@ func (s *Session) mergeShards(shards []*obs.RunRecord) error {
 // per-run RNG streams, so a loop of Run calls is bitwise identical to
 // one RunBatch over the same inputs.
 func (s *Session) Run(ctx context.Context, input *tensor.Tensor) (*RunResult, error) {
-	res, shard, err := s.runOne(ctx, input, s.reserveStreams(1)[0])
+	res, shard, err := s.runOne(ctx, input, s.reserveStreams(1)[0], false)
 	if err != nil {
 		return nil, err
 	}
@@ -1214,6 +1119,25 @@ func (s *Session) Run(ctx context.Context, input *tensor.Tensor) (*RunResult, er
 		}
 	}
 	return res, nil
+}
+
+// RunReference executes one inference on the reference walk, for tests
+// and benchmarks that check the production walk against it. It runs the
+// same stages as Run with no silent-stage or window skips and no
+// timestep-repeat cache, and every crossbar read goes through the index
+// path (EvaluateReadInto/MACReadInto). It reserves the next per-run
+// streams exactly like Run, so two sessions compiled alike, one driven
+// by Run and one by RunReference, return bitwise-identical outputs,
+// predictions and spike counts. It records nothing to an attached
+// observer and reports zero skip, packed-word and repeat counters. Wear
+// sessions are rejected: their reads mutate the arrays, so no second
+// walk could see the same state.
+func (s *Session) RunReference(ctx context.Context, input *tensor.Tensor) (*RunResult, error) {
+	if s.cfg.Wear {
+		return nil, fmt.Errorf("arch: RunReference needs a session compiled without WithWear")
+	}
+	res, _, err := s.runOne(ctx, input, s.reserveStreams(1)[0], true)
+	return res, err
 }
 
 // ReservedStreams is a pair of per-run RNG streams reserved outside the
@@ -1236,7 +1160,7 @@ type ReservedStreams struct {
 // and streams. Safe for concurrent use under the same conditions as
 // Run.
 func (s *Session) RunReserved(ctx context.Context, input *tensor.Tensor, rs ReservedStreams) (*RunResult, error) {
-	res, shard, err := s.runOne(ctx, input, runStreams{enc: rs.Enc, noise: rs.Noise})
+	res, shard, err := s.runOne(ctx, input, runStreams{enc: rs.Enc, noise: rs.Noise}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -1275,7 +1199,7 @@ func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*Run
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			res, shard, err := s.runOne(ctx, in, streams[i])
+			res, shard, err := s.runOne(ctx, in, streams[i], false)
 			if err != nil {
 				return nil, fmt.Errorf("arch: batch input %d: %w", i, err)
 			}
@@ -1301,7 +1225,7 @@ func (s *Session) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*Run
 					errs[i] = err
 					continue
 				}
-				res, shard, err := s.runOne(cctx, inputs[i], streams[i])
+				res, shard, err := s.runOne(cctx, inputs[i], streams[i], false)
 				if err != nil {
 					errs[i] = err
 					cancel()

@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/convert"
-	"repro/internal/dataset"
-	"repro/internal/models"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -66,26 +63,4 @@ func TestGatherTableRejectsBadGeometry(t *testing.T) {
 	if _, err := newGatherTable(1, 4, 4, 3, 3, 0, 0); err == nil {
 		t.Error("stride 0 accepted")
 	}
-}
-
-// TestSessionEventDrivenMobileNetHybrid runs a depthwise MobileNetV1 in
-// hybrid mode: padded, strided, depthwise spiking convolutions in the
-// front, and the ANN tail's depthwise conv and global pool on gather
-// tables derived from the boundary shape. The event-driven walk must be
-// bitwise identical to the dense one at every parallelism.
-func TestSessionEventDrivenMobileNetHybrid(t *testing.T) {
-	spec := dataset.Spec{Name: "x", Classes: 4, Channels: 1, Size: 8, Noise: 0.1, Jitter: 1}
-	d := dataset.Generate(spec, 16, 3)
-	net := models.NewMobileNetV1(spec.Channels, spec.Size, spec.Classes, rng.New(8))
-	c, err := convert.Convert(net, d, convert.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []Option{WithMode(ModeHybrid), WithHybridSplit(4), WithTimesteps(8), WithSeed(42),
-		WithInputShape(spec.Channels, spec.Size, spec.Size)}
-	sess := compileEventSession(t, c, opts...)
-	if len(sess.annStages) == 0 || sess.annStages[0].kind != "conv" || sess.annStages[0].gather == nil {
-		t.Fatal("the ANN tail should start with a conv stage whose gather table was derived at compile")
-	}
-	assertEventMatchesDense(t, c, sessionImages(t, d, 6), opts...)
 }

@@ -431,7 +431,6 @@ func TestCompileConfigRoundTrip(t *testing.T) {
 		"seed":      func(c *CompileConfig) { c.Seed = 100 },
 		"shape":     func(c *CompileConfig) { c.InputShape = []int{1, 8, 8} },
 		"wear":      func(c *CompileConfig) { c.Wear = true },
-		"kernel":    func(c *CompileConfig) { c.NoFrozenKernel = true },
 	} {
 		m := cfg
 		m.InputShape = append([]int(nil), cfg.InputShape...)

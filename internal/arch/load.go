@@ -25,8 +25,8 @@ import (
 // LoadSession rehydrates a compiled session from a chip image.
 //
 // Options adjusting run behaviour — WithTimesteps, WithParallelism,
-// WithSeed, WithObserver, WithEncoder, WithSharedEncoder,
-// WithFrozenKernel — may override what the image recorded. Options that
+// WithSeed, WithObserver, WithEncoder, WithSharedEncoder — may override
+// what the image recorded. Options that
 // would change the programmed state itself — WithMode, WithHybridSplit,
 // WithInputShape, WithWear — must match the image (a changed value is
 // rejected): that state was baked in at compile time and a load cannot

@@ -166,7 +166,7 @@ func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
 	// The arrays are back at their programmed targets (minus whatever is
 	// permanently stuck); freeze them again and renew the stamps so the
 	// session is Pristine for the next run.
-	if !s.cfg.NoFrozenKernel && !s.cfg.Wear {
+	if !s.cfg.Wear {
 		s.bakeKernels()
 	}
 	s.stampGenerations()

@@ -66,7 +66,7 @@ func TestChipRunSNNWithProtectionMatchesClean(t *testing.T) {
 		var preds []int
 		for i := 0; i < 8; i++ {
 			img, _ := te.Sample(i)
-			res, err := chip.RunSNN(c, img, 40, snn.NewPoissonEncoder(1.0, r.Split()))
+			res, err := snnOnce(chip, c, img, 40, snn.NewPoissonEncoder(1.0, r.Split()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestChipDegradedErrorSurfaces(t *testing.T) {
 		Policy:     reliability.DefaultPolicy(),
 	}
 	img, _ := te.Sample(0)
-	_, err := chip.RunSNN(c, img, 5, snn.NewPoissonEncoder(1.0, rng.New(1)))
+	_, err := snnOnce(chip, c, img, 5, snn.NewPoissonEncoder(1.0, rng.New(1)))
 	var de *reliability.DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("want DegradedError, got %v", err)
@@ -116,14 +116,14 @@ func TestChipHealthResetAndAccumulation(t *testing.T) {
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(94))
 	chip.Rel = reliability.StudyConfig(0.02, reliability.ProtectWriteVerify)
 	img, _ := te.Sample(0)
-	if _, err := chip.RunSNN(c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
+	if _, err := snnOnce(chip, c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
 		t.Fatal(err)
 	}
 	h1 := chip.Health()
 	if h1.ArraysScanned == 0 || h1.DevicesFaulted == 0 {
 		t.Fatalf("health empty after faulted run: %+v", h1)
 	}
-	if _, err := chip.RunSNN(c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
+	if _, err := snnOnce(chip, c, img, 3, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
 		t.Fatal(err)
 	}
 	if h2 := chip.Health(); h2.ArraysScanned <= h1.ArraysScanned {
@@ -183,7 +183,7 @@ func TestRetentionScrubResetsDriftAge(t *testing.T) {
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
 	chip.Rel = rel
 	img, _ := te.Sample(0)
-	if _, err := chip.RunSNN(c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
+	if _, err := snnOnce(chip, c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
 		t.Fatal(err)
 	}
 	h := chip.Health()
@@ -199,7 +199,7 @@ func TestRetentionScrubResetsDriftAge(t *testing.T) {
 	rel2 := *rel
 	rel2.Policy.ScrubEverySteps = 0
 	chip2.Rel = &rel2
-	if _, err := chip2.RunSNN(c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
+	if _, err := snnOnce(chip2, c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
 		t.Fatal(err)
 	}
 	if h2 := chip2.Health(); h2.MaxDriftAge != 10 {

@@ -85,30 +85,28 @@ func (ch *Chip) imageSpec() image.ChipSpec {
 // image mirror.
 func imageConfig(c CompileConfig) image.SessionConfig {
 	return image.SessionConfig{
-		Mode:           int(c.Mode),
-		Timesteps:      c.Timesteps,
-		HybridSplit:    c.HybridSplit,
-		Parallelism:    c.Parallelism,
-		Seed:           c.Seed,
-		SeedSet:        c.SeedSet,
-		InputShape:     append([]int(nil), c.InputShape...),
-		Wear:           c.Wear,
-		NoFrozenKernel: c.NoFrozenKernel,
+		Mode:        int(c.Mode),
+		Timesteps:   c.Timesteps,
+		HybridSplit: c.HybridSplit,
+		Parallelism: c.Parallelism,
+		Seed:        c.Seed,
+		SeedSet:     c.SeedSet,
+		InputShape:  append([]int(nil), c.InputShape...),
+		Wear:        c.Wear,
 	}
 }
 
 // configFromImage is the inverse of imageConfig.
 func configFromImage(c image.SessionConfig) CompileConfig {
 	return CompileConfig{
-		Mode:           Mode(c.Mode),
-		Timesteps:      c.Timesteps,
-		HybridSplit:    c.HybridSplit,
-		Parallelism:    c.Parallelism,
-		Seed:           c.Seed,
-		SeedSet:        c.SeedSet,
-		InputShape:     append([]int(nil), c.InputShape...),
-		Wear:           c.Wear,
-		NoFrozenKernel: c.NoFrozenKernel,
+		Mode:        Mode(c.Mode),
+		Timesteps:   c.Timesteps,
+		HybridSplit: c.HybridSplit,
+		Parallelism: c.Parallelism,
+		Seed:        c.Seed,
+		SeedSet:     c.SeedSet,
+		InputShape:  append([]int(nil), c.InputShape...),
+		Wear:        c.Wear,
 	}
 }
 

@@ -114,9 +114,6 @@ type CompileConfig struct {
 	InputShape []int
 	// Wear enables per-evaluation wear modelling (serializes runs).
 	Wear bool
-	// NoFrozenKernel disables baking the frozen-conductance read
-	// kernels at compile time.
-	NoFrozenKernel bool
 }
 
 // Options reconstructs a functional-option list that reproduces this
@@ -128,7 +125,6 @@ func (c CompileConfig) Options() []Option {
 		WithHybridSplit(c.HybridSplit),
 		WithParallelism(c.Parallelism),
 		WithWear(c.Wear),
-		WithFrozenKernel(!c.NoFrozenKernel),
 	}
 	if len(c.InputShape) > 0 {
 		opts = append(opts, WithInputShape(c.InputShape...))
@@ -168,7 +164,6 @@ func (c CompileConfig) Hash() string {
 		put(uint64(int64(d)))
 	}
 	putBool(c.Wear)
-	putBool(c.NoFrozenKernel)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -188,11 +183,6 @@ type sessionConfig struct {
 	// when non-empty; cacheMetrics, when non-nil, observes that cache.
 	cacheDir     string
 	cacheMetrics image.Metrics
-	// noEvent disables the bit-packed event-driven stepping path, forcing
-	// the dense walk. Execution-regime knob only: results are bitwise
-	// identical either way, so it is not part of CompileConfig (and not
-	// hashed into image cache keys).
-	noEvent bool
 }
 
 // Option configures Compile.
@@ -278,28 +268,12 @@ func WithImageCacheMetrics(m image.Metrics) Option {
 // rejects mismatched schemas).
 func WithObserver(rec *obs.Recorder) Option { return func(c *sessionConfig) { c.rec = rec } }
 
-// WithWear(true) makes every run model per-evaluation wear exactly like
-// the deprecated entry points: crossbar reads apply read disturb and
-// shared activity counters, the retention clock ticks (and the scrub
+// WithWear(true) makes every run model per-evaluation wear: crossbar
+// reads apply read disturb and shared activity counters, the retention clock ticks (and the scrub
 // policy runs) per timestep, and spikes traverse the shared mesh. Wear
 // mutates the programmed arrays, so wear sessions always execute
 // sequentially regardless of WithParallelism.
 func WithWear(on bool) Option { return func(c *sessionConfig) { c.Wear = on } }
-
-// WithFrozenKernel(false) disables baking the frozen-conductance read
-// kernels at compile time, forcing every MACRead through the reference
-// dense path. The kernels are bitwise identical to the reference, so
-// this only trades speed for nothing — it exists for differential
-// testing and benchmarking of the fast path. Default: enabled.
-func WithFrozenKernel(on bool) Option { return func(c *sessionConfig) { c.NoFrozenKernel = !on } }
-
-// WithEventDriven(false) disables the bit-packed event-driven stepping
-// path (DESIGN.md §15), forcing every timestep through the dense walk.
-// The event path self-gates to runs without a read-noise stream and
-// produces bitwise-identical outputs, so this knob only trades speed
-// for nothing — it exists for differential testing and benchmarking,
-// mirroring WithFrozenKernel. Default: enabled.
-func WithEventDriven(on bool) Option { return func(c *sessionConfig) { c.noEvent = !on } }
 
 // defaultSessionSeed seeds sessions that set no WithSeed; a fixed
 // constant keeps the default fully reproducible run to run.
@@ -415,9 +389,9 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 		var splitStage int
 		splitStage, s.lambda, err = hybridCut(model, cfg.HybridSplit)
 		if err == nil {
-			// Build the full spiking pipeline and truncate at the cut,
-			// mirroring the legacy entry point so core and stream
-			// allocation orders are identical.
+			// Build the full spiking pipeline and truncate at the cut, so
+			// core and stream allocation orders match an SNN compile of
+			// the same model.
 			s.snnStages, err = ch.buildSNN(model)
 		}
 		var h, w int
@@ -462,7 +436,7 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 	// Freeze the programmed conductance planes into read kernels. Wear
 	// sessions skip the bake: their reads mutate the arrays, so kernels
 	// would go stale after the first evaluation anyway.
-	if !s.cfg.NoFrozenKernel && !s.cfg.Wear {
+	if !s.cfg.Wear {
 		s.bakeKernels()
 	}
 
@@ -577,10 +551,9 @@ func (s *Session) Parallelism(n int) int {
 	return p
 }
 
-// programPositions allocates and protects the position-replica banks of
+// programPositions sizes and protects the position-replica banks of
 // spiking conv stages and derives their gather tables by propagating
-// the input shape through the pipeline; the legacy entry points did
-// this lazily on the first timestep. It returns the spatial size of the
+// the input shape through the pipeline. It returns the spatial size of the
 // pipeline's output (0×0 without a shape). Dense-only pipelines need no
 // shape.
 func (ch *Chip) programPositions(stages []*stageHW, shape []int) (h, w int, err error) {

@@ -28,16 +28,13 @@ type RUSpillCore struct {
 	blocks    []*SuperTile
 	rowBounds []int // block b holds rows [rowBounds[b], rowBounds[b+1])
 	kernels   int
-	// membranes holds per-position, per-kernel RU registers.
-	membranes []float64
+	// positions is the number of time-multiplexed outputs; each run's
+	// state holds kernels RU membrane registers per position.
+	positions int
 	// ADCBits quantizes each digitized partial sum (0 disables
 	// quantization; the paper uses 4-bit converters with per-layer
 	// scaling handled by the peripheral circuitry).
 	ADCBits int
-
-	Stats PipelineStats
-	// ADCConversions counts partial-sum digitizations.
-	ADCConversions int64
 
 	noise *rng.Rand
 }
@@ -48,7 +45,7 @@ func NewRUSpillCore(p device.Params, cfg crossbar.Config, vth float64, noise *rn
 }
 
 // Program slices the Rf×K kernel matrix across as many super-tiles as the
-// receptive field requires and allocates RU membrane registers for
+// receptive field requires and sizes the RU membrane registers for
 // `positions` time-multiplexed outputs.
 func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) error {
 	if positions < 1 {
@@ -86,8 +83,7 @@ func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) er
 		c.blocks = append(c.blocks, st)
 		c.rowBounds = append(c.rowBounds, hi)
 	}
-	c.kernels = k
-	c.membranes = make([]float64, k*positions)
+	c.kernels, c.positions = k, positions
 	return nil
 }
 
@@ -122,8 +118,7 @@ func (c *RUSpillCore) configure(km *tensor.Tensor, wmax float64, positions int) 
 		c.blocks = append(c.blocks, st)
 		c.rowBounds = append(c.rowBounds, hi)
 	}
-	c.kernels = k
-	c.membranes = make([]float64, k*positions)
+	c.kernels, c.positions = k, positions
 	return nil
 }
 
@@ -136,65 +131,6 @@ func (c *RUSpillCore) splitNoise() *rng.Rand {
 
 // Blocks returns the number of spilled cores.
 func (c *RUSpillCore) Blocks() int { return len(c.blocks) }
-
-// Reset clears the RU membrane registers and counters.
-func (c *RUSpillCore) Reset() {
-	for i := range c.membranes {
-		c.membranes[i] = 0
-	}
-	c.Stats = PipelineStats{}
-	c.ADCConversions = 0
-}
-
-// StepAt advances one timestep at output position pos: every block
-// evaluates its row slice, each partial sum is digitized, the RU reduces
-// them and updates the digital membranes, and threshold crossings emit
-// spikes (reset by subtraction, matching the converted network).
-func (c *RUSpillCore) StepAt(pos int, spikes []float64, bias []float64) ([]float64, error) {
-	if c.blocks == nil {
-		return nil, fmt.Errorf("arch: spill core not programmed")
-	}
-	if (pos+1)*c.kernels > len(c.membranes) {
-		return nil, fmt.Errorf("arch: position %d beyond allocated registers", pos)
-	}
-	if len(spikes) != c.rowBounds[len(c.rowBounds)-1] {
-		return nil, fmt.Errorf("arch: input length %d, want %d", len(spikes), c.rowBounds[len(c.rowBounds)-1])
-	}
-	c.Stats.Cycles++ // fetch
-	c.Stats.EDRAMReads++
-	total := make([]float64, c.kernels)
-	for b, st := range c.blocks {
-		part, err := st.Evaluate(spikes[c.rowBounds[b]:c.rowBounds[b+1]])
-		if err != nil {
-			return nil, err
-		}
-		// Digitize the block's partial sums (one conversion per kernel).
-		for kIdx, v := range part {
-			total[kIdx] += c.quantizePartial(v)
-		}
-		c.ADCConversions += int64(c.kernels)
-		c.Stats.Cycles++ // one digitization cycle per block (≤128/cycle)
-	}
-	c.Stats.Evaluations++
-	c.Stats.Cycles++ // reduce + activate at the RU
-	bank := c.membranes[pos*c.kernels : (pos+1)*c.kernels]
-	out := make([]float64, c.kernels)
-	for kIdx := range bank {
-		inc := total[kIdx]
-		if bias != nil && kIdx < len(bias) {
-			inc += bias[kIdx]
-		}
-		bank[kIdx] += inc
-		if bank[kIdx] >= c.VTh {
-			out[kIdx] = 1
-			bank[kIdx] -= c.VTh
-			c.Stats.Spikes++
-		}
-	}
-	c.Stats.Cycles++ // write back
-	c.Stats.EDRAMWrites++
-	return out, nil
-}
 
 // quantizePartial models the 4-bit digitization of a partial sum: the
 // converter covers ±1 in weight-normalized units with 2^bits levels.

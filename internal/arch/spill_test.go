@@ -13,6 +13,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/snn"
+	"repro/internal/spikeplane"
 	"repro/internal/tensor"
 )
 
@@ -67,6 +68,15 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 	// crossbar-quantized weights.
 	ref := snn.NewDense("ref", quantizedTranspose(km, 1), nil, vth, snn.ResetBySubtraction)
 
+	// Drive the spill core through the session engine's spillStep, with
+	// the registers and scratch a run state would own.
+	for _, b := range sp.blocks {
+		b.Bake()
+	}
+	env := execEnv{skip: true}
+	sr := stageRun{membranes: make([]float64, k), sums: make([]float64, k), total: make([]float64, k), fire: make([]float64, k)}
+	var res RunResult
+	var pl spikeplane.Plane
 	for step := 0; step < 30; step++ {
 		in := make([]float64, rf)
 		for i := range in {
@@ -74,7 +84,8 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 				in[i] = 1
 			}
 		}
-		hw, err := sp.StepAt(0, in, nil)
+		pl.Pack(in)
+		hw, err := env.spillStep(sp, &sr, 0, in, nil, &pl, &res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +96,7 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 			}
 		}
 	}
-	if sp.ADCConversions == 0 {
+	if res.ADCConversions == 0 {
 		t.Fatal("spill path recorded no conversions")
 	}
 }
@@ -141,7 +152,7 @@ func TestChipRunsSpilledDenseStage(t *testing.T) {
 
 	chip := NewChip(device.DefaultParams(), crossbar.Config{}, nil)
 	img, _ := d.Sample(0)
-	res, err := chip.RunSNN(conv, img, 20, snn.NewPoissonEncoder(1.0, rng.New(2)))
+	res, err := snnOnce(chip, conv, img, 20, snn.NewPoissonEncoder(1.0, rng.New(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

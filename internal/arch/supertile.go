@@ -241,27 +241,35 @@ func (st *SuperTile) NULevel() mapping.NULevel {
 // across the stack by Kirchhoff current summation — no digitization.
 //
 // Evaluate models wear on the constituent arrays (read disturb, shared
-// activity counters) and must not be called concurrently; the session
-// engine's frozen-conductance path uses EvaluateRead.
+// activity counters) and must not be called concurrently; wear-free
+// readers use EvaluateReadPacked or EvaluateReadInto.
 func (st *SuperTile) Evaluate(input []float64) ([]float64, error) {
-	return st.evaluate(input, func(ac *crossbar.Crossbar, in []float64) ([]float64, error) {
-		return ac.MAC(in)
-	})
-}
-
-// EvaluateRead is Evaluate through the wear-free crossbar read path:
-// noise draws come from the caller's stream and activity lands in the
-// caller's stats, so concurrent goroutines may evaluate one programmed
-// super-tile as long as nothing reprograms, retires, ticks or refreshes
-// it meanwhile.
-func (st *SuperTile) EvaluateRead(input []float64, noise *rng.Rand, stats *crossbar.Stats) ([]float64, error) {
 	if st.stack == 0 {
 		return nil, fmt.Errorf("arch: super-tile not programmed")
 	}
+	if len(input) != st.rows {
+		return nil, fmt.Errorf("arch: input length %d, want Rf %d", len(input), st.rows)
+	}
 	out := make([]float64, st.cols)
-	var sc EvalScratch
-	if err := st.EvaluateReadInto(out, input, nil, noise, stats, &sc); err != nil {
-		return nil, err
+	slice := make([]float64, mapping.M)
+	for s := 0; s < st.sets; s++ {
+		colLo := s * mapping.M
+		colHi := min(colLo+mapping.M, st.cols)
+		for h := 0; h < st.stack; h++ {
+			rowLo := h * mapping.M
+			rowHi := min(rowLo+mapping.M, st.rows)
+			clear(slice)
+			copy(slice, input[rowLo:rowHi])
+			part, err := st.ac(s, h).MAC(slice)
+			if err != nil {
+				return nil, err
+			}
+			// SL current summation: partial dot products add in the
+			// current domain across the vertical stack (§IV-B3).
+			for c := colLo; c < colHi; c++ {
+				out[c] += part[c-colLo]
+			}
+		}
 	}
 	return out, nil
 }
@@ -283,8 +291,8 @@ func (st *SuperTile) GenSum() uint64 {
 }
 
 // Bake freezes the read kernel of every configured array (crossbar
-// BakeKernel), switching EvaluateRead/EvaluateReadInto onto the
-// event-driven fast path. Call it when the session's conductances
+// BakeKernel), switching EvaluateReadInto onto the event-driven fast
+// path and enabling EvaluateReadPacked. Call it when the session's conductances
 // freeze; results are bitwise identical with or without the bake.
 func (st *SuperTile) Bake() {
 	for slot := 0; slot < st.stack*st.sets; slot++ {
@@ -306,9 +314,13 @@ type EvalScratch struct {
 	idx    []int     // materialized plane indices for the packed-path fallback
 }
 
-// EvaluateReadInto is EvaluateRead writing the K column sums into a
-// caller-provided buffer of length K, gathering the active-row list
-// once per call instead of once per atomic crossbar.
+// EvaluateReadInto is Evaluate through the wear-free crossbar read path,
+// writing the K column sums into a caller-provided buffer of length K:
+// noise draws come from the caller's stream and activity lands in the
+// caller's stats, so concurrent goroutines may evaluate one programmed
+// super-tile as long as nothing reprograms, retires, ticks or refreshes
+// it meanwhile. The active-row list is gathered once per call instead
+// of once per atomic crossbar. It is the reference walk's read.
 //
 // active, when non-nil, must list exactly the indices of the non-zero
 // input entries in increasing order — the previous layer's spike list.
@@ -386,29 +398,28 @@ func (st *SuperTile) EvaluateReadInto(dst, input []float64, active []int, noise 
 }
 
 // EvaluateReadPacked is EvaluateReadInto driven by a bit-packed spike
-// plane instead of an index list: the per-window re-basing of the
-// active list becomes a word-aligned window view of the plane
-// (mapping.M is a multiple of 64, so every stack-height window is
-// word-aligned and views cost nothing), the per-AC input is the
-// unpadded row window, and only the mapped columns of each set are
-// computed (MACReadPacked's trimmed contract).
+// plane instead of an index list — the production walk's read. The
+// per-window re-basing of the active list becomes a word-aligned window
+// view of the plane (mapping.M is a multiple of 64, so every
+// stack-height window is word-aligned and views cost nothing), and the
+// per-AC input is the unpadded row window.
 //
-// Two event-driven deviations from the dense walk, both gated on
-// noise being nil so the RNG stream is untouched:
+// A noiseless read (nil noise) takes two event-driven shortcuts:
 //
 //   - a stack-height window with no active bits skips its AC read
-//     entirely — no MAC is issued, so stats count fewer MACs than the
-//     dense walk (that is the point: silent windows draw no read
+//     entirely — no MAC is issued, so stats count fewer MACs than
+//     EvaluateReadInto (that is the point: silent windows draw no read
 //     current);
-//   - trimmed columns make stats.OutputCurrentUA sum mapped columns
-//     only (see MACReadPacked).
+//   - only the mapped columns of each set are computed
+//     (MACReadPacked's trimmed contract), so stats.OutputCurrentUA sums
+//     mapped columns only.
 //
-// Column sums for the mapped columns remain bitwise identical to
-// EvaluateReadInto. Noisy reads (non-nil noise) and stale kernels fall
-// back transparently to the index path, materializing the plane's
-// indices into the scratch: trimmed columns draw fewer noise values
-// per array, which would shift the stream for every later array in
-// the stack, so the packed walk is only defined for noiseless reads.
+// A noisy read takes neither: every array reads at full width, so each
+// live column draws its noise value in EvaluateReadInto's order and
+// sums and stats match it bit for bit. Column sums for the mapped
+// columns are bitwise identical to EvaluateReadInto either way. Stale
+// kernels fall back transparently to the index path, materializing the
+// plane's indices into the scratch.
 //
 //nebula:hotpath
 func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.Plane, noise *rng.Rand, stats *crossbar.Stats, sc *EvalScratch) error {
@@ -424,10 +435,6 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 	if plane.Len() != st.rows {
 		return fmt.Errorf("arch: plane length %d, want Rf %d", plane.Len(), st.rows)
 	}
-	if noise != nil {
-		sc.idx = plane.AppendIndices(sc.idx[:0])
-		return st.EvaluateReadInto(dst, input, sc.idx, noise, stats, sc)
-	}
 	for slot := 0; slot < st.stack*st.sets; slot++ {
 		if !st.acs[st.slotAC[slot]].KernelFresh() {
 			// Stale kernel: the packed fast path cannot serve this read;
@@ -440,21 +447,23 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 	if len(sc.part) != mapping.M {
 		sc.part = make([]float64, mapping.M)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
+	skip := noise == nil
 	words := plane.WordSlice()
 	for s := 0; s < st.sets; s++ {
 		colLo := s * mapping.M
 		colHi := min(colLo+mapping.M, st.cols)
-		part := sc.part[:colHi-colLo]
+		part := sc.part
+		if skip {
+			part = part[:colHi-colLo]
+		}
 		for h := 0; h < st.stack; h++ {
 			rowLo := h * mapping.M
 			rowHi := min(rowLo+mapping.M, st.rows)
 			win := spikeplane.Window(words, rowLo, rowHi, nil)
-			if spikeplane.IsZeroWords(win) {
-				// Silent window: no read current, no MAC (noise is nil
-				// past the fallback above, so no draw is skipped).
+			if skip && spikeplane.IsZeroWords(win) {
+				// Silent window: no read current, no MAC, and no noise
+				// draw to keep in step.
 				continue
 			}
 			if err := st.ac(s, h).MACReadPacked(part, input[rowLo:rowHi], win, noise, stats); err != nil {
@@ -468,41 +477,6 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 		}
 	}
 	return nil
-}
-
-// evaluate is the stack/set aggregation shared by Evaluate and
-// EvaluateRead; mac performs one atomic-crossbar dot product.
-func (st *SuperTile) evaluate(input []float64, mac func(*crossbar.Crossbar, []float64) ([]float64, error)) ([]float64, error) {
-	if st.stack == 0 {
-		return nil, fmt.Errorf("arch: super-tile not programmed")
-	}
-	if len(input) != st.rows {
-		return nil, fmt.Errorf("arch: input length %d, want Rf %d", len(input), st.rows)
-	}
-	out := make([]float64, st.cols)
-	slice := make([]float64, mapping.M)
-	for s := 0; s < st.sets; s++ {
-		colLo := s * mapping.M
-		colHi := min(colLo+mapping.M, st.cols)
-		for h := 0; h < st.stack; h++ {
-			rowLo := h * mapping.M
-			rowHi := min(rowLo+mapping.M, st.rows)
-			for i := range slice {
-				slice[i] = 0
-			}
-			copy(slice, input[rowLo:rowHi])
-			part, err := mac(st.ac(s, h), slice)
-			if err != nil {
-				return nil, err
-			}
-			// SL current summation: partial dot products add in the
-			// current domain across the vertical stack (§IV-B3).
-			for c := colLo; c < colHi; c++ {
-				out[c] += part[c-colLo]
-			}
-		}
-	}
-	return out, nil
 }
 
 // Utilization reports the synapse utilization of the configured layer.

@@ -248,7 +248,8 @@ func (c *Crossbar) EffectiveWeight(row, col int) float64 {
 //
 // MAC models wear: every call may disturb stored walls and mutates the
 // array's shared activity counters, so it must not be called concurrently.
-// Sessions that freeze the programmed conductances use MACRead instead.
+// Sessions that freeze the programmed conductances use MACReadInto
+// instead.
 func (c *Crossbar) MAC(input []float64) ([]float64, error) {
 	out, active, currentSum, err := c.macCompute(input, c.noise)
 	if err != nil {
@@ -258,24 +259,6 @@ func (c *Crossbar) MAC(input []float64) ([]float64, error) {
 	c.stats.MACs++
 	c.stats.ActiveRowSum += int64(active)
 	c.stats.OutputCurrentUA += currentSum
-	return out, nil
-}
-
-// MACRead evaluates the same analog dot product as MAC without the wear
-// side effects: no read disturb, no retention-clock interaction, and no
-// mutation of the array's shared counters. Read-noise draws come from the
-// caller's stream (nil disables noise) and activity is accumulated into
-// the caller's stats (nil discards it), so any number of goroutines may
-// call MACRead against the same programmed array concurrently, as long as
-// nothing reprograms, ticks or injects faults into it meanwhile.
-//
-// When a fresh kernel is baked (BakeKernel) the evaluation takes the
-// event-driven fast path; results are bitwise identical either way.
-func (c *Crossbar) MACRead(input []float64, noise *rng.Rand, stats *Stats) ([]float64, error) {
-	out := make([]float64, c.Cols)
-	if err := c.MACReadInto(out, input, nil, noise, stats); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
@@ -303,14 +286,7 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 			active++
 		}
 	}
-	atten := 1.0
-	if c.Cfg.IRDropAlpha > 0 && c.Rows > 0 {
-		atten = 1 / (1 + c.Cfg.IRDropAlpha*float64(active)/float64(c.Rows))
-	}
-	drift := 1.0
-	if c.Cfg.DriftTauSteps > 0 && c.age > 0 {
-		drift = math.Exp(-float64(c.age) / c.Cfg.DriftTauSteps)
-	}
+	atten, drift := c.attenuation(active), c.driftFactor()
 	states := c.P.States()
 	deltaG := (c.P.GParallelUS - c.P.GAntiParallelUS) / float64(states-1) // µS per level
 	for col := 0; col < c.Cols; col++ {

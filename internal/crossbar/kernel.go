@@ -42,8 +42,8 @@ type readKernel struct {
 	// rowDead / colDead are the dead-line masks in logical coordinates.
 	rowDead, colDead []bool
 	// rowLive is the bit-packed complement of rowDead (bit set = live
-	// logical row), so packed spike planes intersect against it with a
-	// word-AND instead of a per-index branch.
+	// logical row), so active-row words intersect against it with a
+	// word-AND instead of a per-row branch.
 	rowLive []uint64
 	// fullScale is the hoisted output divisor VRead·(States−1)·ΔG; it is
 	// the same deterministic expression macCompute evaluates per column.
@@ -54,7 +54,7 @@ type readKernel struct {
 // programmed state. Call it when the conductances freeze — after
 // programming, fault injection and repair are done — and again after any
 // deliberate mutation. Baking never changes read results; it only makes
-// MACRead/MACReadInto take the sparse fast path while the kernel stays
+// MACReadInto/MACReadPacked take the sparse fast path while the kernel stays
 // fresh.
 func (c *Crossbar) BakeKernel() {
 	states := c.P.States()
@@ -93,7 +93,7 @@ func (c *Crossbar) BakeKernel() {
 }
 
 // KernelFresh reports whether a baked kernel exists and still matches
-// the crossbar's generation — i.e. whether MACRead currently takes the
+// the crossbar's generation — i.e. whether MACReadInto currently takes the
 // fast path.
 func (c *Crossbar) KernelFresh() bool {
 	return c.kern != nil && c.kern.gen == c.gen
@@ -114,19 +114,24 @@ func (c *Crossbar) Generation() uint64 { return c.gen }
 // retention clock must call it.
 func (c *Crossbar) invalidate() { c.gen++ }
 
-// MACReadInto is MACRead writing into a caller-provided destination
-// buffer of length Cols, so steady-state readers allocate nothing.
+// MACReadInto evaluates the same analog dot product as MAC without the
+// wear side effects — no read disturb, no retention-clock interaction,
+// no mutation of the array's shared counters — writing the Cols column
+// sums into dst, so steady-state readers allocate nothing. Read-noise
+// draws come from the caller's stream (nil disables noise) and activity
+// is accumulated into the caller's stats (nil discards it), so any
+// number of goroutines may read one programmed array concurrently, as
+// long as nothing reprograms, ticks or injects faults into it meanwhile.
 //
 // active, when non-nil, must list exactly the indices of the non-zero
 // input entries in increasing order (dead-row positions included — they
-// still load the source line and count toward IR drop). The engine
-// passes the previous layer's spike list here; nil makes MACReadInto
-// scan the input itself. A wrong active list silently corrupts the
-// result, so only pass lists derived from the same input slice.
+// still load the source line and count toward IR drop). nil makes
+// MACReadInto scan the input itself. A wrong active list silently
+// corrupts the result, so only pass lists derived from the same input
+// slice.
 //
-// Like MACRead, it has no wear side effects and may run on any number
-// of goroutines against a programmed array, as long as nothing mutates
-// the array meanwhile.
+// When a fresh kernel is baked (BakeKernel) the evaluation takes the
+// event-driven fast path; results are bitwise identical either way.
 //
 //nebula:hotpath
 func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Rand, stats *Stats) error {
@@ -152,65 +157,104 @@ func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Ra
 	return nil
 }
 
-// macKernel is the baked fast path: an axpy accumulation over only the
-// active rows. Per output column the partial products are summed in the
-// same increasing logical-row order, with the same operation grouping
-// (((v·atten)·VRead)·1e-3)·g, as the dense walk — which is what keeps
-// the result bitwise identical.
+// attenuation is the IR-drop drive factor for activeN driven rows.
+func (c *Crossbar) attenuation(activeN int) float64 {
+	if c.Cfg.IRDropAlpha > 0 && c.Rows > 0 {
+		return 1 / (1 + c.Cfg.IRDropAlpha*float64(activeN)/float64(c.Rows))
+	}
+	return 1
+}
+
+// driftFactor is the retention decay of the stored polarization.
+func (c *Crossbar) driftFactor() float64 {
+	if c.Cfg.DriftTauSteps > 0 && c.age > 0 {
+		return math.Exp(-float64(c.age) / c.Cfg.DriftTauSteps)
+	}
+	return 1
+}
+
+// macKernel is the baked fast path of MACReadInto: it folds the active
+// rows (the list, or a scan of the input) into a packed row mask and
+// runs the kernel read MACReadPacked runs.
 func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, noise *rng.Rand) (activeN int, currentSum float64, err error) {
 	if len(input) != c.Rows {
 		return 0, 0, fmt.Errorf("crossbar: input length %d, want %d rows", len(input), c.Rows)
 	}
-	if active != nil {
-		activeN = len(active)
+	// The simulator's arrays are mapping.M = 128 rows; the stack buffer
+	// covers up to 512.
+	var buf [8]uint64
+	mask := buf[:0]
+	if nw := (c.Rows + 63) / 64; nw <= len(buf) {
+		mask = buf[:nw]
 	} else {
-		for _, v := range input {
-			if v != 0 {
-				activeN++
-			}
-		}
+		//nebula:coldpath arrays beyond 512 rows
+		mask = make([]uint64, nw)
 	}
-	atten := 1.0
-	if c.Cfg.IRDropAlpha > 0 && c.Rows > 0 {
-		atten = 1 / (1 + c.Cfg.IRDropAlpha*float64(activeN)/float64(c.Rows))
-	}
-	drift := 1.0
-	if c.Cfg.DriftTauSteps > 0 && c.age > 0 {
-		drift = math.Exp(-float64(c.age) / c.Cfg.DriftTauSteps)
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	cols := c.Cols
-	vread := c.P.VReadMV
 	if active != nil {
 		for _, row := range active {
-			if k.rowDead[row] {
-				continue
-			}
-			vv := input[row] * atten * vread * 1e-3
-			trow := k.terms[row*cols : (row+1)*cols]
-			for col, g := range trow {
-				dst[col] += vv * g
-			}
+			mask[row>>6] |= 1 << uint(row&63)
 		}
 	} else {
 		for row, v := range input {
-			if v == 0 || k.rowDead[row] {
-				continue
-			}
-			vv := v * atten * vread * 1e-3
-			trow := k.terms[row*cols : (row+1)*cols]
-			for col, g := range trow {
-				dst[col] += vv * g
+			if v != 0 {
+				mask[row>>6] |= 1 << uint(row&63)
 			}
 		}
 	}
-	// Finalize per column in index order so the read-noise draws stay in
-	// the dense path's stream order; dead sense lines read 0 and draw no
-	// noise, exactly as macCompute skips them.
+	activeN, currentSum = k.read(c, dst, input, mask, noise)
+	return activeN, currentSum, nil
+}
+
+// read is the kernel read both MACReadInto and MACReadPacked run, for
+// the rows set in mask (bit i of word i/64 for row i) and the leading
+// len(dst) columns. It returns the active-row count — the popcount of
+// mask, dead rows included, since they still load the source line and
+// count toward IR drop — and the summed |I| of the computed columns.
+//
+// Accumulate: per live active row, in increasing order, dst gets the
+// row's drive input[row]·atten·VRead·1e-3 times its conductance terms,
+// with the same operation grouping (((v·atten)·VRead)·1e-3)·g as the
+// dense walk. Dead rows are masked out, never zero-summed: adding a
+// signed zero can flip a −0.0 accumulator. Re-slicing the term row to
+// len(dst) lets the compiler drop the per-column bounds checks; the
+// 4-wide unroll breaks the store-to-load chain across independent
+// columns without changing any column's own accumulation order.
+//
+// Finalize: column by column in index order, drift scales the stored
+// polarization, then read noise draws once per live column (so the
+// draws stay in the dense path's stream order), and dead sense lines
+// read 0 and draw nothing, exactly as macComputeInto skips them.
+//
+//nebula:hotpath
+func (k *readKernel) read(c *Crossbar, dst, input []float64, mask []uint64, noise *rng.Rand) (activeN int, currentSum float64) {
+	for _, w := range mask {
+		activeN += bits.OnesCount64(w)
+	}
+	atten, vread := c.attenuation(activeN), c.P.VReadMV
+	clear(dst)
+	nd := len(dst)
+	cols := len(k.colDead)
+	for wi, w := range mask {
+		for w &= k.rowLive[wi]; w != 0; w &= w - 1 {
+			row := wi<<6 + bits.TrailingZeros64(w)
+			vv := input[row] * atten * vread * 1e-3
+			trow := k.terms[row*cols:]
+			trow = trow[:nd]
+			col := 0
+			for ; col+3 < nd; col += 4 {
+				dst[col] += vv * trow[col]
+				dst[col+1] += vv * trow[col+1]
+				dst[col+2] += vv * trow[col+2]
+				dst[col+3] += vv * trow[col+3]
+			}
+			for ; col < nd; col++ {
+				dst[col] += vv * trow[col]
+			}
+		}
+	}
+	drift := c.driftFactor()
 	sigma := c.Cfg.ReadNoiseSigma
-	for col := 0; col < cols; col++ {
+	for col := range dst {
 		if k.colDead[col] {
 			dst[col] = 0
 			continue
@@ -222,7 +266,7 @@ func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, 
 		currentSum += math.Abs(iDiff)
 		dst[col] = iDiff / k.fullScale * c.wmax
 	}
-	return activeN, currentSum, nil
+	return activeN, currentSum
 }
 
 // ErrStaleKernel is returned by MACReadPacked when no fresh baked
@@ -248,8 +292,9 @@ var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")
 //     zero and the total is unchanged, but stuck faults parked in
 //     unmapped columns would have contributed |I| in the dense walk
 //     (DESIGN.md §15). Read-noise draws are likewise per computed
-//     column, so trimmed reads consume a different stream count —
-//     the engine only takes this path when noise is nil.
+//     column, so trimmed reads consume a different stream count;
+//     noisy callers pass the full Cols width, which draws exactly
+//     what MACReadInto draws, in the same order.
 //   - mask must have no bit set at or beyond len(input); bit i set
 //     iff input[i] != 0. Dead-row bits stay set (they count toward
 //     IR drop, exactly like MACReadInto's active list). Trailing
@@ -277,64 +322,7 @@ func (c *Crossbar) MACReadPacked(dst, input []float64, mask []uint64, noise *rng
 	if len(mask) < nw {
 		nw = len(mask)
 	}
-	activeN := 0
-	for i := 0; i < nw; i++ {
-		activeN += bits.OnesCount64(mask[i])
-	}
-	atten := 1.0
-	if c.Cfg.IRDropAlpha > 0 && c.Rows > 0 {
-		atten = 1 / (1 + c.Cfg.IRDropAlpha*float64(activeN)/float64(c.Rows))
-	}
-	drift := 1.0
-	if c.Cfg.DriftTauSteps > 0 && c.age > 0 {
-		drift = math.Exp(-float64(c.age) / c.Cfg.DriftTauSteps)
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	cols := c.Cols
-	nd := len(dst)
-	vread := c.P.VReadMV
-	for wi := 0; wi < nw; wi++ {
-		w := mask[wi] & k.rowLive[wi]
-		base := wi << 6
-		for w != 0 {
-			row := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			vv := input[row] * atten * vread * 1e-3
-			// Re-slicing to nd == len(dst) lets the compiler drop the
-			// per-column bounds checks; the 4-wide unroll breaks the
-			// store-to-load chain across independent columns. Each
-			// column's own accumulation order is unchanged, so sums
-			// stay bitwise identical to the dense walk.
-			trow := k.terms[row*cols:]
-			trow = trow[:nd]
-			col := 0
-			for ; col+3 < nd; col += 4 {
-				dst[col] += vv * trow[col]
-				dst[col+1] += vv * trow[col+1]
-				dst[col+2] += vv * trow[col+2]
-				dst[col+3] += vv * trow[col+3]
-			}
-			for ; col < nd; col++ {
-				dst[col] += vv * trow[col]
-			}
-		}
-	}
-	sigma := c.Cfg.ReadNoiseSigma
-	var currentSum float64
-	for col := 0; col < nd; col++ {
-		if k.colDead[col] {
-			dst[col] = 0
-			continue
-		}
-		iDiff := dst[col] * drift
-		if sigma > 0 && noise != nil {
-			iDiff *= 1 + sigma*noise.NormFloat64()
-		}
-		currentSum += math.Abs(iDiff)
-		dst[col] = iDiff / k.fullScale * c.wmax
-	}
+	activeN, currentSum := k.read(c, dst, input, mask[:nw], noise)
 	if stats != nil {
 		stats.MACs++
 		stats.ActiveRowSum += int64(activeN)

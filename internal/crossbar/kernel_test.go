@@ -74,25 +74,25 @@ func assertBitwise(t *testing.T, tag string, want, got []float64) {
 	}
 }
 
+// readInto is one MACReadInto into a fresh full-width buffer, with a
+// noise stream seeded by noiseSeed.
+func readInto(t *testing.T, c *Crossbar, in []float64, act []int, noiseSeed uint64, stats *Stats) []float64 {
+	t.Helper()
+	out := make([]float64, c.Cols)
+	if err := c.MACReadInto(out, in, act, rng.New(noiseSeed), stats); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // readPair drives one identical read through both twins — the reference
 // on the dense path, the subject on whatever path its kernel state
 // selects — with identically seeded noise streams, and returns both
 // results plus the subject's explicit-active-list result.
 func readPair(t *testing.T, ref, sub *Crossbar, in []float64, act []int, noiseSeed uint64) (want, got, gotAct []float64) {
 	t.Helper()
-	want, err := ref.MACRead(in, rng.New(noiseSeed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = sub.MACRead(in, rng.New(noiseSeed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAct = make([]float64, sub.Cols)
-	if err := sub.MACReadInto(gotAct, in, act, rng.New(noiseSeed), nil); err != nil {
-		t.Fatal(err)
-	}
-	return want, got, gotAct
+	return readInto(t, ref, in, nil, noiseSeed, nil), readInto(t, sub, in, nil, noiseSeed, nil),
+		readInto(t, sub, in, act, noiseSeed, nil)
 }
 
 // TestMACReadKernelBitwise is the core differential test: across random
@@ -414,10 +414,10 @@ func TestKernelInvalidationInterleaved(t *testing.T) {
 // FuzzMACReadKernel lets the fuzzer search for a geometry, sparsity,
 // fault load or age where the baked kernel diverges from the dense read.
 func FuzzMACReadKernel(f *testing.F) {
-	f.Add(uint64(1), uint8(16), uint8(8), uint8(128), uint8(0))
-	f.Add(uint64(2), uint8(1), uint8(1), uint8(0), uint8(7))
-	f.Add(uint64(3), uint8(200), uint8(64), uint8(255), uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, rows8, cols8, sparsity, flags uint8) {
+	f.Add(uint64(1), uint8(16), uint8(8), uint8(128), uint8(0), uint64(17))
+	f.Add(uint64(2), uint8(1), uint8(1), uint8(0), uint8(7), uint64(5))
+	f.Add(uint64(3), uint8(200), uint8(64), uint8(255), uint8(3), uint64(99))
+	f.Fuzz(func(t *testing.T, seed uint64, rows8, cols8, sparsity, flags uint8, noiseSeed uint64) {
 		rows, cols := int(rows8)+1, int(cols8)+1
 		cfg := Config{}
 		if flags&1 != 0 {
@@ -441,9 +441,14 @@ func FuzzMACReadKernel(f *testing.F) {
 		sub.BakeKernel()
 		r := rng.New(seed ^ 0xA5A5)
 		in, act := sparseInput(r, rows, float64(sparsity)/255)
-		want, got, gotAct := readPair(t, ref, sub, in, act, seed+17)
+		want, got, gotAct := readPair(t, ref, sub, in, act, noiseSeed)
 		assertBitwise(t, "fuzz/scan", want, got)
 		assertBitwise(t, "fuzz/active", want, gotAct)
+		packed := make([]float64, cols)
+		if err := sub.MACReadPacked(packed, in, packMask(in), rng.New(noiseSeed), nil); err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, "fuzz/packed", want, packed)
 	})
 }
 
@@ -499,14 +504,8 @@ func TestMACReadPackedBitwise(t *testing.T) {
 					in, _ := sparseInput(r, rows, frac)
 					mask := packMask(in)
 					noiseSeed := r.Uint64()
-					want, err := ref.MACRead(in, rng.New(noiseSeed), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
 					var sRef, sSub Stats
-					if err := ref.MACReadInto(make([]float64, cols), in, nil, rng.New(noiseSeed), &sRef); err != nil {
-						t.Fatal(err)
-					}
+					want := readInto(t, ref, in, nil, noiseSeed, &sRef)
 					got := make([]float64, cols)
 					if err := sub.MACReadPacked(got, in, mask, rng.New(noiseSeed), &sSub); err != nil {
 						t.Fatal(err)
@@ -524,10 +523,7 @@ func TestMACReadPackedBitwise(t *testing.T) {
 						in[i] = 0
 					}
 					mask = packMask(in[:inLen])
-					wantTrim, err := ref.MACRead(in, rng.New(noiseSeed), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					wantTrim := readInto(t, ref, in, nil, noiseSeed, nil)
 					nd := 1 + r.Intn(cols)
 					trim := make([]float64, nd)
 					if err := sub.MACReadPacked(trim, in[:inLen], mask, rng.New(noiseSeed), nil); err != nil {
@@ -537,6 +533,49 @@ func TestMACReadPackedBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMACReadPackedNoisyFullWidth is the property the engine's noisy
+// walk rests on: over random arrays, activities, dead lines and drift
+// ages, a full-width MACReadPacked with read noise draws exactly what
+// MACReadInto draws, in the same order, so its column sums and Stats
+// equal both MACReadInto branches — the dense walk (no kernel) and the
+// baked kernel — bit for bit.
+func TestMACReadPackedNoisyFullWidth(t *testing.T) {
+	cfg := Config{IRDropAlpha: 0.3, ReadNoiseSigma: 0.05, DriftTauSteps: 800, SpareRows: 2, SpareCols: 2}
+	r := rng.New(0x5EED)
+	for trial := 0; trial < 24; trial++ {
+		rows := 1 + r.Intn(160)
+		cols := 1 + r.Intn(128)
+		seed := r.Uint64()
+		ref, sub := newTwin(seed, rows, cols, cfg)
+		for _, x := range []*Crossbar{ref, sub} {
+			x.InjectStuckFaults(rng.New(seed+2), 0.02, StuckAP)
+			x.KillRow(int(seed % uint64(rows)))
+			x.KillCol(int(seed % uint64(cols)))
+			x.Tick(int64(seed % 3000))
+		}
+		sub.BakeKernel()
+		for _, frac := range []float64{0, 0.02, 0.1, 0.3, 0.9, 1} {
+			in, _ := sparseInput(r, rows, frac)
+			noiseSeed := r.Uint64()
+			var sDense, sKern, sPacked Stats
+			dense := readInto(t, ref, in, nil, noiseSeed, &sDense)
+			kern := readInto(t, sub, in, nil, noiseSeed, &sKern)
+			packed := make([]float64, cols)
+			if err := sub.MACReadPacked(packed, in, packMask(in), rng.New(noiseSeed), &sPacked); err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, "dense branch", dense, packed)
+			assertBitwise(t, "kernel branch", kern, packed)
+			for _, s := range []Stats{sDense, sKern} {
+				if s.MACs != sPacked.MACs || s.ActiveRowSum != sPacked.ActiveRowSum ||
+					math.Float64bits(s.OutputCurrentUA) != math.Float64bits(sPacked.OutputCurrentUA) {
+					t.Fatalf("trial %d activity %v: stats diverged: read %+v, packed %+v", trial, frac, s, sPacked)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestFaultResilienceCurve(t *testing.T) {
 	if raceEnabled {
 		t.Skip("chip-level fault sweep exceeds the test timeout under the race detector")
 	}
-	r, err := FaultResilience(16, 50)
+	r, err := FaultResilience(context.Background(), 16, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestFaultResilienceSmoke(t *testing.T) {
 	// pipeline — injection, BIST, write-verify, remapping, degradation
 	// accounting — runs under all three protection levels (and under the
 	// race detector, unlike the full curve above).
-	r, err := FaultResilienceSmoke()
+	r, err := FaultResilienceSmoke(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestFaultResilienceSmoke(t *testing.T) {
 	}
 	// Health totals are deterministic for a fixed seed: re-running the
 	// faulted point must reproduce the report bit for bit.
-	r2, err := FaultResilienceSweep([]float64{0, 0.05}, 4, 10, 150, 60)
+	r2, err := FaultResilienceSweep(context.Background(), []float64{0, 0.05}, 4, 10, 150, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

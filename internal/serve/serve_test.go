@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reliability"
 	"repro/internal/rng"
+	"repro/internal/snn"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -55,7 +56,8 @@ func serveFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
 // per-request noise streams are load-bearing: any ticket misrouting
 // under coalescing shows up as a bitwise mismatch. timesteps scales run
 // duration — slow runs (large T) give concurrency tests a wide window.
-func serveFactory(c *convert.Converted, timesteps int) fleet.Factory {
+// Extra options are appended to the compile.
+func serveFactory(c *convert.Converted, timesteps int, opts ...arch.Option) fleet.Factory {
 	return func(ctx context.Context) (*arch.Session, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -65,11 +67,61 @@ func serveFactory(c *convert.Converted, timesteps int) fleet.Factory {
 			Protection: reliability.ProtectSpareRemap,
 			Policy:     reliability.DefaultPolicy(),
 		}
-		return chip.Compile(c,
+		return chip.Compile(c, append([]arch.Option{
 			arch.WithMode(arch.ModeSNN),
 			arch.WithTimesteps(timesteps),
-			arch.WithSeed(serveSeed))
+			arch.WithSeed(serveSeed)}, opts...)...)
 	}
+}
+
+// gate holds every run of a gated session at timestep 1 until open is
+// called, announcing each arrival on arrived: an event a test can wait
+// on instead of polling pool occupancy. The test's cleanup opens the
+// gate, so a failed test never leaves runs held.
+type gate struct {
+	arrived, release chan struct{}
+	open             func()
+}
+
+// newGate makes a closed gate; arrived holds one announcement per
+// expected run.
+func newGate(t *testing.T, runs int) *gate {
+	g := &gate{arrived: make(chan struct{}, runs), release: make(chan struct{})}
+	g.open = sync.OnceFunc(func() { close(g.release) })
+	t.Cleanup(g.open)
+	return g
+}
+
+// encoder is the gate's per-run encoder option: the model's default
+// Poisson encoder, held on its second Encode call.
+func (g *gate) encoder(c *convert.Converted) arch.Option {
+	gain := c.Cfg.Gain
+	if gain <= 0 {
+		gain = 1.0
+	}
+	return arch.WithEncoder(func(r *rng.Rand) snn.Encoder {
+		return &gatedEncoder{Encoder: snn.NewPoissonEncoder(gain, r), g: g}
+	})
+}
+
+// gatedEncoder wraps one run's encoder and waits on its gate before
+// encoding timestep 1.
+type gatedEncoder struct {
+	snn.Encoder
+	g *gate
+	t int
+}
+
+func (e *gatedEncoder) Encode(img *tensor.Tensor) *tensor.Tensor {
+	if e.t == 1 {
+		select {
+		case e.g.arrived <- struct{}{}:
+		default: // more runs than announced: nobody waits for this one
+		}
+		<-e.g.release
+	}
+	e.t++
+	return e.Encoder.Encode(img)
 }
 
 func serveImages(t *testing.T, n int) []*tensor.Tensor {
@@ -84,10 +136,10 @@ func serveImages(t *testing.T, n int) []*tensor.Tensor {
 
 // goldenRuns produces reference outputs from a standalone session
 // seeded like the pool, run sequentially.
-func goldenRuns(t *testing.T, imgs []*tensor.Tensor, timesteps int) []*arch.RunResult {
+func goldenRuns(t *testing.T, imgs []*tensor.Tensor, timesteps int, opts ...arch.Option) []*arch.RunResult {
 	t.Helper()
 	c, _ := serveFixture(t)
-	sess, err := serveFactory(c, timesteps)(context.Background())
+	sess, err := serveFactory(c, timesteps, opts...)(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +153,12 @@ func goldenRuns(t *testing.T, imgs []*tensor.Tensor, timesteps int) []*arch.RunR
 	return out
 }
 
-func newTestServer(t *testing.T, cfg Config, replicas, timesteps int) (*Server, *fleet.Pool) {
+func newTestServer(t *testing.T, cfg Config, replicas, timesteps int, opts ...arch.Option) (*Server, *fleet.Pool) {
 	t.Helper()
 	c, _ := serveFixture(t)
 	pool, err := fleet.NewPool(context.Background(), fleet.Config{
 		Replicas: replicas,
-		Factory:  serveFactory(c, timesteps),
+		Factory:  serveFactory(c, timesteps, opts...),
 		Seed:     serveSeed,
 	})
 	if err != nil {
@@ -348,10 +400,17 @@ func TestServeDeadlineWhileQueued(t *testing.T) {
 // completes with the right bits.
 func TestServeDeadlineMidBatch(t *testing.T) {
 	imgs := serveImages(t, 2)
-	want := goldenRuns(t, imgs, 3000)
-	// Batch 2, two replicas: both requests dispatch in one batch and run
-	// concurrently; timesteps 3000 gives a wide cancellation window.
-	s, pool := newTestServer(t, Config{BatchSize: 2, QueueDepth: 8}, 2, 3000)
+	c, _ := serveFixture(t)
+	const T = 20
+	open := newGate(t, len(imgs))
+	open.open()
+	want := goldenRuns(t, imgs, T, open.encoder(c))
+	// Batch 2, two replicas, and a coalesce deadline far beyond the test:
+	// the batch flushes only once both requests are queued, so they
+	// dispatch together and run concurrently, each held at timestep 1
+	// by the gate.
+	g := newGate(t, len(imgs))
+	s, _ := newTestServer(t, Config{BatchSize: 2, MaxDelay: time.Hour, QueueDepth: 8}, 2, T, g.encoder(c))
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	p0, err := s.Submit(context.Background(), imgs[0])
@@ -362,16 +421,17 @@ func TestServeDeadlineMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until both batch-mates are actually on sessions, then cancel
-	// the second one mid-run.
-	deadline := time.Now().Add(30 * time.Second)
-	for pool.Stats().InFlight < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := pool.Stats().InFlight; got < 2 {
-		t.Fatalf("in-flight %d, want 2 (batch did not dispatch concurrently)", got)
+	// Wait until both batch-mates are held mid-run, then cancel the
+	// second one and let both go on.
+	for i := 0; i < len(imgs); i++ {
+		select {
+		case <-g.arrived:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of 2 runs started (batch did not dispatch concurrently)", i)
+		}
 	}
 	cancel1()
+	g.open()
 	_, err = p1.Wait()
 	var de *DeadlineError
 	if !errors.As(err, &de) {

@@ -518,19 +518,6 @@ type PlaneEncoder interface {
 	EncodeIntoPlane(dst *tensor.Tensor, pl *spikeplane.Plane, img *tensor.Tensor)
 }
 
-// CountSpikes counts the spike events (nonzero entries) of one encoded
-// timestep — the quantity the observability layer attributes to the
-// input stage. Graded inputs (DirectEncoder) count driven entries.
-func CountSpikes(t *tensor.Tensor) int64 {
-	var n int64
-	for _, v := range t.Data() {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Network is a feed-forward spiking network over a single sample.
 type Network struct {
 	NameStr string
