@@ -93,15 +93,17 @@ kernel-check:
 	@echo "frozen kernels bitwise identical to the dense reference"
 
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property
-# suite, the session-level Run-vs-RunReference identity matrix at
-# parallelism 1/4/NumCPU under the race detector, and the sparsity
+# suite, the conv gather tables' bit and float property tests, the
+# session-level Run-vs-RunReference identity matrix at parallelism
+# 1/4/NumCPU under the race detector (stale-kernel conv rows included),
+# the wear-vs-plain conv identity, and the sparsity
 # study itself, which errors unless every activity level (1%, 10%,
 # 50%, dense) is bitwise identical between the production and
 # reference walks. Writes BENCH_sparse.json with the speedups and skip
 # counters.
 sparse-check:
 	$(GO) test -race -count=1 ./internal/spikeplane
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestSuperTileEvaluateReadPacked'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestSuperTileEvaluateReadPacked|TestGatherTable|TestGatherBitsMatchPack|TestWearSessionMatchesPlain'
 	$(GO) run ./cmd/nebula-bench -exp sparse
 	@echo "production walk bitwise identical to the reference walk"
 

@@ -394,11 +394,9 @@ func compileLeNet(tb testing.TB, opts ...arch.Option) *arch.Session {
 // its output tensor, the run's RNG streams and encoder), independent of
 // the number of timesteps, positions and stages: a per-step or
 // per-position allocation shows up as a count that grows from T=8 to
-// T=32.
+// T=32. Garbage collections between runs must not change the count:
+// the session arena keeps its recycled run states through a GC.
 func TestSessionSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool entries at random; the arena's steady state is not measurable")
-	}
 	pipe, mlpImgs := sessionFixture(t)
 	_, lenetImgs := lenetFixture(t)
 	cases := []struct {
@@ -434,6 +432,17 @@ func TestSessionSteadyStateAllocs(t *testing.T) {
 				}
 				run() // warm the arena so steady state is what gets measured
 				perRun[i] = testing.AllocsPerRun(20, run)
+				// A GC allocates a few runtime objects of its own (weak
+				// handle cleanup), so they are measured alone and taken off.
+				gc := func() {
+					runtime.GC()
+					runtime.GC()
+				}
+				afterGC := testing.AllocsPerRun(5, func() { gc(); run() }) - testing.AllocsPerRun(5, gc)
+				if afterGC != perRun[i] {
+					t.Errorf("T=%d: Session.Run allocated %.0f times after two GCs but %.0f without: the arena lost its run states",
+						T, afterGC, perRun[i])
+				}
 			}
 			t.Logf("allocations per warm Session.Run: %.0f at T=8, %.0f at T=32", perRun[0], perRun[1])
 			if perRun[0] != perRun[1] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/crossbar"
 	"repro/internal/device"
@@ -143,6 +144,42 @@ type annRun struct {
 	// win is the packed plane of the conv window in col; outPlane is
 	// the packed plane of out.
 	win, outPlane spikeplane.Plane
+}
+
+// runArena recycles run states across runs and workers. It is a
+// session-owned free list, not a sync.Pool, because a GC empties a pool:
+// every later run would rebuild its state, and a warm session would
+// allocate in step with the collector. The list keeps at most limit
+// states, the most runs that RunBatch workers and concurrent callers
+// usually hold at once; states returned beyond that are dropped.
+type runArena struct {
+	mu    sync.Mutex
+	free  []*runState
+	limit int
+}
+
+// get pops a recycled state, or allocates one shaped for s when the
+// list is empty.
+func (a *runArena) get(s *Session) *runState {
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		st := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return st
+	}
+	a.mu.Unlock()
+	return s.newRunState()
+}
+
+// put returns a state to the list, dropping it when the list is full.
+func (a *runArena) put(st *runState) {
+	a.mu.Lock()
+	if len(a.free) < a.limit {
+		a.free = append(a.free, st)
+	}
+	a.mu.Unlock()
 }
 
 // newRunState allocates scratch state shaped for the compiled pipeline.
@@ -296,10 +333,22 @@ func (env *execEnv) charge(res *RunResult, pl *spikeplane.Plane, silent int) {
 	}
 }
 
+// gathersFloats reports whether a conv stage whose input plane is pl
+// must gather its windows' float values. A binary window's values are
+// its bits, and the packed read only reads input rows at set bits, so
+// the production walk passes it a nil window instead (see
+// SuperTile.EvaluateReadPacked). Graded planes, wear runs (whose
+// mutating read is dense) and the reference walk gather floats; the
+// reference's float gather is the independent check on the bit gather.
+func (env *execEnv) gathersFloats(pl *spikeplane.Plane) bool {
+	return env.wear || env.ref || !pl.Binary()
+}
+
 // read drives one super-tile read of in, whose packed plane is pl, into
-// dst (length K). The production walk reads through the plane; the
-// reference walk through the index path. Wear runs keep the allocating
-// read that disturbs the arrays and bumps their shared counters.
+// dst (length K). The production walk reads through the plane, where a
+// nil in stands for a binary plane's values; the reference walk reads
+// through the index path. Wear runs keep the allocating read that
+// disturbs the arrays and bumps their shared counters.
 //
 //nebula:hotpath
 func (env *execEnv) read(st *SuperTile, dst, in []float64, pl *spikeplane.Plane, stats *crossbar.Stats, sc *EvalScratch) error {
@@ -505,7 +554,7 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		if gt == nil {
 			return nil, nil, fmt.Errorf("arch: conv stage not programmed (compile with WithInputShape)")
 		}
-		if x.NDim() != 3 || !gt.fits(x.Dim(1), x.Dim(2)) || x.Size() != hw.inC*gt.h*gt.w {
+		if x.NDim() != 3 || !gt.fits(x.Dim(1), x.Dim(2)) || x.Size() != hw.inC*gt.h*gt.w || pl.Len() != x.Size() {
 			return nil, nil, fmt.Errorf("arch: conv stage %s compiled for a %d×%d×%d input, got %v", hw.name, hw.inC, gt.h, gt.w, x.Shape())
 		}
 		out := sr.convOut
@@ -522,13 +571,14 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 			return out, &sr.outPlane, nil
 		}
 		env.charge(res, pl, 0)
+		sr.outPlane.Reset(len(od))
 		gcIn := hw.inC / hw.groups
 		gcOut := hw.outC / hw.groups
 		npos := gt.npos()
 		subLen := gcIn * gt.h * gt.w
-		colBuf := sr.colBuf
 		wp := &sr.winPlane
 		bias := biasData(hw.bias)
+		floats := env.gathersFloats(pl)
 		for g := 0; g < hw.groups; g++ {
 			sub := x.Data()[g*subLen : (g+1)*subLen]
 			for pos := 0; pos < npos; pos++ {
@@ -538,22 +588,29 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				if hw.groups > 1 {
 					bankPos = pos*hw.groups + g
 				}
-				// The table scatters indices, so the window plane is
-				// packed from the gathered window, not windowed from pl.
-				gt.gather(colBuf, sub, pos)
-				wp.Pack(colBuf)
+				gt.gatherBits(wp, pl, g*subLen, pos)
 				if env.skip && bias == nil && wp.IsZero() {
 					// Silent window: the replica bank integrates nothing
 					// and every output slot stays zero.
-					env.charge(res, wp, len(colBuf))
+					env.charge(res, wp, gt.rfg)
 					continue
 				}
-				spikes, err := env.coreStep(hw.snnCore, sr, bankPos, colBuf, wp, nil, bias, false, res)
+				var in []float64
+				if floats {
+					gt.gather(sr.colBuf, sub, pos)
+					in = sr.colBuf
+				}
+				spikes, err := env.coreStep(hw.snnCore, sr, bankPos, in, wp, nil, bias, false, res)
 				if err != nil {
 					return nil, nil, err
 				}
+				// Spikes are exactly 1.0, so setting the output plane's
+				// bits here builds what Pack(od) would, without a re-scan.
 				for k := g * gcOut; k < (g+1)*gcOut; k++ {
-					od[k*npos+pos] = spikes[k]
+					if spikes[k] != 0 {
+						od[k*npos+pos] = spikes[k]
+						sr.outPlane.Set(k*npos + pos)
+					}
 				}
 			}
 		}
@@ -565,7 +622,6 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		if env.wear {
 			env.ch.Mesh.Send(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}, maxInt(1, int(out.Sum())), 0)
 		}
-		sr.outPlane.Pack(od)
 		return out, &sr.outPlane, nil
 	case "dense":
 		in := x.Data()
@@ -796,15 +852,23 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, pl *s
 			//nebula:coldpath first run of a fresh run state
 			ar.out, ar.col, ar.row = tensor.New(hw.outC, gt.oh, gt.ow), make([]float64, gt.rfg), make([]float64, hw.core.ST.cols)
 		}
+		if pl.Len() != x.Size() {
+			return nil, nil, fmt.Errorf("arch: conv stage %s: plane length %d, input %d", hw.name, pl.Len(), x.Size())
+		}
 		od := ar.out.Data()
 		npos := gt.npos()
 		gcOut := hw.outC / hw.groups
+		floats := env.gathersFloats(pl)
 		for g := 0; g < hw.groups; g++ {
 			sub := x.Data()[g*subLen : (g+1)*subLen]
 			for pos := 0; pos < npos; pos++ {
-				gt.gather(ar.col, sub, pos)
-				ar.win.Pack(ar.col)
-				if err := env.annExec(hw.core, ar.col, &ar.win, nil, hw.bias, ar.row, &ar.sc, res); err != nil {
+				gt.gatherBits(&ar.win, pl, g*subLen, pos)
+				var in []float64
+				if floats {
+					gt.gather(ar.col, sub, pos)
+					in = ar.col
+				}
+				if err := env.annExec(hw.core, in, &ar.win, nil, hw.bias, ar.row, &ar.sc, res); err != nil {
 					return nil, nil, err
 				}
 				for k := g * gcOut; k < (g+1)*gcOut; k++ {
@@ -1064,9 +1128,9 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 			enc = s.cfg.encFactory(rs.enc)
 		}
 	}
-	st := s.arena.Get().(*runState)
+	st := s.arena.get(s)
 	st.reset()
-	defer s.arena.Put(st)
+	defer s.arena.put(st)
 	var res *RunResult
 	var err error
 	switch s.cfg.Mode {

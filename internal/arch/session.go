@@ -25,7 +25,7 @@ import (
 // programmed hardware. The compiled state (super-tiles, geometry, weights)
 // is immutable during runs; everything an inference mutates (neuron
 // membranes, RU registers, pooling IF state, read-out accumulators,
-// statistics) lives in per-run state drawn from a sync.Pool arena, so
+// statistics) lives in per-run state drawn from a session arena, so
 // batches execute concurrently and still reproduce the sequential results
 // bit for bit.
 
@@ -319,7 +319,7 @@ type Session struct {
 	// session was last known good (Compile, Scrub); see Pristine.
 	genStamp []uint64
 	// arena recycles per-run scratch state across runs and workers.
-	arena sync.Pool
+	arena runArena
 }
 
 // Compile lowers a converted network onto the chip for the requested
@@ -444,7 +444,7 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 		s.cfg.Seed = defaultSessionSeed
 	}
 	s.streams = rng.New(s.cfg.Seed)
-	s.arena.New = func() interface{} { return s.newRunState() }
+	s.arena.limit = max(s.Parallelism(0), runtime.NumCPU())
 	// Every inter-stage packet crosses the fixed engine placement — the
 	// same adjacent pair the wear path drives through Mesh.Send.
 	s.engineHops = int64(s.chip.Mesh.Hops(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}))

@@ -312,6 +312,8 @@ type EvalScratch struct {
 	actBuf []int     // window-local active rows, grouped by height
 	hOff   []int     // actBuf offsets: height h owns [hOff[h], hOff[h+1])
 	idx    []int     // materialized plane indices for the packed-path fallback
+	ones   []float64 // M ones: a binary plane's row values for the packed read
+	dense  []float64 // a binary plane's rebuilt values for the packed-path fallback
 }
 
 // EvaluateReadInto is Evaluate through the wear-free crossbar read path,
@@ -417,16 +419,24 @@ func (st *SuperTile) EvaluateReadInto(dst, input []float64, active []int, noise 
 // A noisy read takes neither: every array reads at full width, so each
 // live column draws its noise value in EvaluateReadInto's order and
 // sums and stats match it bit for bit. Column sums for the mapped
-// columns are bitwise identical to EvaluateReadInto either way. Stale
-// kernels fall back transparently to the index path, materializing the
-// plane's indices into the scratch.
+// columns are bitwise identical to EvaluateReadInto either way.
+//
+// input is read only at the plane's set bits, and a nil input stands
+// for a binary plane's values (1.0 at every set bit), so a caller with
+// a binary plane need not build the dense vector at all. Stale kernels
+// fall back transparently to the index path, materializing the plane's
+// indices into the scratch; since that path's dense per-array fallback
+// reads every input value, a nil input is first rebuilt from the plane.
 //
 //nebula:hotpath
 func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.Plane, noise *rng.Rand, stats *crossbar.Stats, sc *EvalScratch) error {
 	if st.stack == 0 {
 		return fmt.Errorf("arch: super-tile not programmed")
 	}
-	if len(input) != st.rows {
+	if input == nil && !plane.Binary() {
+		return fmt.Errorf("arch: a graded plane needs its input values")
+	}
+	if input != nil && len(input) != st.rows {
 		return fmt.Errorf("arch: input length %d, want Rf %d", len(input), st.rows)
 	}
 	if len(dst) != st.cols {
@@ -441,11 +451,30 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 			// fall back to the index path, which has its own dense
 			// fallback per array.
 			sc.idx = plane.AppendIndices(sc.idx[:0])
+			if input == nil {
+				if cap(sc.dense) < st.rows {
+					//nebula:coldpath stale kernels only: sized once per scratch
+					sc.dense = make([]float64, st.rows)
+				}
+				sc.dense = sc.dense[:st.rows]
+				clear(sc.dense)
+				for _, i := range sc.idx {
+					sc.dense[i] = 1
+				}
+				input = sc.dense
+			}
 			return st.EvaluateReadInto(dst, input, sc.idx, noise, stats, sc)
 		}
 	}
 	if len(sc.part) != mapping.M {
 		sc.part = make([]float64, mapping.M)
+	}
+	if input == nil && len(sc.ones) != mapping.M {
+		//nebula:coldpath first binary read of a fresh scratch
+		sc.ones = make([]float64, mapping.M)
+		for i := range sc.ones {
+			sc.ones[i] = 1
+		}
 	}
 	clear(dst)
 	skip := noise == nil
@@ -466,7 +495,13 @@ func (st *SuperTile) EvaluateReadPacked(dst, input []float64, plane *spikeplane.
 				// draw to keep in step.
 				continue
 			}
-			if err := st.ac(s, h).MACReadPacked(part, input[rowLo:rowHi], win, noise, stats); err != nil {
+			var in []float64
+			if input != nil {
+				in = input[rowLo:rowHi]
+			} else {
+				in = sc.ones[:rowHi-rowLo]
+			}
+			if err := st.ac(s, h).MACReadPacked(part, in, win, noise, stats); err != nil {
 				return err
 			}
 			// SL current summation: partial dot products add in the

@@ -200,10 +200,53 @@ func TestSessionReferenceIdentity(t *testing.T) {
 	}
 	// Stale kernels: ageing without a Scrub invalidates every array's
 	// baked kernel, so both walks fall back to the dense per-array read.
-	for _, sigma := range []float64{0, 0.05} {
-		m := walkMatrix(t)[0]
-		t.Run("stale-kernel/noise="+map[bool]string{false: "0", true: "0.05"}[sigma > 0], func(t *testing.T) {
-			assertRunMatchesReference(t, m.c, m.imgs[:4], sigma, 500, m.opts...)
+	// The conv rows pin that the fallback rebuilds a binary window's
+	// values from its plane: the production walk gathers none.
+	for _, m := range walkMatrix(t) {
+		if m.name != "snn-mlp" && m.name != "snn-dwconv" && m.name != "hybrid-lenet" {
+			continue
+		}
+		name := "stale-kernel/" // the MLP rows keep their original names
+		if m.name != "snn-mlp" {
+			name += m.name + "/"
+		}
+		for _, sigma := range []float64{0, 0.05} {
+			m := m
+			t.Run(name+"noise="+map[bool]string{false: "0", true: "0.05"}[sigma > 0], func(t *testing.T) {
+				assertRunMatchesReference(t, m.c, m.imgs[:min(4, len(m.imgs))], sigma, 500, m.opts...)
+			})
+		}
+	}
+}
+
+// TestWearSessionMatchesPlain pins that wear runs, whose mutating read
+// is dense, still see every conv window's values: on a fault-free chip
+// a WithWear(true) session returns the same outputs as a plain session
+// bit for bit, over runs long enough for read disturb and retention to
+// act on both.
+func TestWearSessionMatchesPlain(t *testing.T) {
+	for _, m := range walkMatrix(t) {
+		if m.name != "snn-dwconv" && m.name != "hybrid-lenet" {
+			continue
+		}
+		t.Run(m.name, func(t *testing.T) {
+			ctx := context.Background()
+			plain := compileWalkSession(t, m.c, 0, m.opts...)
+			wear := compileWalkSession(t, m.c, 0, append(append([]Option(nil), m.opts...), WithWear(true))...)
+			for i, img := range m.imgs {
+				want, err := plain.Run(ctx, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := wear.Run(ctx, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got.Output.Data(), want.Output.Data()) || got.Spikes != want.Spikes {
+					t.Fatalf("input %d: wear run %v (%d spikes) != plain run %v (%d spikes)",
+						i, got.Output.Data(), got.Spikes, want.Output.Data(), want.Spikes)
+				}
+			}
 		})
 	}
 }
@@ -280,15 +323,15 @@ func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 	// function of input values and conductance generation), so when the
 	// arena hands run 2 the recycled state, its very first step replays
 	// run 1's last read — one more hit than the cold run. The arena is
-	// a sync.Pool, which may also drop the state and miss that step.
-	// Either way the crossbar stats must match bitwise: hit and miss
-	// fold identical per-read stats, which is the replay contract.
+	// a free list no GC empties, so the state always comes back. The
+	// crossbar stats must still match bitwise: hit and miss fold
+	// identical per-read stats, which is the replay contract.
 	res2, err := sess.Run(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.RepeatReads < res.RepeatReads {
-		t.Fatalf("second run hit %d times, want at least the cold run's %d",
+	if res2.RepeatReads != res.RepeatReads+1 {
+		t.Fatalf("second run hit %d times, want the cold run's %d plus the recycled first step",
 			res2.RepeatReads, res.RepeatReads)
 	}
 	if res2.Crossbar != res.Crossbar {
@@ -312,7 +355,9 @@ func (directEnc) Encode(img *tensor.Tensor) *tensor.Tensor { return img.Clone() 
 // TestSuperTileEvaluateReadPacked drives a programmed super-tile
 // through the packed and index read paths with the same inputs and
 // requires bitwise-identical column sums, covering sparse, dense,
-// all-zero and noisy planes plus the stale-kernel fallback.
+// all-zero and noisy planes plus the stale-kernel fallback. Every
+// packed read is repeated with a nil input, which stands for the
+// binary plane's values.
 func TestSuperTileEvaluateReadPacked(t *testing.T) {
 	const rf, k = 200, 40 // stack=2 (second window ragged), sets=1
 	r := rng.New(7)
@@ -349,12 +394,14 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 		if err := st.EvaluateReadInto(want, in, nil, nil, nil, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.EvaluateReadPacked(got, in, pl, nil, nil, &scP); err != nil {
-			t.Fatal(err)
-		}
-		for c := range want {
-			if want[c] != got[c] {
-				t.Fatalf("density %v col %d: packed %v != index %v", density, c, got[c], want[c])
+		for _, input := range [][]float64{in, nil} {
+			if err := st.EvaluateReadPacked(got, input, pl, nil, nil, &scP); err != nil {
+				t.Fatal(err)
+			}
+			for c := range want {
+				if want[c] != got[c] {
+					t.Fatalf("density %v nil input %v col %d: packed %v != index %v", density, input == nil, c, got[c], want[c])
+				}
 			}
 		}
 	}
@@ -372,12 +419,14 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 	if err := stN.EvaluateReadInto(want, in, nil, rng.New(99), nil, &sc); err != nil {
 		t.Fatal(err)
 	}
-	if err := stN.EvaluateReadPacked(got, in, pl, rng.New(99), nil, &scP); err != nil {
-		t.Fatal(err)
-	}
-	for c := range want {
-		if want[c] != got[c] {
-			t.Fatalf("noisy col %d: packed %v != index %v", c, got[c], want[c])
+	for _, input := range [][]float64{in, nil} {
+		if err := stN.EvaluateReadPacked(got, input, pl, rng.New(99), nil, &scP); err != nil {
+			t.Fatal(err)
+		}
+		for c := range want {
+			if want[c] != got[c] {
+				t.Fatalf("noisy nil input %v col %d: packed %v != index %v", input == nil, c, got[c], want[c])
+			}
 		}
 	}
 	// Stale kernel: invalidate one array and require the transparent
@@ -394,13 +443,20 @@ func TestSuperTileEvaluateReadPacked(t *testing.T) {
 	if err := stale.EvaluateReadInto(want2, in2, nil, nil, nil, &sc2); err != nil {
 		t.Fatal(err)
 	}
-	if err := stale.EvaluateReadPacked(got2, in2, pl2, nil, nil, &scP2); err != nil {
-		t.Fatal(err)
-	}
-	for c := range want2 {
-		if want2[c] != got2[c] {
-			t.Fatalf("stale col %d: fallback %v != index %v", c, got2[c], want2[c])
+	for _, input := range [][]float64{in2, nil} {
+		if err := stale.EvaluateReadPacked(got2, input, pl2, nil, nil, &scP2); err != nil {
+			t.Fatal(err)
 		}
+		for c := range want2 {
+			if want2[c] != got2[c] {
+				t.Fatalf("stale nil input %v col %d: fallback %v != index %v", input == nil, c, got2[c], want2[c])
+			}
+		}
+	}
+	var graded spikeplane.Plane
+	graded.Pack(append([]float64{0.5}, make([]float64, rf-1)...))
+	if err := st.EvaluateReadPacked(got, nil, &graded, nil, nil, &scP2); err == nil {
+		t.Fatal("a nil input was accepted for a graded plane")
 	}
 	if cap(scP2.idx) == 0 {
 		t.Fatal("stale fallback did not materialize plane indices")

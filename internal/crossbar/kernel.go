@@ -299,6 +299,12 @@ var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")
 //     iff input[i] != 0. Dead-row bits stay set (they count toward
 //     IR drop, exactly like MACReadInto's active list). Trailing
 //     words may be omitted entirely.
+//   - input is read only at set bits of mask, so a caller whose
+//     active values are all 1.0 may pass any vector holding 1.0 at
+//     those rows (a ones vector) instead of the real one. The stale
+//     fallback has no such freedom: ErrStaleKernel sends the caller to
+//     MACReadInto, whose dense walk reads every value, so the caller
+//     must rebuild the real input from the mask first.
 //
 // The accumulation visits rows in increasing order with the same
 // operation grouping as the dense walk, so results are bitwise

@@ -72,6 +72,33 @@ func (p *Plane) Set(i int) {
 	p.words[i>>6] |= 1 << uint(i&63)
 }
 
+// OrBits ORs the low n ≤ 64 bits of v into bits [i, i+n) of the plane;
+// v must have no bit set at or above n. With Bits it moves a run of
+// spikes between planes a word at a time: at most two source words are
+// read and at most two plane words written.
+//
+//nebula:hotpath
+func (p *Plane) OrBits(i int, v uint64, n int) {
+	wi, sh := i>>6, uint(i&63)
+	p.words[wi] |= v << sh
+	if sh+uint(n) > 64 {
+		p.words[wi+1] |= v >> (64 - sh)
+	}
+}
+
+// Bits returns bits [i, i+n) of a packed word slice in the low n ≤ 64
+// bits of the result.
+//
+//nebula:hotpath
+func Bits(words []uint64, i, n int) uint64 {
+	wi, sh := i>>6, uint(i&63)
+	v := words[wi] >> sh
+	if sh+uint(n) > 64 {
+		v |= words[wi+1] << (64 - sh)
+	}
+	return v & (uint64(1)<<uint(n) - 1)
+}
+
 // MarkGraded records that the plane carries non-binary magnitudes, so
 // the bit pattern alone does not reproduce the dense vector.
 func (p *Plane) MarkGraded() { p.binary = false }

@@ -211,6 +211,41 @@ func TestWindow(t *testing.T) {
 	}
 }
 
+// TestBitsOrBits moves random runs of 1–64 bits between random offsets
+// of two planes with Bits and OrBits, and checks both planes against a
+// per-bit reference: Bits returns exactly the run, OrBits sets exactly
+// the run's set bits and leaves every other bit alone.
+func TestBitsOrBits(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var src, dst Plane
+	for trial := 0; trial < 2000; trial++ {
+		sv := densePlane(r, 300, r.Float64())
+		dv := densePlane(r, 300, 0.2)
+		src.Pack(sv)
+		dst.Pack(dv)
+		n := 1 + r.Intn(WordBits)
+		i, j := r.Intn(300-n+1), r.Intn(300-n+1)
+		v := Bits(src.WordSlice(), i, n)
+		for b := 0; b < WordBits; b++ {
+			want := b < n && sv[i+b] != 0
+			if got := v>>uint(b)&1 == 1; got != want {
+				t.Fatalf("Bits(%d, %d) bit %d: %v, want %v", i, n, b, got, want)
+			}
+		}
+		dst.OrBits(j, v, n)
+		for b := j; b < j+n; b++ {
+			if sv[i+b-j] != 0 {
+				dv[b] = 1
+			}
+		}
+		var want Plane
+		want.Pack(dv)
+		if !dst.EqualWords(&want) {
+			t.Fatalf("OrBits(%d, %x, %d): %x, want %x", j, v, n, dst.WordSlice(), want.WordSlice())
+		}
+	}
+}
+
 func TestWordsHelper(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 1, 63: 1, 64: 1, 65: 2, 128: 2, 129: 3}
 	for n, want := range cases {
