@@ -111,10 +111,13 @@ sparse-check:
 # model and options must emit byte-identical images, a session loaded
 # from an image must re-save to the exact same bytes, and loaded
 # sessions must reproduce compiled outputs and obs snapshots bit for
-# bit, under the race detector.
+# bit, under the race detector. A short fuzz run then holds the state-blob
+# decoder to "error or clean import, never a panic"; the minimize budget
+# keeps the run fuzzing instead of shrinking kilobyte-sized seeds.
 image-check:
 	$(GO) test -race -count=1 ./internal/arch -run 'TestImageByteIdenticalAcrossCompiles|TestImageStableAcrossLoad|TestImageRoundTripBitwise'
 	$(GO) test -race -count=1 ./internal/image
+	$(GO) test -run '^$$' -fuzz '^FuzzImportStateBlob$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/crossbar
 	@echo "chip images byte-deterministic; loaded sessions bitwise identical"
 
 # Benchmark-module gate: _benchmark is its own module (outside ./...),

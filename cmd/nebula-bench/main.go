@@ -11,7 +11,7 @@
 // Experiments: fig1, fig4, fig9, fig10, fig12, fig13a, fig13b, fig14,
 // fig15, fig16, fig17, table1, table2, table3, noise, ablations,
 // sensitivity, profile, faults, session, kernel, sparse, obs,
-// resilience, compile, serve, all.
+// resilience, serve, all.
 //
 // The resilience experiment replays a seeded chaos storm (drift bursts,
 // stuck-device onset, replica kills, run faults, deadline pressure)
@@ -36,11 +36,7 @@
 // and records the counter snapshots plus their energy attribution
 // (-obsout, default BENCH_obs.json); the record carries no timings, so
 // it is bitwise identical at any -parallel — the CI determinism gate
-// diffs it across parallelism levels. The compile experiment times a
-// full compile (programming, fault injection, BIST) against rehydrating
-// the same session from its versioned chip image, verifies the loaded
-// session is bitwise identical, and records the speedup and image size
-// (-compileout, default BENCH_compile.json).
+// diffs it across parallelism levels.
 //
 // The serve experiment drives the dynamic-batching inference frontend
 // (internal/serve): a determinism phase replays one request sequence
@@ -88,7 +84,6 @@ func run() int {
 	obsOut := flag.String("obsout", "BENCH_obs.json", "output path for the observability counter record")
 	kernelOut := flag.String("kernelout", "BENCH_kernel.json", "output path for the frozen-kernel speedup record")
 	resOut := flag.String("resout", "BENCH_resilience.json", "output path for the resilience chaos-study record")
-	compileOut := flag.String("compileout", "BENCH_compile.json", "output path for the compile-vs-image-load record")
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the serving-tier load-study record")
 	sparseOut := flag.String("sparseout", "BENCH_sparse.json", "output path for the event-driven sparsity-study record")
 	resSmoke := flag.Bool("res-smoke", false, "run the resilience experiment at chaos-smoke scale")
@@ -290,9 +285,6 @@ func run() int {
 		"resilience": func() error {
 			return runResilienceBench(*resSmoke, *resOut)
 		},
-		"compile": func() error {
-			return runCompileBench(16, 40, *compileOut)
-		},
 		"serve": func() error {
 			return runServeBench(*serveSmoke, *serveOut)
 		},
@@ -310,7 +302,7 @@ func run() int {
 		"fig1", "table3", "fig12", "fig13a", "fig13b", "fig14", "fig15",
 		"fig16", "fig17", "ablations", "sensitivity", "table1", "table2",
 		"fig4", "fig9", "fig10", "noise", "profile", "faults", "session",
-		"kernel", "sparse", "obs", "resilience", "compile", "serve",
+		"kernel", "sparse", "obs", "resilience", "serve",
 	}
 
 	names := strings.Split(*exp, ",")

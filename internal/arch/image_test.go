@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/convert"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/tensor"
@@ -31,16 +33,36 @@ func imageBytes(t *testing.T, sess *Session) []byte {
 	return buf.Bytes()
 }
 
-// assertImageRoundTrip compiles a session, saves its chip image, and
-// checks that sessions loaded from the image reproduce the compiled
-// session's outputs, run statistics and exported observability
-// snapshot bit for bit, at every parallelism level the acceptance
-// criteria name.
-func assertImageRoundTrip(t *testing.T, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) {
+// faultyChip is sessionChip with the reliability pipeline at study
+// strength: stuck and weak device faults, dead lines and spare-line
+// remapping, so its images carry fault records, dead lines and remapped
+// line maps that a fault-free chip never writes.
+func faultyChip() *Chip {
+	ch := sessionChip()
+	ch.Rel = reliability.StudyConfig(0.01, reliability.ProtectSpareRemap)
+	return ch
+}
+
+// compileOn compiles c on a fresh chip from newChip.
+func compileOn(t *testing.T, newChip func() *Chip, c *convert.Converted, opts ...Option) *Session {
+	t.Helper()
+	sess, err := newChip().Compile(c, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// assertImageRoundTrip compiles a session on a chip from newChip, saves
+// its chip image, and checks that sessions loaded from the image
+// reproduce the compiled session's outputs, run statistics and exported
+// observability snapshot bit for bit, at every parallelism level the
+// acceptance criteria name. It returns the image.
+func assertImageRoundTrip(t *testing.T, newChip func() *Chip, c *convert.Converted, imgs []*tensor.Tensor, opts ...Option) []byte {
 	t.Helper()
 	ctx := context.Background()
 	recWant := obs.NewRecorder()
-	sess := compileSession(t, c, append(append([]Option(nil), opts...), WithObserver(recWant))...)
+	sess := compileOn(t, newChip, c, append(append([]Option(nil), opts...), WithObserver(recWant))...)
 	data := imageBytes(t, sess)
 	want, err := sess.RunBatch(ctx, imgs)
 	if err != nil {
@@ -82,23 +104,84 @@ func assertImageRoundTrip(t *testing.T, c *convert.Converted, imgs []*tensor.Ten
 				par, wantObs, gotObs)
 		}
 	}
+	return data
+}
+
+// assertImageHoldsFaults checks that an image really carries fault
+// records, a dead line and a remapped line map, by probing a session
+// loaded from it: a fresh skeleton has none of them, so whatever the
+// loaded arrays hold came from the image. KillRow/KillCol report a line
+// that is already dead; a dead physical line p inside the logical range
+// that Verify does not report as logical line p's means the map routes
+// p elsewhere.
+func assertImageHoldsFaults(t *testing.T, data []byte) {
+	t.Helper()
+	loaded, err := LoadSession(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faults, dead, remapped int
+	loaded.forEachSuperTile(func(st *SuperTile) {
+		for _, ac := range st.acs {
+			for r := 0; r < ac.Rows; r++ {
+				for c := 0; c < ac.Cols; c++ {
+					sp, sm := ac.StuckAt(r, c)
+					wp, wm := ac.WeakAt(r, c)
+					if sp || sm || wp || wm {
+						faults++
+					}
+				}
+			}
+			m := ac.Verify()
+			for p := 0; p < ac.PhysRows(); p++ {
+				if !ac.KillRow(p) {
+					dead++
+					if p < ac.Rows && !slices.Contains(m.DeadRows, p) {
+						remapped++
+					}
+				}
+			}
+			for p := 0; p < ac.PhysCols(); p++ {
+				if !ac.KillCol(p) {
+					dead++
+					if p < ac.Cols && !slices.Contains(m.DeadCols, p) {
+						remapped++
+					}
+				}
+			}
+		}
+	})
+	if faults == 0 || dead == 0 || remapped == 0 {
+		t.Fatalf("image holds %d faulty pairs, %d dead lines and %d remapped lines; want each > 0", faults, dead, remapped)
+	}
 }
 
 func TestImageRoundTripBitwiseANN(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip, c, sessionImages(t, te, 6),
 		WithMode(ModeANN), WithSeed(42))
 }
 
 func TestImageRoundTripBitwiseSNN(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip, c, sessionImages(t, te, 6),
 		WithMode(ModeSNN), WithTimesteps(20), WithSeed(42))
+}
+
+// TestImageRoundTripBitwiseFaulty is the faulty-chip row: read noise
+// plus study-strength faults with spare remapping. Its image must carry
+// every fault-side record kind, and a warm load must still reproduce
+// the cold compile bit for bit.
+func TestImageRoundTripBitwiseFaulty(t *testing.T) {
+	c, te := chipFixture(t)
+	data := assertImageRoundTrip(t, faultyChip, c, sessionImages(t, te, 6),
+		WithMode(ModeSNN), WithTimesteps(20), WithSeed(42))
+	assertImageHoldsFaults(t, data)
 }
 
 func TestImageRoundTripBitwiseHybrid(t *testing.T) {
 	c, te := chipFixture(t)
-	assertImageRoundTrip(t, c, sessionImages(t, te, 6),
+	assertImageRoundTrip(t, sessionChip, c, sessionImages(t, te, 6),
 		WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(20), WithSeed(42))
 }
 
@@ -117,7 +200,7 @@ func TestImageRoundTripBitwiseConv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertImageRoundTrip(t, c, sessionImages(t, d, 4),
+	assertImageRoundTrip(t, sessionChip, c, sessionImages(t, d, 4),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
 }
 
@@ -138,18 +221,22 @@ func TestImageByteIdenticalAcrossCompiles(t *testing.T) {
 
 // TestImageStableAcrossLoad pins the save→load→save fixed point: a
 // session rehydrated from an image must re-save to the exact same
-// bytes, proving the import captured every exported field.
+// bytes, proving the import captured every exported field — on a
+// fault-free chip and on the faulty-chip row.
 func TestImageStableAcrossLoad(t *testing.T) {
-	c, te := chipFixture(t)
-	_ = te
+	c, _ := chipFixture(t)
 	opts := []Option{WithMode(ModeSNN), WithTimesteps(20), WithSeed(42)}
-	data := imageBytes(t, compileSession(t, c, opts...))
-	loaded, err := LoadSession(bytes.NewReader(data), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resaved := imageBytes(t, loaded); !bytes.Equal(resaved, data) {
-		t.Fatalf("re-saved image differs from the original (%d vs %d bytes)", len(resaved), len(data))
+	for name, newChip := range map[string]func() *Chip{"clean": sessionChip, "faulty": faultyChip} {
+		t.Run(name, func(t *testing.T) {
+			data := imageBytes(t, compileOn(t, newChip, c, opts...))
+			loaded, err := LoadSession(bytes.NewReader(data), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resaved := imageBytes(t, loaded); !bytes.Equal(resaved, data) {
+				t.Fatalf("re-saved image differs from the original (%d vs %d bytes)", len(resaved), len(data))
+			}
+		})
 	}
 }
 

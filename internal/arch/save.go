@@ -44,15 +44,11 @@ func (s *Session) imagePayload() (*image.Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	tiles, err := s.exportTiles()
-	if err != nil {
-		return nil, err
-	}
 	return &image.Payload{
 		Model:  *spec,
 		Chip:   s.chip.imageSpec(),
 		Config: imageConfig(s.cfg.CompileConfig),
-		Tiles:  tiles,
+		Tiles:  s.exportTiles(),
 	}, nil
 }
 
@@ -116,11 +112,11 @@ func configFromImage(c image.SessionConfig) CompileConfig {
 // keeps images proportional to the programmed state, not the 16-AC
 // provisioning.
 //
-// Member arrays are exported and encoded concurrently: the arrays are
-// disjoint and ExportState only reads, so the fan-out is safe, and the
-// results are assembled in the canonical order, so the image bytes are
-// identical to a sequential walk.
-func (s *Session) exportTiles() ([]image.TileState, error) {
+// Member arrays are encoded concurrently: the arrays are disjoint and
+// StateBlob only reads, so the fan-out is safe, and the results are
+// assembled in the canonical order, so the image bytes are identical to
+// a sequential walk.
+func (s *Session) exportTiles() []image.TileState {
 	var tiles []image.TileState
 	type job struct {
 		tile, index int
@@ -142,7 +138,6 @@ func (s *Session) exportTiles() ([]image.TileState, error) {
 	})
 
 	blobs := make([][]byte, len(jobs))
-	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < importWorkers(len(jobs)); w++ {
@@ -154,25 +149,18 @@ func (s *Session) exportTiles() ([]image.TileState, error) {
 				if j >= len(jobs) {
 					return
 				}
-				state := jobs[j].ac.ExportState()
-				if state.Blank() {
-					continue
-				}
-				blobs[j], errs[j] = state.GobEncode()
+				blobs[j] = jobs[j].ac.StateBlob()
 			}
 		}()
 	}
 	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("arch: encode array state: %w", err)
-		}
-		if blobs[j] != nil {
+	for j, blob := range blobs {
+		if blob != nil {
 			t := &tiles[jobs[j].tile]
-			t.ACs = append(t.ACs, image.ACState{Index: jobs[j].index, State: blobs[j]})
+			t.ACs = append(t.ACs, image.ACState{Index: jobs[j].index, State: blob})
 		}
 	}
-	return tiles, nil
+	return tiles
 }
 
 // importWorkers sizes the worker pool for the parallel tile

@@ -236,17 +236,8 @@ var freshnessTable = []struct {
 	}},
 	{"Tick", func(t *testing.T, c *Crossbar) { c.Tick(1) }},
 	{"Refresh", func(t *testing.T, c *Crossbar) { c.Refresh() }},
-	{"ImportState", func(t *testing.T, c *Crossbar) {
-		if err := c.ImportState(c.ExportState()); err != nil {
-			t.Fatal(err)
-		}
-	}},
 	{"ImportStateBlob", func(t *testing.T, c *Crossbar) {
-		blob, err := c.ExportState().GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ImportStateBlob(blob); err != nil {
+		if err := c.ImportStateBlob(c.StateBlob()); err != nil {
 			t.Fatal(err)
 		}
 	}},

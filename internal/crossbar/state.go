@@ -1,253 +1,249 @@
 package crossbar
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+)
 
-// This file is the serialization boundary of the array: State is a plain
-// exported snapshot of everything the generation-stamp contract counts as
+// This file is the serialization boundary of the array. StateBlob
+// encodes everything the generation-stamp contract counts as
 // read-visible device state (levels, targets, fault records, line maps,
 // dead lines, spare allocator, retention clock, weight range) plus the
-// activity counters needed to reproduce compile-time accounting. A State
-// round-trips through its own binary codec (statecodec.go), so a chip
-// image can persist the programmed conductances bit for bit and a loaded
-// array reads exactly like the one it was exported from. Baked kernels
-// are deliberately not part of State: they are caches, rebaked after
-// import.
+// activity counters needed to reproduce compile-time accounting, straight
+// from the live fields; ImportStateBlob decodes such a blob straight into
+// an array's planes. A chip image persists the programmed conductances
+// bit for bit this way, and a loaded array reads exactly like the one it
+// was encoded from. Baked kernels are deliberately not serialized: they
+// are caches, rebaked after import. The wire layout is in statecodec.go.
 
-// Fault is one sparse fault record: a device index within the physical
-// plane and the fault it carries.
-type Fault struct {
-	// Idx is the flattened physical device index (row*PhysCols + col).
-	Idx int32
-	// Kind is the FaultKind ordinal (never kindNone — healthy devices
-	// have no record).
-	Kind uint8
-	// Level is the level the fault presents, for kinds that pin one.
-	Level int16
+// StateBlob encodes the array's device state, or returns nil when the
+// array is blank: identical to a freshly constructed, never-touched
+// array of the same geometry (identity line maps, all-zero level
+// planes, no fault or dead-line records, a full spare free list in
+// allocation order, zero retention age, zero weight range and zero
+// counters). Image writers skip blank arrays — a loader reconstructs
+// them from geometry alone. The encoding is a pure function of the
+// state, so equal arrays encode to identical bytes.
+func (c *Crossbar) StateBlob() []byte {
+	if c.blank() {
+		return nil
+	}
+	// One allocation sized from the geometry: 4 bytes for every plane
+	// element bounds the planes, and level planes take a byte an element
+	// in practice, which leaves room for the fault and dead-line records.
+	elems := len(c.rowMap) + len(c.colMap) + len(c.spareRowsFree) + len(c.spareColsFree) + 4*len(c.levelPlus)
+	w := append(make([]byte, 0, 200+4*elems), stateCodecVersion)
+	for _, v := range []int{c.Rows, c.Cols, c.physRows, c.physCols} {
+		w = binary.LittleEndian.AppendUint32(w, uint32(v))
+	}
+	w = appendPlane(w, c.rowMap, nil, false)
+	w = appendPlane(w, c.colMap, nil, false)
+	w = appendPlane(w, c.levelPlus, nil, true)
+	w = appendPlane(w, c.levelMinus, nil, true)
+	w = appendPlane(w, c.targetPlus, c.levelPlus, true)
+	w = appendPlane(w, c.targetMinus, c.levelMinus, true)
+	w = appendFaults(w, c.faultPlus)
+	w = appendFaults(w, c.faultMinus)
+	w = appendDead(w, c.deadRow)
+	w = appendDead(w, c.deadCol)
+	w = appendPlane(w, c.spareRowsFree, nil, false)
+	w = appendPlane(w, c.spareColsFree, nil, false)
+	for _, v := range []uint64{
+		uint64(c.age), math.Float64bits(c.wmax),
+		uint64(c.stats.MACs), uint64(c.stats.ActiveRowSum),
+		math.Float64bits(c.stats.OutputCurrentUA), math.Float64bits(c.stats.ProgramEnergyFJ),
+	} {
+		w = binary.LittleEndian.AppendUint64(w, v)
+	}
+	return w
 }
 
-// State is an exported deep snapshot of one crossbar's device state.
+// blank reports whether the array equals a freshly constructed one (see
+// StateBlob). The scalar checks come first: any programmed array fails
+// them without a plane scan.
+func (c *Crossbar) blank() bool {
+	//nebula:lint-ignore float-eq exact zero means never programmed, not approximately zero
+	if c.age != 0 || c.wmax != 0 || c.stats != (Stats{}) {
+		return false
+	}
+	for _, p := range [][]int16{c.levelPlus, c.levelMinus, c.targetPlus, c.targetMinus} {
+		if slices.ContainsFunc(p, func(v int16) bool { return v != 0 }) {
+			return false
+		}
+	}
+	for _, recs := range [][]faultRec{c.faultPlus, c.faultMinus} {
+		if slices.ContainsFunc(recs, func(f faultRec) bool { return f.kind != kindNone }) {
+			return false
+		}
+	}
+	if slices.Contains(c.deadRow, true) || slices.Contains(c.deadCol, true) {
+		return false
+	}
+	return isRun(c.rowMap, 0, c.Rows) && isRun(c.colMap, 0, c.Cols) &&
+		isRun(c.spareRowsFree, c.Rows, c.physRows) && isRun(c.spareColsFree, c.Cols, c.physCols)
+}
+
+// isRun reports whether s is exactly lo, lo+1, …, hi-1.
+func isRun(s []int, lo, hi int) bool {
+	if len(s) != hi-lo {
+		return false
+	}
+	for i, v := range s {
+		if v != lo+i {
+			return false
+		}
+	}
+	return true
+}
+
+// ImportStateBlob replaces the array's device state with a StateBlob
+// encoding. The receiver must have been constructed with the same
+// logical and physical geometry (same rows/cols and spare provisioning);
+// everything else — levels, maps, faults, spares, retention clock,
+// weight range, activity counters — is overwritten from the blob.
 //
-// The representation is shaped by what arrays actually hold, so spare
-// arrays snapshot to almost nothing and chip images stay proportional to
-// the programmed state: a nil level or target plane means all-zero, and
-// fault records and dead lines are sparse lists in ascending index
-// order (empty means none materialized).
-type State struct {
-	Rows, Cols         int
-	PhysRows, PhysCols int
-
-	RowMap, ColMap []int
-
-	LevelPlus, LevelMinus   []int16
-	TargetPlus, TargetMinus []int16
-
-	FaultsPlus, FaultsMinus []Fault
-	DeadRows, DeadCols      []int
-
-	SpareRowsFree, SpareColsFree []int
-
-	Age   int64
-	WMax  float64
-	Stats Stats
-}
-
-// ExportState deep-copies the array's read-visible state. The snapshot
-// shares no memory with the receiver.
-func (c *Crossbar) ExportState() State {
-	st := State{
-		Rows: c.Rows, Cols: c.Cols,
-		PhysRows: c.physRows, PhysCols: c.physCols,
-		RowMap:        append([]int(nil), c.rowMap...),
-		ColMap:        append([]int(nil), c.colMap...),
-		LevelPlus:     copyPlane(c.levelPlus),
-		LevelMinus:    copyPlane(c.levelMinus),
-		TargetPlus:    copyPlane(c.targetPlus),
-		TargetMinus:   copyPlane(c.targetMinus),
-		FaultsPlus:    exportFaults(c.faultPlus),
-		FaultsMinus:   exportFaults(c.faultMinus),
-		DeadRows:      exportDead(c.deadRow),
-		DeadCols:      exportDead(c.deadCol),
-		SpareRowsFree: append([]int(nil), c.spareRowsFree...),
-		SpareColsFree: append([]int(nil), c.spareColsFree...),
-		Age:           c.age,
-		WMax:          c.wmax,
-		Stats:         c.stats,
+// The blob's framing is checked in full before any field is written, and
+// every claimed element count is bounded by the array's geometry, so a
+// truncated or bit-flipped blob yields an error, never a panic or an
+// attacker-sized allocation. Values are range-checked as they land in
+// the live planes, so on error the receiver is left partially
+// overwritten and must be discarded; the image loader does exactly that.
+// Planes are written in place — dense layouts overwrite every element,
+// sparse and nil layouts scan-clear first — so rehydrating a freshly
+// built skeleton costs one pass over the blob and no per-plane garbage.
+// The generation stamp is bumped and any baked kernel is dropped, so the
+// importer must rebake before frozen reads.
+func (c *Crossbar) ImportStateBlob(data []byte) error {
+	r := &stateReader{b: data}
+	if v := r.u8(); r.err == nil && v != stateCodecVersion {
+		return fmt.Errorf("crossbar: state blob codec version %d, this build reads %d", v, stateCodecVersion)
 	}
-	return st
-}
-
-// copyPlane deep-copies a level plane, collapsing the all-zero case —
-// a never-programmed array — to nil.
-func copyPlane(p []int16) []int16 {
-	for _, v := range p {
-		if v != 0 {
-			return append([]int16(nil), p...)
-		}
+	rows := int(int32(r.u32()))
+	cols := int(int32(r.u32()))
+	physRows := int(int32(r.u32()))
+	physCols := int(int32(r.u32()))
+	if r.err != nil {
+		return r.err
 	}
-	return nil
-}
-
-// exportFaults flattens a dense fault-record plane into its sparse form,
-// ascending by device index.
-func exportFaults(recs []faultRec) []Fault {
-	var out []Fault
-	for i, rec := range recs {
-		if rec.kind != kindNone {
-			out = append(out, Fault{Idx: int32(i), Kind: uint8(rec.kind), Level: rec.level})
-		}
+	if rows != c.Rows || cols != c.Cols {
+		return fmt.Errorf("crossbar: state is %d×%d, array is %d×%d", rows, cols, c.Rows, c.Cols)
 	}
-	return out
-}
-
-// exportDead flattens a dense dead-line map into an ascending index list.
-func exportDead(dead []bool) []int {
-	var out []int
-	for i, d := range dead {
-		if d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ImportState replaces the array's read-visible state with the snapshot.
-// The receiver must have been constructed with the same logical and
-// physical geometry (same rows/cols and spare provisioning); everything
-// else — levels, maps, faults, spares, retention clock, weight range,
-// activity counters — is overwritten from the snapshot.
-//
-// The snapshot's line maps and level planes are ADOPTED, not copied: the
-// receiver keeps the slices, so the caller must not reuse the snapshot
-// (or any slice it holds) afterwards. Adoption is what makes rehydrating
-// a chip image proportional to the bytes decoded rather than to the
-// provisioned geometry. The generation stamp is bumped and any baked
-// kernel is dropped, so the importer must rebake before frozen reads.
-func (c *Crossbar) ImportState(st State) error {
-	if st.Rows != c.Rows || st.Cols != c.Cols {
-		return fmt.Errorf("crossbar: state is %d×%d, array is %d×%d", st.Rows, st.Cols, c.Rows, c.Cols)
-	}
-	if st.PhysRows != c.physRows || st.PhysCols != c.physCols {
+	if physRows != c.physRows || physCols != c.physCols {
 		return fmt.Errorf("crossbar: state physical geometry %d×%d, array %d×%d (spare provisioning must match)",
-			st.PhysRows, st.PhysCols, c.physRows, c.physCols)
+			physRows, physCols, c.physRows, c.physCols)
 	}
 	n := c.physRows * c.physCols
-	if len(st.RowMap) != c.Rows || len(st.ColMap) != c.Cols {
-		return fmt.Errorf("crossbar: state line maps sized %d/%d, want %d/%d",
-			len(st.RowMap), len(st.ColMap), c.Rows, c.Cols)
+	rowMap, colMap := r.plane(c.Rows), r.plane(c.Cols)
+	lvPlus, lvMinus := r.plane(n), r.plane(n)
+	dPlus, dMinus := r.plane(n), r.plane(n)
+	faultsPlus, faultsMinus := r.records(faultRecSize), r.records(faultRecSize)
+	deadRows, deadCols := r.records(4), r.records(4)
+	spareRows := r.section(c.physRows - c.Rows)
+	spareCols := r.section(c.physCols - c.Cols)
+	var scalars [6]uint64
+	for i := range scalars {
+		scalars[i] = r.u64()
 	}
-	for _, p := range [][]int16{st.LevelPlus, st.LevelMinus, st.TargetPlus, st.TargetMinus} {
-		if p != nil && len(p) != n {
-			return fmt.Errorf("crossbar: state level plane sized %d, want %d (or nil for all-zero)", len(p), n)
-		}
+	if r.err != nil {
+		return r.err
 	}
-	for _, fs := range [][]Fault{st.FaultsPlus, st.FaultsMinus} {
-		for _, f := range fs {
-			if f.Idx < 0 || int(f.Idx) >= n {
-				return fmt.Errorf("crossbar: state fault at device %d beyond the %d-device plane", f.Idx, n)
-			}
-			if f.Kind == uint8(kindNone) || f.Kind > uint8(kindStuckP) {
-				return fmt.Errorf("crossbar: state fault at device %d has unknown kind %d", f.Idx, f.Kind)
-			}
-		}
-	}
-	for _, r := range st.DeadRows {
-		if r < 0 || r >= c.physRows {
-			return fmt.Errorf("crossbar: state dead row %d out of physical range %d", r, c.physRows)
-		}
-	}
-	for _, col := range st.DeadCols {
-		if col < 0 || col >= c.physCols {
-			return fmt.Errorf("crossbar: state dead col %d out of physical range %d", col, c.physCols)
-		}
-	}
-	for _, p := range st.RowMap {
-		if p < 0 || p >= c.physRows {
-			return fmt.Errorf("crossbar: state row map entry %d out of physical range %d", p, c.physRows)
-		}
-	}
-	for _, p := range st.ColMap {
-		if p < 0 || p >= c.physCols {
-			return fmt.Errorf("crossbar: state col map entry %d out of physical range %d", p, c.physCols)
-		}
-	}
-	for _, s := range st.SpareRowsFree {
-		if s < 0 || s >= c.physRows {
-			return fmt.Errorf("crossbar: state spare row %d out of physical range %d", s, c.physRows)
-		}
-	}
-	for _, s := range st.SpareColsFree {
-		if s < 0 || s >= c.physCols {
-			return fmt.Errorf("crossbar: state spare col %d out of physical range %d", s, c.physCols)
-		}
-	}
-	states := c.P.States()
-	for _, p := range [][]int16{st.LevelPlus, st.LevelMinus} {
-		for i, v := range p {
-			if v < 0 || int(v) > states-1 {
-				return fmt.Errorf("crossbar: state level at %d outside [0,%d]", i, states-1)
-			}
-		}
+	if r.off != len(data) {
+		return fmt.Errorf("crossbar: state blob has %d trailing bytes", len(data)-r.off)
 	}
 
+	// gen == 0 means no mutator has ever touched this array — the
+	// freshly built skeleton of a rehydrating session — so its planes
+	// are known all-zero and the plane fill can skip every clearing
+	// scan. The genstamp contract (every mutator bumps gen) is what
+	// makes this sound.
+	pristine := c.gen == 0
 	c.invalidate()
-	c.rowMap = st.RowMap
-	c.colMap = st.ColMap
-	if c.levelPlus == nil && (st.LevelPlus != nil || st.LevelMinus != nil || st.TargetPlus != nil || st.TargetMinus != nil) {
-		c.ensurePlanes()
+	if err := fill(c.rowMap, rowMap, c.physRows, false, "row map"); err != nil {
+		return err
 	}
-	c.levelPlus = adoptPlane(c.levelPlus, st.LevelPlus)
-	c.levelMinus = adoptPlane(c.levelMinus, st.LevelMinus)
-	c.targetPlus = adoptPlane(c.targetPlus, st.TargetPlus)
-	c.targetMinus = adoptPlane(c.targetMinus, st.TargetMinus)
-	hasFaults := len(st.FaultsPlus) > 0 || len(st.FaultsMinus) > 0 ||
-		len(st.DeadRows) > 0 || len(st.DeadCols) > 0
-	if hasFaults {
+	if err := fill(c.colMap, colMap, c.physCols, false, "col map"); err != nil {
+		return err
+	}
+	// An all-nil record of a never-written array leaves its planes
+	// unallocated; anything else materializes them.
+	if c.levelPlus != nil || !lvPlus.isNil || !lvMinus.isNil || !dPlus.isNil || !dMinus.isNil {
+		c.ensurePlanes()
+		states := c.P.States()
+		if err := fillPlanes(c.levelPlus, c.targetPlus, lvPlus, dPlus, pristine, states); err != nil {
+			return err
+		}
+		if err := fillPlanes(c.levelMinus, c.targetMinus, lvMinus, dMinus, pristine, states); err != nil {
+			return err
+		}
+	}
+	if faultsPlus.n+faultsMinus.n+deadRows.n+deadCols.n > 0 {
 		c.ensureFaults()
 		clearFaults(c.faultPlus)
 		clearFaults(c.faultMinus)
-		for _, f := range st.FaultsPlus {
-			c.faultPlus[f.Idx] = faultRec{kind: FaultKind(f.Kind), level: f.Level}
-		}
-		for _, f := range st.FaultsMinus {
-			c.faultMinus[f.Idx] = faultRec{kind: FaultKind(f.Kind), level: f.Level}
-		}
 		clearDead(c.deadRow)
 		clearDead(c.deadCol)
-		for _, r := range st.DeadRows {
-			c.deadRow[r] = true
-		}
-		for _, col := range st.DeadCols {
-			c.deadCol[col] = true
+		for _, err := range []error{
+			applyFaults(c.faultPlus, faultsPlus),
+			applyFaults(c.faultMinus, faultsMinus),
+			applyDead(c.deadRow, deadRows, "row"),
+			applyDead(c.deadCol, deadCols, "col"),
+		} {
+			if err != nil {
+				return err
+			}
 		}
 	} else {
 		c.faultPlus, c.faultMinus = nil, nil
 		c.deadRow, c.deadCol = nil, nil
 	}
-	c.spareRowsFree = append(c.spareRowsFree[:0], st.SpareRowsFree...)
-	c.spareColsFree = append(c.spareColsFree[:0], st.SpareColsFree...)
-	c.age = st.Age
-	c.wmax = st.WMax
-	c.stats = st.Stats
+	c.spareRowsFree = slices.Grow(c.spareRowsFree[:0], spareRows.n)[:spareRows.n]
+	c.spareColsFree = slices.Grow(c.spareColsFree[:0], spareCols.n)[:spareCols.n]
+	if err := fill(c.spareRowsFree, spareRows, c.physRows, false, "spare row"); err != nil {
+		return err
+	}
+	if err := fill(c.spareColsFree, spareCols, c.physCols, false, "spare col"); err != nil {
+		return err
+	}
+	c.age = int64(scalars[0])
+	c.wmax = math.Float64frombits(scalars[1])
+	c.stats = Stats{
+		MACs:            int64(scalars[2]),
+		ActiveRowSum:    int64(scalars[3]),
+		OutputCurrentUA: math.Float64frombits(scalars[4]),
+		ProgramEnergyFJ: math.Float64frombits(scalars[5]),
+	}
 	c.DropKernel()
 	return nil
 }
 
-// adoptPlane installs a snapshot plane into the receiver, adopting its
-// backing array; a nil snapshot plane means all-zero, which keeps the
-// live plane and zeroes it. Both paths scan before writing so a plane
-// that is already in the target state — the freshly-built skeleton of a
-// loaded chip image — costs reads, not page dirtying.
-func adoptPlane(dst, src []int16) []int16 {
-	if src != nil {
-		return src
-	}
-	for i, v := range dst {
-		if v != 0 {
-			clear(dst[i:])
-			break
+// applyFaults installs a fault-record list into a dense record plane.
+func applyFaults(recs []faultRec, s recordSection) error {
+	for j := 0; j < s.n; j++ {
+		e := s.data[j*faultRecSize:]
+		idx, kind := binary.LittleEndian.Uint32(e), FaultKind(e[4])
+		if uint64(idx) >= uint64(len(recs)) {
+			return fmt.Errorf("crossbar: state fault at device %d beyond the %d-device plane", idx, len(recs))
 		}
+		if kind == kindNone || kind > kindStuckP {
+			return fmt.Errorf("crossbar: state fault at device %d has unknown kind %d", idx, kind)
+		}
+		recs[idx] = faultRec{kind: kind, level: int16(binary.LittleEndian.Uint16(e[5:]))}
 	}
-	return dst
+	return nil
+}
+
+// applyDead marks a dead-line index list in a dense dead-line map.
+func applyDead(dead []bool, s recordSection, axis string) error {
+	for j := 0; j < s.n; j++ {
+		idx := binary.LittleEndian.Uint32(s.data[4*j:])
+		if uint64(idx) >= uint64(len(dead)) {
+			return fmt.Errorf("crossbar: state dead %s %d out of physical range %d", axis, idx, len(dead))
+		}
+		dead[idx] = true
+	}
+	return nil
 }
 
 // clearFaults zeroes a dense fault-record plane, scanning first so an
@@ -263,58 +259,7 @@ func clearFaults(recs []faultRec) {
 
 // clearDead zeroes a dense dead-line map, scanning first.
 func clearDead(dead []bool) {
-	for i, d := range dead {
-		if d {
-			clear(dead[i:])
-			return
-		}
+	if i := slices.Index(dead, true); i >= 0 {
+		clear(dead[i:])
 	}
-}
-
-// Blank reports whether the snapshot equals the state of a freshly
-// constructed, never-touched array of the same geometry: identity line
-// maps, all-zero level planes, no fault or dead-line records, a full
-// spare free list in allocation order, zero retention age, zero weight
-// range and zero counters. Image writers skip blank arrays — a loader
-// reconstructs them from geometry alone.
-func (st State) Blank() bool {
-	//nebula:lint-ignore float-eq exact zero means never programmed, not approximately zero
-	if st.Age != 0 || st.WMax != 0 || st.Stats != (Stats{}) {
-		return false
-	}
-	if len(st.FaultsPlus) != 0 || len(st.FaultsMinus) != 0 ||
-		len(st.DeadRows) != 0 || len(st.DeadCols) != 0 {
-		return false
-	}
-	for i, p := range st.RowMap {
-		if p != i {
-			return false
-		}
-	}
-	for i, p := range st.ColMap {
-		if p != i {
-			return false
-		}
-	}
-	for _, p := range [][]int16{st.LevelPlus, st.LevelMinus, st.TargetPlus, st.TargetMinus} {
-		for _, v := range p {
-			if v != 0 {
-				return false
-			}
-		}
-	}
-	if len(st.SpareRowsFree) != st.PhysRows-st.Rows || len(st.SpareColsFree) != st.PhysCols-st.Cols {
-		return false
-	}
-	for i, s := range st.SpareRowsFree {
-		if s != st.Rows+i {
-			return false
-		}
-	}
-	for i, s := range st.SpareColsFree {
-		if s != st.Cols+i {
-			return false
-		}
-	}
-	return true
 }

@@ -188,10 +188,11 @@ type TileState struct {
 }
 
 // ACState is one member array's device state, keyed by its index within
-// the super-tile. State holds the array's encoded crossbar.State blob
-// (State.GobEncode) rather than the decoded structure: embedding opaque
-// blobs lets the loader decode and import member arrays in parallel —
-// they are disjoint — instead of inside one sequential gob pass.
+// the super-tile. State holds the array's state blob
+// (crossbar.Crossbar.StateBlob) rather than a decoded structure:
+// embedding opaque blobs lets the loader import member arrays in
+// parallel — they are disjoint — instead of inside one sequential gob
+// pass.
 type ACState struct {
 	Index int
 	State []byte
