@@ -28,11 +28,7 @@ func sessionChip() *Chip {
 // comparison sees identically programmed hardware and identical streams.
 func compileSession(t *testing.T, c *convert.Converted, opts ...Option) *Session {
 	t.Helper()
-	sess, err := sessionChip().Compile(c, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess
+	return compileOn(t, sessionChip, c, opts...)
 }
 
 // assertBatchMatchesSequential checks that RunBatch reproduces the
