@@ -95,16 +95,14 @@ kernel-check:
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property
 # suite, the conv gather tables' bit and float property tests, the
 # session-level Run-vs-RunReference identity matrix at parallelism
-# 1/4/NumCPU under the race detector (stale-kernel conv rows included),
-# the wear-vs-plain conv identity, and the sparsity
-# study itself, which errors unless every activity level (1%, 10%,
-# 50%, dense) is bitwise identical between the production and
-# reference walks. Writes BENCH_sparse.json with the speedups and skip
-# counters.
+# 1/4/NumCPU under the race detector (stale-kernel conv rows and
+# Bernoulli-input rows at 1% and 100% activity included, every
+# production counter equal across parallelism), the repeat-cache and
+# counter-determinism test, and the wear-vs-plain conv identity.
+# Timing lives in _benchmark and `go test -bench BenchmarkSession`.
 sparse-check:
 	$(GO) test -race -count=1 ./internal/spikeplane
 	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestSuperTileEvaluateReadPacked|TestGatherTable|TestGatherBitsMatchPack|TestWearSessionMatchesPlain'
-	$(GO) run ./cmd/nebula-bench -exp sparse
 	@echo "production walk bitwise identical to the reference walk"
 
 # Chip-image determinism gate (DESIGN.md §13): two compiles of the same

@@ -488,8 +488,8 @@ func BenchmarkSession_ParallelNumCPU(b *testing.B) {
 // activity: every pixel carries the target activity as its intensity
 // and a gain-1 Poisson encoder turns that into Bernoulli spike planes
 // of that expected density — the low-rate regime the event-driven
-// stepping engine exists for (BENCH_sparse.json sweeps the same knob
-// against the dense walk).
+// stepping engine exists for. The walk matrix's snn-mlp-bernoulli rows
+// in internal/arch hold the same inputs bitwise to the reference walk.
 func benchmarkSessionSparse(b *testing.B, activity float64) {
 	pipe, imgs0 := sessionFixture(b)
 	imgs := make([]*tensor.Tensor, len(imgs0))

@@ -10,8 +10,7 @@
 //
 // Experiments: fig1, fig4, fig9, fig10, fig12, fig13a, fig13b, fig14,
 // fig15, fig16, fig17, table1, table2, table3, noise, ablations,
-// sensitivity, profile, faults, session, kernel, sparse, obs,
-// resilience, serve, all.
+// sensitivity, profile, faults, obs, resilience, serve, all.
 //
 // The resilience experiment replays a seeded chaos storm (drift bursts,
 // stuck-device onset, replica kills, run faults, deadline pressure)
@@ -20,23 +19,16 @@
 // counters (-resout, default BENCH_resilience.json); -res-smoke runs
 // the tiny chaos-smoke shape `make chaos-smoke` gates under -race.
 //
-// The session experiment times the program-once / run-many engine
-// (sequential vs batched at -parallel workers) and records the baseline
-// in a JSON file (-benchout, default BENCH_session.json). The kernel
-// experiment measures the frozen-conductance read kernels against the
-// dense reference walk — a MACRead sweep across activity levels plus
-// the trained SNN workload end to end — verifies bitwise identity, and
-// records the speedups (-kernelout, default BENCH_kernel.json). The
-// sparse experiment sweeps controlled input-activity levels (1%, 10%,
-// 50%, dense) through the event-driven stepping engine against the
-// dense reference walk, verifies bitwise identity at every level, and
-// records the speedups plus the silent-skip/packed-word/repeat-read
-// counters (-sparseout, default BENCH_sparse.json). The obs
-// experiment streams a batch through observed sessions in every mode
-// and records the counter snapshots plus their energy attribution
-// (-obsout, default BENCH_obs.json); the record carries no timings, so
-// it is bitwise identical at any -parallel — the CI determinism gate
-// diffs it across parallelism levels.
+// The obs experiment streams a batch through observed sessions in every
+// mode (-parallel workers each) and records the counter snapshots plus
+// their energy attribution (-obsout, default BENCH_obs.json); the
+// record carries no timings, so it is bitwise identical at any
+// -parallel — the CI determinism gate diffs it across parallelism
+// levels.
+//
+// No experiment here times the session engine: run-path speed is
+// measured by the _benchmark module (host-scaled, per workload) and by
+// `go test -bench BenchmarkSession .`.
 //
 // The serve experiment drives the dynamic-batching inference frontend
 // (internal/serve): a determinism phase replays one request sequence
@@ -79,13 +71,10 @@ func run() int {
 	samples := flag.Int("samples", 30, "test images per accuracy measurement")
 	trials := flag.Int("trials", 3, "Monte-Carlo trials for the noise study")
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")
-	parallel := flag.Int("parallel", 0, "worker count for the session experiment (0 = NumCPU)")
-	benchOut := flag.String("benchout", "BENCH_session.json", "output path for the session throughput record")
+	parallel := flag.Int("parallel", 0, "worker count for the obs experiment's sessions (0 = NumCPU)")
 	obsOut := flag.String("obsout", "BENCH_obs.json", "output path for the observability counter record")
-	kernelOut := flag.String("kernelout", "BENCH_kernel.json", "output path for the frozen-kernel speedup record")
 	resOut := flag.String("resout", "BENCH_resilience.json", "output path for the resilience chaos-study record")
 	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the serving-tier load-study record")
-	sparseOut := flag.String("sparseout", "BENCH_sparse.json", "output path for the event-driven sparsity-study record")
 	resSmoke := flag.Bool("res-smoke", false, "run the resilience experiment at chaos-smoke scale")
 	serveSmoke := flag.Bool("serve-smoke", false, "run the serve experiment at smoke scale (clock-free determinism phase only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
@@ -270,15 +259,6 @@ func run() int {
 			writeCSV("sensitivity_baselines", func(f *os.File) error { return figio.SensitivityCSV(f, b) })
 			return nil
 		},
-		"session": func() error {
-			return runSessionBench(64, 40, *parallel, *benchOut)
-		},
-		"kernel": func() error {
-			return runKernelBench(64, 40, *kernelOut)
-		},
-		"sparse": func() error {
-			return runSparseBench(16, 40, *sparseOut)
-		},
 		"obs": func() error {
 			return runObsBench(16, 20, *parallel, *obsOut)
 		},
@@ -301,8 +281,8 @@ func run() int {
 	order := []string{
 		"fig1", "table3", "fig12", "fig13a", "fig13b", "fig14", "fig15",
 		"fig16", "fig17", "ablations", "sensitivity", "table1", "table2",
-		"fig4", "fig9", "fig10", "noise", "profile", "faults", "session",
-		"kernel", "sparse", "obs", "resilience", "serve",
+		"fig4", "fig9", "fig10", "noise", "profile", "faults", "obs",
+		"resilience", "serve",
 	}
 
 	names := strings.Split(*exp, ",")

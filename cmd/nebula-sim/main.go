@@ -6,7 +6,6 @@
 //
 //	nebula-sim -workload vgg13-cifar10
 //	nebula-sim -workload alexnet -timesteps 500 -hybrid 3
-//	nebula-sim -throughput -batch 32 -parallel 8   # session-engine probe
 //	nebula-sim -metrics -batch 16 -parallel 4      # counter snapshot as Prometheus text
 package main
 
@@ -46,11 +45,10 @@ func main() {
 	faultRate := flag.Float64("faultrate", 0.05, "device fault rate for -health (lines at rate/20)")
 	protection := flag.String("protection", "spare", "protection level for -health: none|verify|spare")
 	healthSeed := flag.Uint64("health-seed", 2020, "chip seed for -health (totals are deterministic per seed)")
-	throughput := flag.Bool("throughput", false, "run the session-engine throughput probe (batched vs sequential)")
 	metrics := flag.Bool("metrics", false, "stream a batch through an observed session and print the counter snapshot as Prometheus text")
-	batch := flag.Int("batch", 32, "images per batch for -throughput / -metrics")
-	parallel := flag.Int("parallel", 0, "worker count for -throughput / -metrics (0 = NumCPU)")
-	imageCache := flag.String("image-cache", "", "chip-image cache directory for -throughput / -metrics compiles: a warm rerun rehydrates the chip from the cached image instead of re-programming (empty = compile fresh)")
+	batch := flag.Int("batch", 32, "images per batch for -metrics")
+	parallel := flag.Int("parallel", 0, "worker count for -metrics (0 = NumCPU)")
+	imageCache := flag.String("image-cache", "", "chip-image cache directory for the -metrics compile: a warm rerun rehydrates the chip from the cached image instead of re-programming (empty = compile fresh)")
 	flag.Parse()
 
 	ws := workloads()
@@ -72,14 +70,6 @@ func main() {
 	}
 
 	sim := core.New()
-
-	if *throughput {
-		if err := runThroughput(sim, *batch, *timesteps, *parallel, *imageCache); err != nil {
-			fmt.Fprintf(os.Stderr, "nebula-sim: throughput: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *metrics {
 		if err := runMetrics(sim, *batch, *timesteps, *parallel, *imageCache); err != nil {

@@ -250,9 +250,10 @@ func (ch *Chip) prepare(st *SuperTile) error {
 	return nil
 }
 
-// programSNN routes a spiking core's kernel programming through the
-// restore switch: a restoring chip configures geometry and neuron banks
-// only, leaving the device state to the image loader.
+// programSNN lays out a spiking core and writes its devices. Program is
+// configure followed by the device writes, so a restoring chip stops
+// after configure — geometry and neuron banks only — and leaves the
+// device state to the image loader.
 func (ch *Chip) programSNN(core *SNNCore, km *tensor.Tensor, positions int) error {
 	if ch.restore {
 		return core.configure(km, ch.WMax, positions)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/crossbar"
 	"repro/internal/device"
-	"repro/internal/mapping"
 	"repro/internal/rng"
 	"repro/internal/spikeplane"
 	"repro/internal/tensor"
@@ -25,15 +24,16 @@ func NewANNCore(p device.Params, cfg crossbar.Config, clip float64, noise *rng.R
 	return &ANNCore{ST: NewSuperTile(p, cfg, noise), Clip: clip}
 }
 
-// Program loads the layer kernels (Rf×K) scaled to wmax.
+// Program loads the layer kernels (Rf×K) scaled to wmax: configure,
+// then write the devices.
 func (c *ANNCore) Program(w *tensor.Tensor, wmax float64) error {
 	return c.ST.Program(w, wmax)
 }
 
-// configure is the restore-path half of Program: switch geometry
-// without device writes; the image loader imports the recorded state.
+// configure is the layout half of Program: switch geometry without
+// device writes; the image loader imports the recorded state.
 func (c *ANNCore) configure(km *tensor.Tensor, wmax float64) error {
-	return c.ST.Configure(km.Dim(0), km.Dim(1), wmax)
+	return c.ST.configureFor(km, wmax)
 }
 
 // SNNCore is a neural core configured for spiking inference: 1-bit spike
@@ -62,25 +62,20 @@ func NewSNNCore(p device.Params, cfg crossbar.Config, vth float64, noise *rng.Ra
 // position's membrane in its domain-wall, so no membrane ever visits
 // SRAM (§IV-B4). The neurons themselves live in each run's state.
 func (c *SNNCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
-	if positions < 1 {
-		return fmt.Errorf("arch: positions must be ≥ 1")
-	}
-	if err := c.ST.Program(w, wmax); err != nil {
+	if err := c.configure(w, wmax, positions); err != nil {
 		return err
 	}
-	c.kernels, c.positions = w.Dim(1), positions
-	return nil
+	return c.ST.write(w)
 }
 
-// configure is the restore-path half of Program: switch geometry and
-// the position-replica bank size are laid out exactly as Program
-// would, but no device is written — the image loader imports the
-// recorded conductance state immediately afterwards.
+// configure is the layout half of Program: switch geometry and the
+// position-replica bank size, with no device written — the image
+// loader imports the recorded conductance state immediately afterwards.
 func (c *SNNCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
 	if positions < 1 {
 		return fmt.Errorf("arch: positions must be ≥ 1")
 	}
-	if err := c.ST.Configure(km.Dim(0), km.Dim(1), wmax); err != nil {
+	if err := c.ST.configureFor(km, wmax); err != nil {
 		return err
 	}
 	c.kernels, c.positions = km.Dim(1), positions
@@ -131,7 +126,6 @@ func integrateBank(out []float64, pl *spikeplane.Plane, p device.Params, vth flo
 // FitsInCore reports whether a kernel matrix of rf×k maps onto a single
 // super-tile.
 func FitsInCore(rf, k int) bool {
-	stack := (rf + mapping.M - 1) / mapping.M
-	sets := (k + mapping.M - 1) / mapping.M
-	return rf <= mapping.MaxRowsPerNC && stack*sets <= mapping.ACsPerNC
+	_, _, err := tileGeometry(rf, k)
+	return err == nil
 }

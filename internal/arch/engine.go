@@ -116,11 +116,12 @@ type stageRun struct {
 
 	// Timestep-repeat cache of a dense in-core stage (skipping walk).
 	// The cached column sums are a pure function of (input values,
-	// conductance generation), so the cache stays valid across runs
-	// recycled through the arena; lastIn is only kept for graded
-	// (non-binary) planes, whose bit pattern underdetermines the
-	// values. lastCross is the cached read's crossbar-stats delta,
-	// replayed on a hit so accounting is identical either way.
+	// conductance generation). reset empties the cache, so a run's
+	// repeat count never depends on which recycled state it was handed;
+	// lastIn is only kept for graded (non-binary) planes, whose bit
+	// pattern underdetermines the values. lastCross is the cached
+	// read's crossbar-stats delta, replayed on a hit so accounting is
+	// identical either way.
 	lastPlane spikeplane.Plane
 	lastIn    []float64
 	lastSums  []float64
@@ -230,9 +231,11 @@ func neuronBank(core *SNNCore) []device.SpikingNeuron {
 	return bank
 }
 
-// reset returns the scratch state to rest.
+// reset returns the scratch state to rest and empties the repeat
+// caches.
 func (st *runState) reset() {
 	for _, sr := range st.stages {
+		sr.haveLast = false
 		for i := range sr.neurons {
 			sr.neurons[i].Reset()
 		}

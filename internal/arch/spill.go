@@ -48,6 +48,28 @@ func NewRUSpillCore(p device.Params, cfg crossbar.Config, vth float64, noise *rn
 // receptive field requires and sizes the RU membrane registers for
 // `positions` time-multiplexed outputs.
 func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) error {
+	if err := c.configure(km, wmax, positions); err != nil {
+		return err
+	}
+	for b, st := range c.blocks {
+		lo, hi := c.rowBounds[b], c.rowBounds[b+1]
+		sub := tensor.New(hi-lo, c.kernels)
+		for r := lo; r < hi; r++ {
+			for col := 0; col < c.kernels; col++ {
+				sub.Set(km.At(r, col), r-lo, col)
+			}
+		}
+		if err := st.write(sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// configure is the layout half of Program: the row partition and each
+// block's switch geometry, with no device writes — the image loader
+// imports each block's recorded state afterwards.
+func (c *RUSpillCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
 	if positions < 1 {
 		return fmt.Errorf("arch: positions must be ≥ 1")
 	}
@@ -58,59 +80,11 @@ func (c *RUSpillCore) Program(km *tensor.Tensor, wmax float64, positions int) er
 	}
 	// Rows per block: bounded by the super-tile's AC budget given the
 	// column sets the block must also carry.
-	maxStack := mapping.ACsPerNC / sets
-	blockRows := maxStack * mapping.M
-	if blockRows > mapping.MaxRowsPerNC {
-		blockRows = mapping.MaxRowsPerNC
-	}
+	blockRows := min((mapping.ACsPerNC/sets)*mapping.M, mapping.MaxRowsPerNC)
 	c.blocks = nil
 	c.rowBounds = []int{0}
 	for lo := 0; lo < rf; lo += blockRows {
-		hi := lo + blockRows
-		if hi > rf {
-			hi = rf
-		}
-		st := NewSuperTile(c.P, c.Cfg, c.splitNoise())
-		sub := tensor.New(hi-lo, k)
-		for r := lo; r < hi; r++ {
-			for col := 0; col < k; col++ {
-				sub.Set(km.At(r, col), r-lo, col)
-			}
-		}
-		if err := st.Program(sub, wmax); err != nil {
-			return err
-		}
-		c.blocks = append(c.blocks, st)
-		c.rowBounds = append(c.rowBounds, hi)
-	}
-	c.kernels, c.positions = k, positions
-	return nil
-}
-
-// configure is the restore-path half of Program: the identical row
-// partition and per-block switch geometry, with no device writes — the
-// image loader imports each block's recorded state afterwards.
-func (c *RUSpillCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
-	if positions < 1 {
-		return fmt.Errorf("arch: positions must be ≥ 1")
-	}
-	rf, k := km.Dim(0), km.Dim(1)
-	sets := (k + mapping.M - 1) / mapping.M
-	if sets > mapping.ACsPerNC {
-		return fmt.Errorf("arch: %d kernels exceed one core's column capacity; column spill is not supported by the chip runner", k)
-	}
-	maxStack := mapping.ACsPerNC / sets
-	blockRows := maxStack * mapping.M
-	if blockRows > mapping.MaxRowsPerNC {
-		blockRows = mapping.MaxRowsPerNC
-	}
-	c.blocks = nil
-	c.rowBounds = []int{0}
-	for lo := 0; lo < rf; lo += blockRows {
-		hi := lo + blockRows
-		if hi > rf {
-			hi = rf
-		}
+		hi := min(lo+blockRows, rf)
 		st := NewSuperTile(c.P, c.Cfg, c.splitNoise())
 		if err := st.Configure(hi-lo, k, wmax); err != nil {
 			return err

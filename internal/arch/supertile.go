@@ -63,17 +63,21 @@ func NewSuperTile(p device.Params, cfg crossbar.Config, noise *rng.Rand) *SuperT
 // switches for stack = ceil(Rf/M) and sets = ceil(K/M) and programs the
 // constituent ACs. The layer must fit: stack·sets ≤ 16 and Rf ≤ 16M.
 func (st *SuperTile) Program(w *tensor.Tensor, wmax float64) error {
-	if w.NDim() != 2 {
-		return fmt.Errorf("arch: kernel matrix must be 2-D, got %v", w.Shape())
+	if err := st.configureFor(w, wmax); err != nil {
+		return err
 	}
-	rf, k := w.Dim(0), w.Dim(1)
-	if rf > mapping.MaxRowsPerNC {
-		return fmt.Errorf("arch: Rf %d exceeds super-tile capacity %d", rf, mapping.MaxRowsPerNC)
-	}
-	stack := (rf + mapping.M - 1) / mapping.M
-	sets := (k + mapping.M - 1) / mapping.M
-	if stack*sets > mapping.ACsPerNC {
-		return fmt.Errorf("arch: layer needs %d ACs, super-tile has %d", stack*sets, mapping.ACsPerNC)
+	return st.write(w)
+}
+
+// Configure sets the morphable-switch geometry for an Rf×K kernel
+// matrix without programming a single device — the layout half of
+// Program, which the image loader uses on its own before importing the
+// recorded per-array state. Slot routing starts at identity;
+// importSlots replaces it when the image recorded retirements.
+func (st *SuperTile) Configure(rf, k int, wmax float64) error {
+	stack, sets, err := tileGeometry(rf, k)
+	if err != nil {
+		return err
 	}
 	st.stack, st.sets, st.rows, st.cols, st.wmax = stack, sets, rf, k, wmax
 	st.slotAC = make([]int, stack*sets)
@@ -81,20 +85,33 @@ func (st *SuperTile) Program(w *tensor.Tensor, wmax float64) error {
 		st.slotAC[i] = i
 	}
 	st.retired = make([]bool, len(st.acs))
+	return nil
+}
 
-	for s := 0; s < sets; s++ {
+// configureFor is Configure for the geometry of kernel matrix w.
+func (st *SuperTile) configureFor(w *tensor.Tensor, wmax float64) error {
+	if w.NDim() != 2 {
+		return fmt.Errorf("arch: kernel matrix must be 2-D, got %v", w.Shape())
+	}
+	return st.Configure(w.Dim(0), w.Dim(1), wmax)
+}
+
+// write programs the configured ACs with their M×M slices of w, the
+// device half of Program.
+func (st *SuperTile) write(w *tensor.Tensor) error {
+	for s := 0; s < st.sets; s++ {
 		colLo := s * mapping.M
-		colHi := min(colLo+mapping.M, k)
-		for h := 0; h < stack; h++ {
+		colHi := min(colLo+mapping.M, st.cols)
+		for h := 0; h < st.stack; h++ {
 			rowLo := h * mapping.M
-			rowHi := min(rowLo+mapping.M, rf)
+			rowHi := min(rowLo+mapping.M, st.rows)
 			sub := tensor.New(mapping.M, mapping.M)
 			for r := rowLo; r < rowHi; r++ {
 				for c := colLo; c < colHi; c++ {
 					sub.Set(w.At(r, c), r-rowLo, c-colLo)
 				}
 			}
-			if err := st.ac(s, h).Program(sub, wmax); err != nil {
+			if err := st.ac(s, h).Program(sub, st.wmax); err != nil {
 				return err
 			}
 		}
@@ -102,28 +119,19 @@ func (st *SuperTile) Program(w *tensor.Tensor, wmax float64) error {
 	return nil
 }
 
-// Configure sets the morphable-switch geometry for an Rf×K kernel
-// matrix without programming a single device — the skeleton half of
-// Program, used by the image loader, which imports the recorded
-// per-array state immediately afterwards. Slot routing starts at
-// identity; importSlots replaces it when the image recorded
-// retirements.
-func (st *SuperTile) Configure(rf, k int, wmax float64) error {
+// tileGeometry returns the switch configuration of an Rf×K kernel
+// matrix on one super-tile — stack ACs ganged per kernel-column set —
+// or an error when the matrix does not fit.
+func tileGeometry(rf, k int) (stack, sets int, err error) {
 	if rf > mapping.MaxRowsPerNC {
-		return fmt.Errorf("arch: Rf %d exceeds super-tile capacity %d", rf, mapping.MaxRowsPerNC)
+		return 0, 0, fmt.Errorf("arch: Rf %d exceeds super-tile capacity %d", rf, mapping.MaxRowsPerNC)
 	}
-	stack := (rf + mapping.M - 1) / mapping.M
-	sets := (k + mapping.M - 1) / mapping.M
+	stack = (rf + mapping.M - 1) / mapping.M
+	sets = (k + mapping.M - 1) / mapping.M
 	if stack*sets > mapping.ACsPerNC {
-		return fmt.Errorf("arch: layer needs %d ACs, super-tile has %d", stack*sets, mapping.ACsPerNC)
+		return 0, 0, fmt.Errorf("arch: layer needs %d ACs, super-tile has %d", stack*sets, mapping.ACsPerNC)
 	}
-	st.stack, st.sets, st.rows, st.cols, st.wmax = stack, sets, rf, k, wmax
-	st.slotAC = make([]int, stack*sets)
-	for i := range st.slotAC {
-		st.slotAC[i] = i
-	}
-	st.retired = make([]bool, len(st.acs))
-	return nil
+	return stack, sets, nil
 }
 
 // importSlots restores the slot→array routing and retirement flags

@@ -57,8 +57,9 @@ func sameBits(a, b []float64) bool {
 // and crossbar counters may differ: skipped stages charge nothing —
 // that is the production walk's accounting contract, not a divergence.
 // Noisy runs skip nothing, so there every counter but the plane
-// counters must match too. The reference must report zero skip,
-// packed-word and repeat counters;
+// counters must match too. Every production counter, skip and repeat
+// counters included, must be identical at every parallelism. The
+// reference must report zero skip, packed-word and repeat counters;
 // age, when positive, ages every session's arrays by that many steps
 // before the runs, leaving their kernels stale.
 func assertRunMatchesReference(t *testing.T, c *convert.Converted, imgs []*tensor.Tensor, sigma float64, age int64, opts ...Option) {
@@ -77,6 +78,7 @@ func assertRunMatchesReference(t *testing.T, c *convert.Converted, imgs []*tenso
 		}
 		want[i] = res
 	}
+	var first []*RunResult
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
 		sess := compileWalkSession(t, c, sigma, append(append([]Option(nil), opts...), WithParallelism(par))...)
 		sess.AgeRetention(age)
@@ -84,7 +86,15 @@ func assertRunMatchesReference(t *testing.T, c *convert.Converted, imgs []*tenso
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
+		if first == nil {
+			first = got
+		}
 		for i := range want {
+			g, f := *got[i], *first[i]
+			g.Output, f.Output = nil, nil
+			if g != f {
+				t.Fatalf("parallelism %d input %d: counters differ from parallelism 1: %+v vs %+v", par, i, g, f)
+			}
 			if !sameBits(want[i].Output.Data(), got[i].Output.Data()) {
 				t.Fatalf("parallelism %d input %d: Run %v != RunReference %v (production walk not bitwise identical)",
 					par, i, got[i].Output.Data(), want[i].Output.Data())
@@ -120,7 +130,10 @@ var (
 
 // walkMatrix builds the identity matrix's models once: an SNN MLP, the
 // same MLP fed a constant graded input every timestep (so the
-// timestep-repeat cache fires on every step it may), an SNN with a
+// timestep-repeat cache fires on every step it may), the MLP fed
+// uniform images through a gain-1 Poisson encoder at activity 0.01 and
+// 1.0 (at 1.0 every timestep is the same binary plane, the repeat
+// cache's binary branch), an SNN with a
 // grouped (depthwise) conv stage, an SNN whose 3072-input dense stage
 // spills onto the RU/ADC path, the MLP as a hybrid (split 1) and as an
 // ANN, hybrid LeNet-5 split 2, a hybrid depthwise MobileNetV1 and ANN
@@ -162,10 +175,16 @@ func walkMatrix(t *testing.T) []walkModel {
 		lenet := conv(models.NewLeNet5(1, 16, 10, rng.New(6)), te)
 		small := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 1, Size: 8, Noise: 0.1, Jitter: 1}, 16, 3)
 		mobile := conv(models.NewMobileNetV1(1, 8, 4, rng.New(8)), small)
+		shape, _ := te.Sample(0)
+		bernoulli := WithEncoder(func(r *rng.Rand) snn.Encoder { return snn.NewPoissonEncoder(1, r) })
 		walkModels = []walkModel{
 			{"snn-mlp", mlp, imgs(te, 8), []Option{WithMode(ModeSNN), WithTimesteps(20), WithSeed(42)}},
 			{"snn-mlp-constant", mlp, imgs(te, 4), []Option{WithMode(ModeSNN), WithTimesteps(10), WithSeed(42),
 				WithEncoder(func(*rng.Rand) snn.Encoder { return directEnc{} })}},
+			{"snn-mlp-bernoulli-0.01", mlp, uniformImgs(shape.Shape(), 0.01, 8), []Option{WithMode(ModeSNN),
+				WithTimesteps(10), WithSeed(42), bernoulli}},
+			{"snn-mlp-bernoulli-1", mlp, uniformImgs(shape.Shape(), 1, 8), []Option{WithMode(ModeSNN),
+				WithTimesteps(10), WithSeed(42), bernoulli}},
 			{"snn-dwconv", dw, imgs(dwData, 6), []Option{WithMode(ModeSNN), WithTimesteps(10), WithSeed(42),
 				WithInputShape(4, 8, 8)}},
 			{"snn-spill", spill, imgs(wide, 3), []Option{WithMode(ModeSNN), WithTimesteps(10), WithSeed(42),
@@ -181,6 +200,20 @@ func walkMatrix(t *testing.T) []walkModel {
 		}
 	})
 	return walkModels
+}
+
+// uniformImgs returns n images of the given shape whose every pixel is
+// activity: through a gain-1 Poisson encoder each input fires with
+// that probability per timestep.
+func uniformImgs(shape []int, activity float64, n int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, n)
+	for i := range out {
+		out[i] = tensor.New(shape...)
+		for j := range out[i].Data() {
+			out[i].Data()[j] = activity
+		}
+	}
+	return out
 }
 
 // TestSessionReferenceIdentity is the production walk's identity
@@ -287,9 +320,13 @@ func TestSessionProductionEngagesPlanes(t *testing.T) {
 }
 
 // TestSessionEventDrivenSkipsAndRepeats pins that the event machinery
-// actually fires on a session-shaped workload: a constant (DC) encoder
-// makes every timestep identical, so after the first step the dense
-// stage must serve every read from the timestep-repeat cache.
+// actually fires on a session-shaped workload and that its counters are
+// a function of the input alone. A constant (DC) encoder makes every
+// timestep identical, so after the first step the dense stage must
+// serve every read from the timestep-repeat cache; so must all-ones
+// Bernoulli input, whose planes are binary. Every run starts with an
+// empty cache, so the repeat counts do not depend on earlier runs or on
+// which recycled run state a batch worker was handed.
 func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 	c, te := chipFixture(t)
 	const T = 10
@@ -319,20 +356,16 @@ func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 			t.Fatalf("col %d: repeat-cache run %v != reference %v", j, od[j], dd[j])
 		}
 	}
-	// The repeat cache survives arena recycling (column sums are a pure
-	// function of input values and conductance generation), so when the
-	// arena hands run 2 the recycled state, its very first step replays
-	// run 1's last read — one more hit than the cold run. The arena is
-	// a free list no GC empties, so the state always comes back. The
-	// crossbar stats must still match bitwise: hit and miss fold
-	// identical per-read stats, which is the replay contract.
+	// Run 2 gets run 1's recycled state (the arena is a free list no GC
+	// empties), whose cache reset emptied: it hits exactly as often as
+	// the cold run, and its crossbar stats match bitwise because hit
+	// and miss fold identical per-read stats.
 	res2, err := sess.Run(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.RepeatReads != res.RepeatReads+1 {
-		t.Fatalf("second run hit %d times, want the cold run's %d plus the recycled first step",
-			res2.RepeatReads, res.RepeatReads)
+	if res2.RepeatReads != res.RepeatReads {
+		t.Fatalf("second run hit %d times, want the cold run's %d", res2.RepeatReads, res.RepeatReads)
 	}
 	if res2.Crossbar != res.Crossbar {
 		t.Fatalf("replayed crossbar stats not bitwise identical: %+v vs %+v",
@@ -342,6 +375,38 @@ func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 	for j := range od {
 		if od2[j] != od[j] {
 			t.Fatalf("col %d: warm-cache run %v != cold run %v", j, od2[j], od[j])
+		}
+	}
+
+	// All-ones Bernoulli input (binary planes): every image hits at
+	// least T-1 times, and a second batch through the same session hits
+	// exactly as often. The identity matrix holds the same row's counts
+	// equal across parallelism.
+	for _, m := range walkMatrix(t) {
+		if m.name != "snn-mlp-bernoulli-1" {
+			continue
+		}
+		bs := compileWalkSession(t, m.c, 0, append(append([]Option(nil), m.opts...), WithParallelism(4))...)
+		minHits := int64(bs.cfg.Timesteps - 1)
+		var first []*RunResult
+		for pass := 0; pass < 2; pass++ {
+			got, err := bs.RunBatch(context.Background(), m.imgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = got
+			}
+			for i, r := range got {
+				if r.RepeatReads < minHits {
+					t.Fatalf("image %d: %d repeat hits on identical binary planes, want >= %d",
+						i, r.RepeatReads, minHits)
+				}
+				if r.RepeatReads != first[i].RepeatReads {
+					t.Fatalf("pass %d image %d: %d repeat hits, first batch had %d",
+						pass, i, r.RepeatReads, first[i].RepeatReads)
+				}
+			}
 		}
 	}
 }
