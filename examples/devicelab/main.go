@@ -51,7 +51,10 @@ func main() {
 		panic(err)
 	}
 	x := []float64{1, 0.5, 0.25, 0.75}
-	got, _ := cb.MAC(x)
+	got := make([]float64, 3)
+	if err := cb.MACReadInto(got, x, nil, nil, nil); err != nil {
+		panic(err)
+	}
 	fmt.Printf("\ncrossbar MAC of %v:\n  analog %v\n", x, got)
 	fmt.Printf("  program energy: %.1f fJ over %d synapses\n",
 		cb.Stats().ProgramEnergyFJ, 4*3)
@@ -70,7 +73,10 @@ func main() {
 	for i := range input {
 		input[i] = r.Float64()
 	}
-	out, _ := st.Evaluate(input)
+	out := make([]float64, 64)
+	if err := st.EvaluateReadInto(out, input, nil, nil, nil, &arch.EvalScratch{}); err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nsuper-tile: Rf=600 kernel at NU level %v, utilization %.3f\n",
 		st.NULevel(), st.Utilization())
 	fmt.Printf("  first column currents (weight units): %.3f %.3f %.3f ...\n",

@@ -28,6 +28,16 @@ func randMatrix(r *rng.Rand, rows, cols int, scale float64) *tensor.Tensor {
 	return m
 }
 
+// evalST reads x through st into a fresh K-wide buffer, noiseless.
+func evalST(t *testing.T, st *SuperTile, x []float64) []float64 {
+	t.Helper()
+	out := make([]float64, st.cols)
+	if err := st.EvaluateReadInto(out, x, nil, nil, nil, &EvalScratch{}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func idealDot(w *tensor.Tensor, x []float64) []float64 {
 	out := make([]float64, w.Dim(1))
 	for c := 0; c < w.Dim(1); c++ {
@@ -52,10 +62,7 @@ func TestSuperTileSingleAC(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := st.Evaluate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := evalST(t, st, x)
 	want := idealDot(w, x)
 	bound := 1.0 / (2 * 15) * 27 // quantization bound
 	for c := range got {
@@ -82,10 +89,7 @@ func TestSuperTileHierarchySummation(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := st.Evaluate(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := evalST(t, st, x)
 	want := idealDot(w, x)
 	bound := 1.0 / (2 * 15) * rf
 	for c := range got {
@@ -314,10 +318,10 @@ func chipFixture(t *testing.T) (*convert.Converted, *dataset.Dataset) {
 	return chipConv, chipTest
 }
 
-// runOnce compiles a wear session over c for img — fresh cores on every
+// runOnce compiles a session over c for img — fresh cores on every
 // call, as a one-off hardware run sees them — and runs it once.
 func runOnce(ch *Chip, c *convert.Converted, img *tensor.Tensor, opts ...Option) (*RunResult, error) {
-	sess, err := ch.Compile(c, append([]Option{WithWear(true), WithInputShape(img.Shape()...)}, opts...)...)
+	sess, err := ch.Compile(c, append([]Option{WithInputShape(img.Shape()...)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ import (
 // compile, bit for bit.
 
 // CompileCached is Compile through a content-addressed chip-image
-// cache. Sessions the image format cannot capture — wear mode, shared
-// or custom encoders — bypass the cache and compile directly; so do
+// cache. Sessions the image format cannot capture — shared or custom
+// encoders — bypass the cache and compile directly; so do
 // models the spec cannot flatten. On a hit the returned session runs on
 // a chip rehydrated from the image, not on the receiver: the receiver's
 // noise stream and health report are untouched.
@@ -36,7 +36,7 @@ func (ch *Chip) CompileCached(model *convert.Converted, cache *image.Cache, opts
 // compileCached implements CompileCached and the WithImageCache branch
 // of Compile over a parsed configuration.
 func (ch *Chip) compileCached(model *convert.Converted, cache *image.Cache, cfg sessionConfig) (*Session, error) {
-	if cfg.Wear || cfg.sharedEnc != nil || cfg.encCustom {
+	if cfg.sharedEnc != nil || cfg.encCustom {
 		return ch.compile(model, cfg)
 	}
 	spec, err := image.EncodeModel(model)

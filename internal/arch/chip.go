@@ -6,7 +6,6 @@ import (
 	"repro/internal/convert"
 	"repro/internal/crossbar"
 	"repro/internal/device"
-	"repro/internal/noc"
 	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -16,30 +15,27 @@ import (
 // Chip executes converted networks on simulated NEBULA hardware: one
 // neural core per weighted stage (dedicated SNN or ANN cores, Fig. 6(b)),
 // pooling in the NU datapath, digital accumulation at the routing units
-// for the read-out, and a mesh NoC carrying inter-stage spikes.
+// for the read-out, and a mesh NoC carrying inter-stage spikes (charged
+// as hop counts; see Session.finish).
 //
 // The chip consumes the output of convert.Convert, whose weights are
 // normalized so that every IF threshold is 1 and activations live in
 // [0, 1] — exactly the operating range of the 4-bit drivers and the
 // saturating MTJ neurons.
 type Chip struct {
-	P    device.Params
-	Cfg  crossbar.Config
-	Mesh *noc.Mesh
+	P   device.Params
+	Cfg crossbar.Config
 	// WMax is the crossbar weight range per synapse pair; normalized
 	// kernels are clipped to ±WMax at programming time.
 	WMax float64
-	// FaultRate injects stuck-at device faults into every programmed
-	// super-tile (requires a noise generator). FaultMode selects the
-	// stuck state. This is the legacy uniform-stuck-at path; the full
-	// fault model lives behind Rel.
-	FaultRate float64
-	FaultMode crossbar.FaultMode
-	// Rel, when non-nil, enables the reliability subsystem: the richer
-	// fault profile is injected into every programmed core (spares
-	// included), the BIST/repair pipeline runs per the protection level,
-	// and runs return a *reliability.DegradedError when mitigation is
-	// exhausted. Requires a noise generator for injection.
+	// Rel, when non-nil, enables the reliability subsystem: the fault
+	// profile is injected into every programmed core (spares included),
+	// the BIST/repair pipeline runs per the protection level, and
+	// compiles return a *reliability.DegradedError when mitigation is
+	// exhausted. Requires a noise generator for injection. Compile-time
+	// injection is one of the four events that change a session's
+	// arrays; the others are Session.AgeRetention,
+	// Session.InjectStuckFaults and Session.Scrub.
 	Rel *reliability.Config
 
 	noise  *rng.Rand
@@ -60,7 +56,7 @@ type Chip struct {
 // NewChip builds a chip with the given device and crossbar configuration.
 // A nil noise generator disables stochastic non-idealities.
 func NewChip(p device.Params, cfg crossbar.Config, noise *rng.Rand) *Chip {
-	return &Chip{P: p, Cfg: cfg, Mesh: noc.New(noc.DefaultConfig()), WMax: 1.0, noise: noise}
+	return &Chip{P: p, Cfg: cfg, WMax: 1.0, noise: noise}
 }
 
 // stageHW is the hardware realization of one converted stage.
@@ -124,8 +120,7 @@ type RunResult struct {
 	// cache; the replayed read's stats are re-charged, so results and
 	// crossbar accounting are identical to a cache-free run.
 	RepeatReads int64
-	// Crossbar collects the run's crossbar activity on wear-free runs
-	// (wear runs accumulate into the arrays' own counters instead).
+	// Crossbar collects the run's crossbar activity.
 	Crossbar crossbar.Stats
 }
 
@@ -209,17 +204,9 @@ func (ch *Chip) split() *rng.Rand {
 	return ch.noise.Split()
 }
 
-// injectFaults applies the chip's configured stuck-at fault rate to a
-// freshly programmed super-tile (the legacy uniform model).
-func (ch *Chip) injectFaults(st *SuperTile) {
-	if ch.FaultRate > 0 && ch.noise != nil {
-		st.InjectStuckFaults(ch.noise.Split(), ch.FaultRate, ch.FaultMode)
-	}
-}
-
 // coreCfg derives the crossbar configuration for a new core: the chip's
 // base config plus the reliability knobs (spare lines under
-// sparing+remap, read disturb and drift from the fault profile).
+// sparing+remap, drift from the fault profile).
 func (ch *Chip) coreCfg() crossbar.Config {
 	cfg := ch.Cfg
 	if ch.Rel != nil {
@@ -227,7 +214,6 @@ func (ch *Chip) coreCfg() crossbar.Config {
 			cfg.SpareRows = ch.Rel.Policy.SpareRows
 			cfg.SpareCols = ch.Rel.Policy.SpareCols
 		}
-		cfg.ReadDisturbProb = ch.Rel.Faults.ReadDisturbProb
 		cfg.DriftTauSteps = ch.Rel.Faults.DriftTauSteps
 	}
 	return cfg
@@ -235,19 +221,14 @@ func (ch *Chip) coreCfg() crossbar.Config {
 
 // prepare post-processes a freshly programmed super-tile: under the
 // reliability subsystem it injects the fault profile and runs the
-// protection pipeline (possibly refusing with a DegradedError);
-// otherwise it applies the legacy uniform fault rate. A restoring chip
-// skips both — the imported state already carries the injected faults
-// and every repair the original compile performed.
+// protection pipeline (possibly refusing with a DegradedError). A
+// restoring chip skips it — the imported state already carries the
+// injected faults and every repair the original compile performed.
 func (ch *Chip) prepare(st *SuperTile) error {
-	if ch.restore {
+	if ch.restore || ch.Rel == nil {
 		return nil
 	}
-	if ch.Rel != nil {
-		return ch.protect(st)
-	}
-	ch.injectFaults(st)
-	return nil
+	return ch.protect(st)
 }
 
 // programSNN lays out a spiking core and writes its devices. Program is
@@ -275,11 +256,4 @@ func (ch *Chip) programSpill(sp *RUSpillCore, km *tensor.Tensor, positions int) 
 		return sp.configure(km, ch.WMax, positions)
 	}
 	return sp.Program(km, ch.WMax, positions)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

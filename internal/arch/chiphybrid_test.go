@@ -7,6 +7,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/crossbar"
 	"repro/internal/device"
+	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/tensor"
@@ -113,7 +114,10 @@ func TestChipFaultResilience(t *testing.T) {
 	c, te := chipFixture(t)
 	accAt := func(rate float64) float64 {
 		chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(21))
-		chip.FaultRate = rate
+		chip.Rel = &reliability.Config{
+			Faults:     reliability.FaultProfile{DeviceRate: rate, PermanentFrac: 1, Mode: crossbar.StuckAP},
+			Protection: reliability.ProtectNone,
+		}
 		correct := 0
 		const n, T = 20, 60
 		r := rng.New(23)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/crossbar"
 	"repro/internal/device"
-	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -23,8 +22,9 @@ import (
 // between stages and every crossbar read is driven by one. What differs
 // between runs is only what may be skipped — silent stages, silent
 // windows and repeated timesteps are skipped exactly when no read-noise
-// draw or wear effect could notice (execEnv.skip) — and, on wear runs,
-// the mutating read at the one call that reaches the arrays.
+// draw could notice (execEnv.skip). No run mutates the programmed
+// arrays: every read goes through the caller-stream, caller-stats read
+// path, so runs share one compiled session concurrently.
 //
 // RunReference walks the same stages as a reference: no skips, no
 // repeat cache, every read through the index path.
@@ -254,15 +254,11 @@ func (st *runState) reset() {
 
 // execEnv parameterizes one run's execution regime.
 type execEnv struct {
-	ch   *Chip
-	wear bool
 	// noise is the run's private read-noise stream (nil when the chip has
-	// no noise generator or in wear mode, where arrays draw from their
-	// own streams).
+	// no noise generator).
 	noise *rng.Rand
-	// cross collects crossbar activity on wear-free runs (nil in wear
-	// mode, where the arrays' shared counters accumulate).
-	cross *crossbar.Stats
+	// cross collects the run's crossbar activity.
+	cross crossbar.Stats
 	// shard is the run's private counter shard (nil: observation
 	// disabled, the engine takes no accounting branches).
 	shard *obs.RunRecord
@@ -270,9 +266,9 @@ type execEnv struct {
 	hops int64
 	// skip lets silent stages and windows skip their reads and dense
 	// stages consult the timestep-repeat cache. It holds exactly when the
-	// run neither wears the arrays nor draws read noise (!wear && noise
-	// == nil): a noisy read draws once per live column, so skipping one
-	// would shift every later draw (DESIGN.md §15).
+	// production run draws no read noise (noise == nil): a noisy read
+	// draws once per live column, so skipping one would shift every
+	// later draw (DESIGN.md §15).
 	skip bool
 	// ref selects the reference walk (RunReference): every read goes
 	// through the index path and no packed-plane counter is charged.
@@ -292,17 +288,12 @@ func (env *execEnv) mark(res *RunResult) stageMark {
 	m := stageMark{cycles: res.Cycles, spikes: res.Spikes, packets: res.NoCPackets,
 		hops: res.NoCHops, adc: res.ADCConversions, edram: res.EDRAMAccesses,
 		skips: res.SilentStageSkips, skipped: res.SpikesSkipped,
-		packed: res.PackedWords, repeats: res.RepeatReads}
-	if env.cross != nil {
-		m.cross = *env.cross
-	}
+		packed: res.PackedWords, repeats: res.RepeatReads, cross: env.cross}
 	return m
 }
 
 // observe folds the delta since m into one shard bucket and returns the
-// stage's spike count for tracing. Crossbar-level counters (MAC reads,
-// driven rows, output current) are only attributable on wear-free runs;
-// wear runs accumulate them into the arrays' own counters.
+// stage's spike count for tracing.
 func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 {
 	dSpikes := res.Spikes - m.spikes
 	c.SpikesEmitted += dSpikes
@@ -315,12 +306,10 @@ func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 
 	c.SpikesSkipped += res.SpikesSkipped - m.skipped
 	c.PackedWords += res.PackedWords - m.packed
 	c.RepeatReads += res.RepeatReads - m.repeats
-	if env.cross != nil {
-		d := env.cross.Diff(m.cross)
-		c.MACReads += d.MACs
-		c.ActiveRowSum += d.ActiveRowSum
-		c.OutputCurrentUA += d.OutputCurrentUA
-	}
+	d := env.cross.Diff(m.cross)
+	c.MACReads += d.MACs
+	c.ActiveRowSum += d.ActiveRowSum
+	c.OutputCurrentUA += d.OutputCurrentUA
 	return dSpikes
 }
 
@@ -340,30 +329,20 @@ func (env *execEnv) charge(res *RunResult, pl *spikeplane.Plane, silent int) {
 // must gather its windows' float values. A binary window's values are
 // its bits, and the packed read only reads input rows at set bits, so
 // the production walk passes it a nil window instead (see
-// SuperTile.EvaluateReadPacked). Graded planes, wear runs (whose
-// mutating read is dense) and the reference walk gather floats; the
-// reference's float gather is the independent check on the bit gather.
+// SuperTile.EvaluateReadPacked). Graded planes and the reference walk
+// gather floats; the reference's float gather is the independent check
+// on the bit gather.
 func (env *execEnv) gathersFloats(pl *spikeplane.Plane) bool {
-	return env.wear || env.ref || !pl.Binary()
+	return env.ref || !pl.Binary()
 }
 
 // read drives one super-tile read of in, whose packed plane is pl, into
 // dst (length K). The production walk reads through the plane, where a
 // nil in stands for a binary plane's values; the reference walk reads
-// through the index path. Wear runs keep the allocating read that
-// disturbs the arrays and bumps their shared counters.
+// through the index path.
 //
 //nebula:hotpath
 func (env *execEnv) read(st *SuperTile, dst, in []float64, pl *spikeplane.Plane, stats *crossbar.Stats, sc *EvalScratch) error {
-	//nebula:coldpath wear runs mutate the arrays on every read
-	if env.wear {
-		sums, err := st.Evaluate(in)
-		if err != nil {
-			return err
-		}
-		copy(dst, sums)
-		return nil
-	}
 	if env.ref {
 		return st.EvaluateReadInto(dst, in, nil, env.noise, stats, sc)
 	}
@@ -422,7 +401,7 @@ func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64,
 		// fold is what makes a hit's accounting bitwise identical to a
 		// miss (a scalar after-minus-before delta would round
 		// differently than the original per-array accumulation).
-		stats := env.cross
+		stats := &env.cross
 		if env.skip {
 			sr.lastCross = crossbar.Stats{}
 			stats = &sr.lastCross
@@ -443,7 +422,7 @@ func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64,
 			sr.haveLast = true
 		}
 	}
-	if env.skip && env.cross != nil {
+	if env.skip {
 		env.cross.MACs += sr.lastCross.MACs
 		env.cross.ActiveRowSum += sr.lastCross.ActiveRowSum
 		env.cross.OutputCurrentUA += sr.lastCross.OutputCurrentUA
@@ -498,7 +477,7 @@ func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias [
 			continue
 		}
 		sr.winPlane.AsView(win, hi-lo, pl.Binary())
-		if err := env.read(st, sr.sums, in[lo:hi], &sr.winPlane, env.cross, &sr.sc); err != nil {
+		if err := env.read(st, sr.sums, in[lo:hi], &sr.winPlane, &env.cross, &sr.sc); err != nil {
 			return nil, err
 		}
 		// Digitize the block's partial sums (one conversion per kernel).
@@ -617,14 +596,9 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 				}
 			}
 		}
-		// Spikes travel to the consumer stage over the mesh; the shared
-		// mesh simulator is only driven on the sequential wear path.
+		// Spikes travel to the consumer stage over the mesh.
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		//nebula:coldpath wear runs drive the shared mesh simulator
-		if env.wear {
-			env.ch.Mesh.Send(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}, maxInt(1, int(out.Sum())), 0)
-		}
 		return out, &sr.outPlane, nil
 	case "dense":
 		in := x.Data()
@@ -782,7 +756,7 @@ func (env *execEnv) annExec(core *ANNCore, in []float64, pl, outPl *spikeplane.P
 	bd := biasData(bias)
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
-	if err := env.read(core.ST, dst, in, pl, env.cross, sc); err != nil {
+	if err := env.read(core.ST, dst, in, pl, &env.cross, sc); err != nil {
 		return err
 	}
 	res.Cycles++ // cycle 2: drive crossbars, threshold at NU
@@ -1038,9 +1012,6 @@ func (s *Session) execSNN(ctx context.Context, img *tensor.Tensor, env *execEnv,
 				return nil, err
 			}
 		}
-		if env.wear {
-			s.chip.tickRetention(s.snnStages, t)
-		}
 	}
 	// The read-out stage integrates increments across timesteps; its
 	// accumulator holds the final class potentials.
@@ -1067,9 +1038,6 @@ func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execE
 			}
 		}
 		st.au.Accumulate(x)
-		if env.wear {
-			s.chip.tickRetention(s.snnStages, t)
-		}
 	}
 	// The recovered activations are in the source (unnormalized) scale of
 	// the boundary; renormalize to [0,1] with λ so the normalized weights
@@ -1105,25 +1073,17 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	env := &execEnv{ch: s.chip, wear: s.cfg.Wear, hops: s.engineHops, ref: ref}
+	env := &execEnv{hops: s.engineHops, ref: ref}
 	if s.rec != nil && !ref {
 		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)
 	}
-	if env.wear {
-		// Wear runs mutate the programmed arrays, the mesh and the chip
-		// health report; serialize them.
-		s.wearMu.Lock()
-		defer s.wearMu.Unlock()
-	} else {
-		if s.chip.noise != nil {
-			env.noise = rs.noise
-		}
-		env.cross = &crossbar.Stats{}
-		// Skipping requires a nil read-noise stream: noise draws advance
-		// per live column, so skipping a read would shift every later
-		// draw. Without noise, skips are value-exact.
-		env.skip = env.noise == nil && !ref
+	if s.chip.noise != nil {
+		env.noise = rs.noise
 	}
+	// Skipping requires a nil read-noise stream: noise draws advance per
+	// live column, so skipping a read would shift every later draw.
+	// Without noise, skips are value-exact.
+	env.skip = env.noise == nil && !ref
 	var enc snn.Encoder
 	if s.cfg.Mode != ModeANN {
 		enc = s.cfg.sharedEnc
@@ -1147,9 +1107,7 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err != nil {
 		return nil, nil, err
 	}
-	if env.cross != nil {
-		res.Crossbar = *env.cross
-	}
+	res.Crossbar = env.cross
 	return res, env.shard, nil
 }
 
@@ -1196,13 +1154,8 @@ func (s *Session) Run(ctx context.Context, input *tensor.Tensor) (*RunResult, er
 // streams exactly like Run, so two sessions compiled alike, one driven
 // by Run and one by RunReference, return bitwise-identical outputs,
 // predictions and spike counts. It records nothing to an attached
-// observer and reports zero skip, packed-word and repeat counters. Wear
-// sessions are rejected: their reads mutate the arrays, so no second
-// walk could see the same state.
+// observer and reports zero skip, packed-word and repeat counters.
 func (s *Session) RunReference(ctx context.Context, input *tensor.Tensor) (*RunResult, error) {
-	if s.cfg.Wear {
-		return nil, fmt.Errorf("arch: RunReference needs a session compiled without WithWear")
-	}
 	res, _, err := s.runOne(ctx, input, s.reserveStreams(1)[0], true)
 	return res, err
 }

@@ -251,7 +251,6 @@ func TestLoadSessionRejectsBakedOptionChanges(t *testing.T) {
 		"mode":  {WithMode(ModeANN)},
 		"split": {WithMode(ModeSNN), WithTimesteps(20), WithHybridSplit(2)},
 		"shape": {WithMode(ModeSNN), WithTimesteps(20), WithInputShape(1, 16, 16)},
-		"wear":  {WithMode(ModeSNN), WithTimesteps(20), WithWear(true)},
 	} {
 		if _, err := LoadSession(bytes.NewReader(data), opts...); err == nil {
 			t.Fatalf("%s: load accepted an option that contradicts the image's programmed state", name)
@@ -517,7 +516,6 @@ func TestCompileConfigRoundTrip(t *testing.T) {
 		"split":     func(c *CompileConfig) { c.HybridSplit = 2 },
 		"seed":      func(c *CompileConfig) { c.Seed = 100 },
 		"shape":     func(c *CompileConfig) { c.InputShape = []int{1, 8, 8} },
-		"wear":      func(c *CompileConfig) { c.Wear = true },
 	} {
 		m := cfg
 		m.InputShape = append([]int(nil), cfg.InputShape...)

@@ -28,7 +28,7 @@ import (
 // WithSeed, WithObserver, WithEncoder, WithSharedEncoder — may override
 // what the image recorded. Options that
 // would change the programmed state itself — WithMode, WithHybridSplit,
-// WithInputShape, WithWear — must match the image (a changed value is
+// WithInputShape — must match the image (a changed value is
 // rejected): that state was baked in at compile time and a load cannot
 // re-derive it.
 //
@@ -54,9 +54,6 @@ func LoadSession(r io.Reader, opts ...Option) (*Session, error) {
 	}
 	if !equalShape(cfg.InputShape, stored.InputShape) {
 		return nil, fmt.Errorf("arch: load: image was compiled for input shape %v, not %v", stored.InputShape, cfg.InputShape)
-	}
-	if cfg.Wear != stored.Wear {
-		return nil, fmt.Errorf("arch: load: wear mode cannot be enabled on a loaded session; compile one instead")
 	}
 	return loadSession(p, cfg)
 }
@@ -100,8 +97,6 @@ func loadSessionModel(p *image.Payload, model *convert.Converted, cfg sessionCon
 func chipFromImage(spec *image.ChipSpec) *Chip {
 	ch := NewChip(spec.Device, spec.Crossbar, nil)
 	ch.WMax = spec.WMax
-	ch.FaultRate = spec.FaultRate
-	ch.FaultMode = crossbar.FaultMode(spec.FaultMode)
 	if spec.Rel != nil {
 		rel := *spec.Rel
 		ch.Rel = &rel

@@ -14,8 +14,10 @@ import (
 // have not mutated since compile (or since the last scrub), retention
 // ageing and fault onset hooks for chaos injection, and Scrub — the
 // in-service refresh + re-BIST pass that session pools run between
-// batches. Compile-time protection (BIST, sparing, retirement) defends a
-// chip once; this layer is what keeps a long-running replica honest.
+// batches. Runs never mutate the arrays; these three hooks and
+// compile-time injection are the only events that do. Compile-time
+// protection (BIST, sparing, retirement) defends a chip once; this layer
+// is what keeps a long-running replica honest.
 
 // forEachSuperTile visits every super-tile the compiled pipeline routes
 // reads through, in the fixed pipeline order (spiking cores, their spill
@@ -83,8 +85,8 @@ func (s *Session) AgeRetention(steps int64) {
 	if steps <= 0 {
 		return
 	}
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	s.forEachSuperTile(func(st *SuperTile) {
 		st.Tick(steps)
 		if age := st.MaxAge(); age > s.chip.health.MaxDriftAge {
@@ -100,8 +102,8 @@ func (s *Session) AgeRetention(steps int64) {
 // for a fixed seed. It returns the number of devices stuck. Callers must
 // ensure no run is in flight.
 func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar.FaultMode) int {
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	r := rng.New(seed)
 	n := 0
 	s.forEachSuperTile(func(st *SuperTile) {
@@ -112,14 +114,13 @@ func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar
 }
 
 // Scrub is the online maintenance pass: every array is refreshed
-// (pairs rewritten to their programmed targets, undoing retention drift
-// and read disturb) and then re-BIST scanned, the frozen read kernels
-// are rebaked, and the generation stamps are renewed. The returned
-// report covers this pass only — ArraysScanned/PairsScanned/ScanReads
-// for the scan, FaultsFound and Unmitigated for the residual faulty
-// pairs that survived the rewrite (permanently stuck or weak devices),
-// Refreshes for the scrub work — so a router can feed it straight into
-// Report.Healthy.
+// (pairs rewritten to their programmed targets, undoing retention drift)
+// and then re-BIST scanned, the frozen read kernels are rebaked, and the
+// generation stamps are renewed. The returned report covers this pass
+// only — ArraysScanned/PairsScanned/ScanReads for the scan, FaultsFound
+// and Unmitigated for the residual faulty pairs that survived the
+// rewrite (permanently stuck or weak devices), Refreshes for the scrub
+// work — so a router can feed it straight into Report.Healthy.
 //
 // When the chip carries a reliability config and the residual fault
 // fraction exceeds its policy threshold, Scrub returns a
@@ -131,8 +132,8 @@ func (s *Session) InjectStuckFaults(seed uint64, fraction float64, mode crossbar
 // with any Run/RunBatch on the same session; pools hold the replica's
 // exclusive lock across it.
 func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
-	s.wearMu.Lock()
-	defer s.wearMu.Unlock()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 
 	var rpt reliability.Report
 	var ctxErr error
@@ -166,9 +167,7 @@ func (s *Session) Scrub(ctx context.Context) (reliability.Report, error) {
 	// The arrays are back at their programmed targets (minus whatever is
 	// permanently stuck); freeze them again and renew the stamps so the
 	// session is Pristine for the next run.
-	if !s.cfg.Wear {
-		s.bakeKernels()
-	}
+	s.bakeKernels()
 	s.stampGenerations()
 
 	if s.chip.Rel != nil && rpt.PairsScanned > 0 &&

@@ -14,8 +14,8 @@ import (
 
 // This file wires the reliability subsystem into the chip: fault
 // injection and the BIST/repair pipeline at core-programming time, tile
-// retirement, the degradation policy, retention ticking during runs, and
-// the chip-scale HealthScan behind `nebula-sim -health`.
+// retirement, the degradation policy, and the chip-scale HealthScan
+// behind `nebula-sim -health`.
 
 // protect injects the configured fault profile into a freshly programmed
 // super-tile and runs the protection pipeline over its configured slots.
@@ -72,38 +72,6 @@ func (ch *Chip) Health() reliability.Report { return ch.health }
 
 // ResetHealth clears the cumulative reliability report.
 func (ch *Chip) ResetHealth() { ch.health = reliability.Report{} }
-
-// tickRetention advances the retention clock of every stateful core by
-// one timestep and runs the scrub policy. t is the zero-based timestep
-// just completed.
-func (ch *Chip) tickRetention(stages []*stageHW, t int) {
-	if ch.Rel == nil || ch.Rel.Faults.DriftTauSteps <= 0 {
-		return
-	}
-	scrub := ch.Rel.Policy.ScrubEverySteps > 0 &&
-		ch.Rel.Protection >= reliability.ProtectWriteVerify &&
-		(t+1)%ch.Rel.Policy.ScrubEverySteps == 0
-	tick := func(st *SuperTile) {
-		st.Tick(1)
-		if scrub {
-			st.Refresh()
-			ch.health.Refreshes++
-		}
-		if age := st.MaxAge(); age > ch.health.MaxDriftAge {
-			ch.health.MaxDriftAge = age
-		}
-	}
-	for _, s := range stages {
-		if s.snnCore != nil && s.snnCore.ST.Slots() > 0 {
-			tick(s.snnCore.ST)
-		}
-		if s.spill != nil {
-			for _, st := range s.spill.blocks {
-				tick(st)
-			}
-		}
-	}
-}
 
 // HealthScan is the chip-scale BIST pass behind `nebula-sim -health`: it
 // provisions the neural cores of a mapped workload, programs each with

@@ -31,18 +31,12 @@ func TestSuperTileRetireRelocatesSlot(t *testing.T) {
 	for i := range in {
 		in[i] = r.Float64()
 	}
-	before, err := st.Evaluate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := evalST(t, st, in)
 	for round := 0; round < mapping.ACsPerNC-1; round++ {
 		if !st.Retire(0) {
 			t.Fatalf("retirement %d refused with spares left", round)
 		}
-		after, err := st.Evaluate(in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		after := evalST(t, st, in)
 		// Reprogramming from stored pair targets round-trips exactly.
 		for c := range after {
 			if after[c] != before[c] {
@@ -169,40 +163,5 @@ func TestHealthScanDeterministicAndScrub(t *testing.T) {
 	}
 	if r3 == r1 {
 		t.Fatal("different seeds produced identical scans")
-	}
-}
-
-func TestRetentionScrubResetsDriftAge(t *testing.T) {
-	c, te := chipFixture(t)
-	rel := &reliability.Config{
-		Faults:     reliability.FaultProfile{DriftTauSteps: 200},
-		Protection: reliability.ProtectWriteVerify,
-		Policy:     reliability.DefaultPolicy(),
-	}
-	rel.Policy.ScrubEverySteps = 4
-	chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
-	chip.Rel = rel
-	img, _ := te.Sample(0)
-	if _, err := snnOnce(chip, c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
-	}
-	h := chip.Health()
-	if h.Refreshes == 0 {
-		t.Fatalf("no scrub refreshes over 10 steps at period 4: %+v", h)
-	}
-	// Scrubbing every 4 steps bounds the drift age below the period.
-	if h.MaxDriftAge >= 4 {
-		t.Fatalf("scrub did not bound drift age: %d", h.MaxDriftAge)
-	}
-	// Without scrubbing the age grows to the full window.
-	chip2 := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(95))
-	rel2 := *rel
-	rel2.Policy.ScrubEverySteps = 0
-	chip2.Rel = &rel2
-	if _, err := snnOnce(chip2, c, img, 10, snn.NewPoissonEncoder(1.0, rng.New(1))); err != nil {
-		t.Fatal(err)
-	}
-	if h2 := chip2.Health(); h2.MaxDriftAge != 10 {
-		t.Fatalf("unscrubbed drift age %d, want 10", h2.MaxDriftAge)
 	}
 }

@@ -21,9 +21,8 @@ import (
 
 // SaveImage writes the session's chip image to w: everything needed to
 // rehydrate an equivalent session with LoadSession, skipping
-// programming, fault injection and the BIST/protect pipeline. Wear-mode
-// sessions and sessions with caller-supplied encoders are not imageable
-// and return an error.
+// programming, fault injection and the BIST/protect pipeline. Sessions
+// with caller-supplied encoders are not imageable and return an error.
 func (s *Session) SaveImage(w io.Writer) error {
 	p, err := s.imagePayload()
 	if err != nil {
@@ -34,9 +33,6 @@ func (s *Session) SaveImage(w io.Writer) error {
 
 // imagePayload assembles the session's image payload.
 func (s *Session) imagePayload() (*image.Payload, error) {
-	if s.cfg.Wear {
-		return nil, fmt.Errorf("arch: wear session is not imageable: its runs mutate the programmed arrays")
-	}
 	if s.cfg.sharedEnc != nil || s.cfg.encCustom {
 		return nil, fmt.Errorf("arch: session with a caller-supplied encoder is not imageable: the encoder has no serializable form")
 	}
@@ -56,13 +52,11 @@ func (s *Session) imagePayload() (*image.Payload, error) {
 // for the compile-cache key).
 func (ch *Chip) imageSpec() image.ChipSpec {
 	spec := image.ChipSpec{
-		Device:    ch.P,
-		Crossbar:  ch.Cfg,
-		WMax:      ch.WMax,
-		FaultRate: ch.FaultRate,
-		FaultMode: int(ch.FaultMode),
-		HadNoise:  ch.noise != nil,
-		Health:    ch.health,
+		Device:   ch.P,
+		Crossbar: ch.Cfg,
+		WMax:     ch.WMax,
+		HadNoise: ch.noise != nil,
+		Health:   ch.health,
 	}
 	if ch.Rel != nil {
 		rel := *ch.Rel
@@ -88,7 +82,6 @@ func imageConfig(c CompileConfig) image.SessionConfig {
 		Seed:        c.Seed,
 		SeedSet:     c.SeedSet,
 		InputShape:  append([]int(nil), c.InputShape...),
-		Wear:        c.Wear,
 	}
 }
 
@@ -102,7 +95,6 @@ func configFromImage(c image.SessionConfig) CompileConfig {
 		Seed:        c.Seed,
 		SeedSet:     c.SeedSet,
 		InputShape:  append([]int(nil), c.InputShape...),
-		Wear:        c.Wear,
 	}
 }
 

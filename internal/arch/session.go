@@ -112,8 +112,6 @@ type CompileConfig struct {
 	// InputShape is the declared input tensor shape (c, h, w), when
 	// given. Spiking convolution stages require it.
 	InputShape []int
-	// Wear enables per-evaluation wear modelling (serializes runs).
-	Wear bool
 }
 
 // Options reconstructs a functional-option list that reproduces this
@@ -124,7 +122,6 @@ func (c CompileConfig) Options() []Option {
 		WithTimesteps(c.Timesteps),
 		WithHybridSplit(c.HybridSplit),
 		WithParallelism(c.Parallelism),
-		WithWear(c.Wear),
 	}
 	if len(c.InputShape) > 0 {
 		opts = append(opts, WithInputShape(c.InputShape...))
@@ -163,7 +160,6 @@ func (c CompileConfig) Hash() string {
 	for _, d := range c.InputShape {
 		put(uint64(int64(d)))
 	}
-	putBool(c.Wear)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -268,21 +264,17 @@ func WithImageCacheMetrics(m image.Metrics) Option {
 // rejects mismatched schemas).
 func WithObserver(rec *obs.Recorder) Option { return func(c *sessionConfig) { c.rec = rec } }
 
-// WithWear(true) makes every run model per-evaluation wear: crossbar
-// reads apply read disturb and shared activity counters, the retention clock ticks (and the scrub
-// policy runs) per timestep, and spikes traverse the shared mesh. Wear
-// mutates the programmed arrays, so wear sessions always execute
-// sequentially regardless of WithParallelism.
-func WithWear(on bool) Option { return func(c *sessionConfig) { c.Wear = on } }
-
 // defaultSessionSeed seeds sessions that set no WithSeed; a fixed
 // constant keeps the default fully reproducible run to run.
 const defaultSessionSeed uint64 = 0x9e3779b97f4a7c15
 
 // Session is a compiled inference pipeline: programmed (and protected)
 // crossbar hardware plus the run configuration. The compiled state is
-// read-only during runs; Run and RunBatch are safe for concurrent use
-// unless the session was compiled WithWear or WithSharedEncoder.
+// read-only during runs — no run mutates an array — so Run and RunBatch
+// are safe for concurrent use unless the session was compiled
+// WithSharedEncoder. The arrays change only through four explicit
+// events: compile-time fault injection and protection (Chip.Rel),
+// AgeRetention, InjectStuckFaults and Scrub.
 type Session struct {
 	chip  *Chip
 	cfg   sessionConfig
@@ -312,9 +304,10 @@ type Session struct {
 	// from which each run draws its two private streams in input order.
 	mu      sync.Mutex
 	streams *rng.Rand
-	// wearMu serializes wear-mode runs, which mutate the programmed
-	// arrays and the chip health report.
-	wearMu sync.Mutex
+	// maintMu serializes the maintenance hooks (AgeRetention,
+	// InjectStuckFaults, Scrub), which mutate the programmed arrays and
+	// the chip health report.
+	maintMu sync.Mutex
 	// genStamp is the per-array generation baseline recorded when the
 	// session was last known good (Compile, Scrub); see Pristine.
 	genStamp []uint64
@@ -433,21 +426,17 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 // observer attached and the known-good generation baseline stamped. The
 // stage hardware must hold its final programmed (or imported) state.
 func (s *Session) finish(healthBefore reliability.Report) error {
-	// Freeze the programmed conductance planes into read kernels. Wear
-	// sessions skip the bake: their reads mutate the arrays, so kernels
-	// would go stale after the first evaluation anyway.
-	if !s.cfg.Wear {
-		s.bakeKernels()
-	}
+	// Freeze the programmed conductance planes into read kernels.
+	s.bakeKernels()
 
 	if !s.cfg.SeedSet {
 		s.cfg.Seed = defaultSessionSeed
 	}
 	s.streams = rng.New(s.cfg.Seed)
 	s.arena.limit = max(s.Parallelism(0), runtime.NumCPU())
-	// Every inter-stage packet crosses the fixed engine placement — the
-	// same adjacent pair the wear path drives through Mesh.Send.
-	s.engineHops = int64(s.chip.Mesh.Hops(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}))
+	// Every inter-stage packet crosses the fixed engine placement: one
+	// adjacent pair of nodes on the default mesh.
+	s.engineHops = int64(noc.New(noc.DefaultConfig()).Hops(noc.Node{X: 0, Y: 0}, noc.Node{X: 1, Y: 0}))
 	if s.cfg.rec != nil {
 		if err := s.attachObserver(s.cfg.rec, healthBefore); err != nil {
 			return err
@@ -535,7 +524,7 @@ func (s *Session) Config() CompileConfig {
 
 // Parallelism returns the worker bound RunBatch will use for n inputs.
 func (s *Session) Parallelism(n int) int {
-	if s.cfg.Wear || s.cfg.sharedEnc != nil {
+	if s.cfg.sharedEnc != nil {
 		return 1
 	}
 	p := s.cfg.Parallelism

@@ -210,8 +210,4 @@ func TestSessionSharedEncoderSerializes(t *testing.T) {
 	if p := sess.Parallelism(16); p != 1 {
 		t.Fatalf("shared-encoder session parallelism = %d, want 1", p)
 	}
-	wear := compileSession(t, c, WithMode(ModeANN), WithWear(true), WithParallelism(8))
-	if p := wear.Parallelism(16); p != 1 {
-		t.Fatalf("wear session parallelism = %d, want 1", p)
-	}
 }

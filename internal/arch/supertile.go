@@ -244,44 +244,6 @@ func (st *SuperTile) NULevel() mapping.NULevel {
 	}
 }
 
-// Evaluate drives one input vector (length Rf, values in [0, 1]) through
-// the configured arrays and returns the K column dot products, aggregated
-// across the stack by Kirchhoff current summation — no digitization.
-//
-// Evaluate models wear on the constituent arrays (read disturb, shared
-// activity counters) and must not be called concurrently; wear-free
-// readers use EvaluateReadPacked or EvaluateReadInto.
-func (st *SuperTile) Evaluate(input []float64) ([]float64, error) {
-	if st.stack == 0 {
-		return nil, fmt.Errorf("arch: super-tile not programmed")
-	}
-	if len(input) != st.rows {
-		return nil, fmt.Errorf("arch: input length %d, want Rf %d", len(input), st.rows)
-	}
-	out := make([]float64, st.cols)
-	slice := make([]float64, mapping.M)
-	for s := 0; s < st.sets; s++ {
-		colLo := s * mapping.M
-		colHi := min(colLo+mapping.M, st.cols)
-		for h := 0; h < st.stack; h++ {
-			rowLo := h * mapping.M
-			rowHi := min(rowLo+mapping.M, st.rows)
-			clear(slice)
-			copy(slice, input[rowLo:rowHi])
-			part, err := st.ac(s, h).MAC(slice)
-			if err != nil {
-				return nil, err
-			}
-			// SL current summation: partial dot products add in the
-			// current domain across the vertical stack (§IV-B3).
-			for c := colLo; c < colHi; c++ {
-				out[c] += part[c-colLo]
-			}
-		}
-	}
-	return out, nil
-}
-
 // GenSum folds the generation stamps of the configured arrays (through
 // the retirement indirection) into one fingerprint. Any mutation of
 // read-visible state — reprogramming, fault injection, retention
@@ -324,10 +286,12 @@ type EvalScratch struct {
 	dense  []float64 // a binary plane's rebuilt values for the packed-path fallback
 }
 
-// EvaluateReadInto is Evaluate through the wear-free crossbar read path,
-// writing the K column sums into a caller-provided buffer of length K:
-// noise draws come from the caller's stream and activity lands in the
-// caller's stats, so concurrent goroutines may evaluate one programmed
+// EvaluateReadInto drives one input vector (length Rf, values in [0, 1])
+// through the configured arrays and writes the K column dot products,
+// aggregated across the stack by Kirchhoff current summation (no
+// digitization), into a caller-provided buffer of length K. Noise draws
+// come from the caller's stream and activity lands in the caller's
+// stats, so concurrent goroutines may evaluate one programmed
 // super-tile as long as nothing reprograms, retires, ticks or refreshes
 // it meanwhile. The active-row list is gathered once per call instead
 // of once per atomic crossbar. It is the reference walk's read.
@@ -530,7 +494,8 @@ func (st *SuperTile) Utilization() float64 {
 	return float64(st.rows*st.cols) / float64(st.stack*st.sets*mapping.M*mapping.M)
 }
 
-// Stats aggregates activity counters across the configured ACs.
+// Stats aggregates the configured ACs' own counters (programming
+// energy; see crossbar.Crossbar.Stats).
 func (st *SuperTile) Stats() crossbar.Stats {
 	var total crossbar.Stats
 	for _, ac := range st.acs {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/spikeplane"
@@ -252,38 +253,6 @@ func TestSessionReferenceIdentity(t *testing.T) {
 	}
 }
 
-// TestWearSessionMatchesPlain pins that wear runs, whose mutating read
-// is dense, still see every conv window's values: on a fault-free chip
-// a WithWear(true) session returns the same outputs as a plain session
-// bit for bit, over runs long enough for read disturb and retention to
-// act on both.
-func TestWearSessionMatchesPlain(t *testing.T) {
-	for _, m := range walkMatrix(t) {
-		if m.name != "snn-dwconv" && m.name != "hybrid-lenet" {
-			continue
-		}
-		t.Run(m.name, func(t *testing.T) {
-			ctx := context.Background()
-			plain := compileWalkSession(t, m.c, 0, m.opts...)
-			wear := compileWalkSession(t, m.c, 0, append(append([]Option(nil), m.opts...), WithWear(true))...)
-			for i, img := range m.imgs {
-				want, err := plain.Run(ctx, img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := wear.Run(ctx, img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(got.Output.Data(), want.Output.Data()) || got.Spikes != want.Spikes {
-					t.Fatalf("input %d: wear run %v (%d spikes) != plain run %v (%d spikes)",
-						i, got.Output.Data(), got.Spikes, want.Output.Data(), want.Spikes)
-				}
-			}
-		})
-	}
-}
-
 // TestSessionProductionEngagesPlanes pins that the identity matrix
 // compares two different walks: production spiking runs read through
 // packed planes (noisy ones too), the hybrid MobileNet's ANN tail
@@ -312,10 +281,6 @@ func TestSessionProductionEngagesPlanes(t *testing.T) {
 				t.Fatal("the ANN tail should start with a conv stage whose gather table was derived at compile")
 			}
 		}
-	}
-	wear := compileWalkSession(t, walkMatrix(t)[0].c, 0, WithMode(ModeSNN), WithTimesteps(4), WithWear(true))
-	if _, err := wear.RunReference(context.Background(), walkMatrix(t)[0].imgs[0]); err == nil {
-		t.Fatal("RunReference accepted a wear session")
 	}
 }
 
@@ -553,19 +518,63 @@ func TestCompileBakesKernels(t *testing.T) {
 	}
 }
 
-// TestWearSessionSkipsBake pins that wear sessions never compile onto
-// the fast path: their reads mutate the arrays per evaluation.
-func TestWearSessionSkipsBake(t *testing.T) {
-	c, _ := chipFixture(t)
-	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(20), WithWear(true))
-	for _, hw := range sess.snnStages {
-		if hw.snnCore == nil {
-			continue
-		}
-		for _, slot := range hw.snnCore.ST.slotAC {
-			if hw.snnCore.ST.acs[slot].KernelFresh() {
-				t.Fatal("wear session compiled with a baked kernel")
-			}
+// TestRunsNeverMutateArrays pins the single degradation model: a run
+// reads the programmed arrays and changes nothing on them. Every SNN,
+// ANN and hybrid row of the walk matrix compiles on a chip whose
+// reliability config injects device and line faults, ages with
+// retention drift and protects with spare-line remapping, and — to
+// cover the skipping walk as well — on a noiseless fault-free chip.
+// After Run, RunBatch and RunReference the session must still be
+// Pristine, every routed array's kernel still fresh, and the chip's
+// health report unchanged. Only compile-time injection, AgeRetention,
+// InjectStuckFaults and Scrub may change an array.
+func TestRunsNeverMutateArrays(t *testing.T) {
+	chips := map[string]func() *Chip{
+		"faulty": func() *Chip {
+			ch := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(61))
+			ch.Rel = reliability.StudyConfig(0.01, reliability.ProtectSpareRemap)
+			ch.Rel.Faults.DriftTauSteps = 200
+			return ch
+		},
+		"noiseless": func() *Chip { return NewChip(device.DefaultParams(), crossbar.Config{}, nil) },
+	}
+	ctx := context.Background()
+	for _, m := range walkMatrix(t) {
+		for name, newChip := range chips {
+			t.Run(m.name+"/"+name, func(t *testing.T) {
+				ch := newChip()
+				sess, err := ch.Compile(m.c, m.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				health := ch.Health()
+				if ch.Rel != nil && health.DevicesFaulted == 0 {
+					t.Fatal("faulty chip injected no device faults")
+				}
+				imgs := m.imgs[:min(3, len(m.imgs))]
+				if _, err := sess.Run(ctx, imgs[0]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.RunBatch(ctx, imgs); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sess.RunReference(ctx, imgs[0]); err != nil {
+					t.Fatal(err)
+				}
+				if !sess.Pristine() {
+					t.Fatal("runs changed an array's generation stamp")
+				}
+				sess.forEachSuperTile(func(st *SuperTile) {
+					for slot := 0; slot < st.Slots(); slot++ {
+						if !st.SlotCrossbar(slot).KernelFresh() {
+							t.Fatalf("slot %d kernel stale after runs", slot)
+						}
+					}
+				})
+				if got := ch.Health(); got != health {
+					t.Fatalf("runs changed the health report:\n%+v\n%+v", health, got)
+				}
+			})
 		}
 	}
 }

@@ -12,9 +12,9 @@
 //
 // The array also carries the device-level reliability model consumed by
 // package reliability: persistent per-device fault records (stuck and
-// weak devices survive reprogramming), dead row/column lines, read
-// disturb, retention drift, and spare lines reachable through a logical→
-// physical line indirection. See faults.go.
+// weak devices survive reprogramming), dead row/column lines, retention
+// drift, and spare lines reachable through a logical→physical line
+// indirection. See faults.go.
 package crossbar
 
 import (
@@ -67,11 +67,6 @@ type Config struct {
 	// for dead-line remapping by the reliability layer. Zero disables
 	// sparing and keeps the array purely logical.
 	SpareRows, SpareCols int
-	// ReadDisturbProb is the per-device per-evaluation probability that a
-	// read pulse nudges a stored domain wall one pinning site toward AP
-	// (a transient retention upset). Requires a noise generator; zero
-	// disables the effect.
-	ReadDisturbProb float64
 	// DriftTauSteps is the retention time constant in elapsed timesteps
 	// (advanced by Tick): read currents decay by exp(-age/τ) as the
 	// programmed walls relax toward their unpinned rest state. Zero
@@ -118,8 +113,8 @@ type Crossbar struct {
 
 	// wmax maps level States-1 to weight magnitude wmax.
 	wmax float64
-	// stats accumulates activity counters; readers fold deltas into
-	// their own Stats, so the shared counters never feed a read result.
+	// stats accumulates programming activity; reads account into the
+	// caller's Stats, so the array's counters never feed a read result.
 	//nebula:genstamp-exempt activity accounting, not read-visible state
 	stats Stats
 	noise *rng.Rand
@@ -239,44 +234,14 @@ func (c *Crossbar) EffectiveWeight(row, col int) float64 {
 	return float64(c.levelPlus[i]-c.levelMinus[i]) / float64(states-1) * c.wmax
 }
 
-// MAC drives the rows with input levels in [0, 1] (bit-line voltage as a
-// fraction of VRead) and returns the per-column dot products in weight
-// units, as thresholded by the neuron units. Column read currents are
-// derived from the device conductances, so quantization, IR drop, read
-// noise, dead lines, retention drift and read disturb all act on the
-// result.
-//
-// MAC models wear: every call may disturb stored walls and mutates the
-// array's shared activity counters, so it must not be called concurrently.
-// Sessions that freeze the programmed conductances use MACReadInto
-// instead.
-func (c *Crossbar) MAC(input []float64) ([]float64, error) {
-	out, active, currentSum, err := c.macCompute(input, c.noise)
-	if err != nil {
-		return nil, err
-	}
-	c.applyReadDisturb(active)
-	c.stats.MACs++
-	c.stats.ActiveRowSum += int64(active)
-	c.stats.OutputCurrentUA += currentSum
-	return out, nil
-}
-
-// macCompute is the dense analog evaluation shared by MAC and the
-// kernel-free read path. It reads only programmed state (levels, line
-// maps, age) and the supplied noise stream, never the receiver's mutable
-// wear state.
-func (c *Crossbar) macCompute(input []float64, noise *rng.Rand) (out []float64, active int, currentSum float64, err error) {
-	out = make([]float64, c.Cols)
-	active, currentSum, err = c.macComputeInto(out, input, noise)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return out, active, currentSum, nil
-}
-
-// macComputeInto is macCompute writing into a caller-provided buffer of
-// length Cols. Every element of dst is assigned.
+// macComputeInto is the dense analog read: it drives the rows with input
+// levels in [0, 1] (bit-line voltage as a fraction of VRead) and writes
+// the per-column dot products in weight units, as thresholded by the
+// neuron units, into dst (length Cols; every element is assigned).
+// Column read currents are derived from the device conductances, so
+// quantization, IR drop, read noise, dead lines and retention drift all
+// act on the result. It reads only programmed state (levels, line maps,
+// age) and the supplied noise stream; MACReadInto is its public entry.
 func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active int, currentSum float64, err error) {
 	if len(input) != c.Rows {
 		return 0, 0, fmt.Errorf("crossbar: input length %d, want %d rows", len(input), c.Rows)
@@ -327,11 +292,9 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 	return active, currentSum, nil
 }
 
-// Stats returns a copy of the accumulated activity counters.
+// Stats returns a copy of the array's own counters: programming energy
+// (reads account into their caller's Stats).
 func (c *Crossbar) Stats() Stats { return c.stats }
-
-// ResetStats clears the activity counters (not the programmed weights).
-func (c *Crossbar) ResetStats() { c.stats = Stats{} }
 
 // Utilization returns the fraction of synapses with a non-zero programmed
 // level, the quantity behind the paper's morphable-tile motivation.

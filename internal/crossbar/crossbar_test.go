@@ -52,10 +52,7 @@ func TestMACMatchesIdealWithinQuantization(t *testing.T) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
-	got, err := cb.MAC(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readInto(t, cb, x, nil, 0, nil)
 	want := idealDot(w, x)
 	// Max quantization error per weight is wmax/(2·(states−1)); summed over
 	// rows with |x|≤1 that bounds the dot-product error.
@@ -76,10 +73,7 @@ func TestMACExactOnGridWeights(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cb.MAC([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readInto(t, cb, []float64{1, 1}, nil, 0, nil)
 	want := []float64{q*5 + q*15, -q * 3}
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -110,7 +104,7 @@ func TestNegativeWeightUsesMinusDevice(t *testing.T) {
 	if got := cb.EffectiveWeight(0, 0); got != -1 {
 		t.Fatalf("effective weight %v, want -1", got)
 	}
-	out, _ := cb.MAC([]float64{1})
+	out := readInto(t, cb, []float64{1}, nil, 0, nil)
 	if out[0] != -1 {
 		t.Fatalf("MAC with negative weight: %v", out[0])
 	}
@@ -123,8 +117,8 @@ func TestZeroInputRowsInactive(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	cb.MAC([]float64{0, 0, 1, 0})
-	s := cb.Stats()
+	var s Stats
+	readInto(t, cb, []float64{0, 0, 1, 0}, nil, 0, &s)
 	if s.ActiveRowSum != 1 {
 		t.Fatalf("active rows %d, want 1", s.ActiveRowSum)
 	}
@@ -141,15 +135,15 @@ func TestIRDropAttenuates(t *testing.T) {
 	clean.Program(w, 1)
 	droopy.Program(w, 1)
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	a, _ := clean.MAC(x)
-	b, _ := droopy.MAC(x)
+	a := readInto(t, clean, x, nil, 0, nil)
+	b := readInto(t, droopy, x, nil, 0, nil)
 	if b[0] >= a[0] {
 		t.Fatalf("IR drop did not attenuate: %v vs %v", b[0], a[0])
 	}
 	// Fewer active rows → less droop (relative attenuation closer to 1).
 	xSparse := []float64{1, 0, 0, 0, 0, 0, 0, 0}
-	aS, _ := clean.MAC(xSparse)
-	bS, _ := droopy.MAC(xSparse)
+	aS := readInto(t, clean, xSparse, nil, 0, nil)
+	bS := readInto(t, droopy, xSparse, nil, 0, nil)
 	if bS[0]/aS[0] <= b[0]/a[0] {
 		t.Fatalf("sparse input should droop less: %v vs %v", bS[0]/aS[0], b[0]/a[0])
 	}
@@ -158,11 +152,18 @@ func TestIRDropAttenuates(t *testing.T) {
 func TestReadNoisePerturbs(t *testing.T) {
 	p := device.DefaultParams()
 	w := tensor.New(4, 1).Fill(0.5)
-	cb := New(4, 1, p, Config{ReadNoiseSigma: 0.05}, rng.New(3))
+	cb := New(4, 1, p, Config{ReadNoiseSigma: 0.05}, nil)
 	cb.Program(w, 1)
 	x := []float64{1, 1, 1, 1}
-	a, _ := cb.MAC(x)
-	b, _ := cb.MAC(x)
+	noise := rng.New(3)
+	a := make([]float64, 1)
+	b := make([]float64, 1)
+	if err := cb.MACReadInto(a, x, nil, noise, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.MACReadInto(b, x, nil, noise, nil); err != nil {
+		t.Fatal(err)
+	}
 	if a[0] == b[0] {
 		t.Fatal("noisy MAC returned identical results")
 	}
@@ -204,7 +205,7 @@ func TestUtilization(t *testing.T) {
 
 func TestMACInputLengthCheck(t *testing.T) {
 	cb := New(4, 2, device.DefaultParams(), Config{}, nil)
-	if _, err := cb.MAC([]float64{1}); err == nil {
+	if err := cb.MACReadInto(make([]float64, 2), []float64{1}, nil, nil, nil); err == nil {
 		t.Fatal("short input accepted")
 	}
 }
@@ -218,9 +219,10 @@ func BenchmarkMAC128(b *testing.B) {
 	for i := range x {
 		x[i] = r.Float64()
 	}
+	out := make([]float64, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.MAC(x)
+		cb.MACReadInto(out, x, nil, nil, nil)
 	}
 }
 
@@ -285,10 +287,7 @@ func TestInjectStuckFaults(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	out, err := cb.MAC(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := readInto(t, cb, x, nil, 0, nil)
 	for _, v := range out {
 		if v != v || v < -16 || v > 16 {
 			t.Fatalf("fault corrupted MAC beyond physical range: %v", v)
@@ -308,7 +307,7 @@ func TestStuckPBiasesPositive(t *testing.T) {
 	cb.Program(tensor.New(8, 1), 1) // all-zero weights
 	cb.InjectStuckFaults(rng.New(5), 1.0, StuckP)
 	// All plus and minus devices stuck at max → differential cancels.
-	out, _ := cb.MAC([]float64{1, 1, 1, 1, 1, 1, 1, 1})
+	out := readInto(t, cb, []float64{1, 1, 1, 1, 1, 1, 1, 1}, nil, 0, nil)
 	if out[0] != 0 {
 		t.Fatalf("fully symmetric stuck-P should cancel: %v", out[0])
 	}

@@ -418,7 +418,7 @@ func (c *Crossbar) SparesLeft() (rows, cols int) {
 
 // Refresh rewrites every logical pair to its programmed target (honoring
 // fault records) and resets the retention clock — the scrub operation
-// that undoes drift and accumulated read disturb.
+// that undoes retention drift.
 func (c *Crossbar) Refresh() {
 	c.invalidate()
 	for r := 0; r < c.Rows; r++ {
@@ -442,40 +442,6 @@ func (c *Crossbar) TargetWeights() (*tensor.Tensor, float64) {
 		}
 	}
 	return w, c.wmax
-}
-
-// applyReadDisturb models transient read upsets: each evaluation gives
-// every device on a driven row a small chance of its wall slipping one
-// pinning site toward AP. The expected number of events is
-// ReadDisturbProb·active·2·Cols; the simulator draws the event count from
-// a Poisson of that mean and picks victims uniformly, which preserves the
-// statistics without a per-device Bernoulli in the hot loop.
-func (c *Crossbar) applyReadDisturb(active int) {
-	p := c.Cfg.ReadDisturbProb
-	if p <= 0 || c.noise == nil || active == 0 || c.Rows == 0 || c.Cols == 0 {
-		return
-	}
-	lam := p * float64(active) * float64(2*c.Cols)
-	n := c.noise.Poisson(lam)
-	if n == 0 {
-		return
-	}
-	c.invalidate()
-	c.ensurePlanes()
-	for i := 0; i < n; i++ {
-		pr := c.rowMap[c.noise.Intn(c.Rows)]
-		pc := c.colMap[c.noise.Intn(c.Cols)]
-		pi := pr*c.physCols + pc
-		if c.noise.Bernoulli(0.5) {
-			if c.levelPlus[pi] > 0 {
-				c.levelPlus[pi]--
-			}
-		} else {
-			if c.levelMinus[pi] > 0 {
-				c.levelMinus[pi]--
-			}
-		}
-	}
 }
 
 func clampLevel(level, states int) int {

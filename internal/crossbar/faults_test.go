@@ -31,10 +31,7 @@ func TestStuckAPPairCancelsExactly(t *testing.T) {
 		// Drive only the faulted row: the faulted column must read 0.
 		x := make([]float64, rows)
 		x[row] = 1
-		out, err := cb.MAC(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := readInto(t, cb, x, nil, 0, nil)
 		if out[col] != 0 {
 			t.Fatalf("trial %d: stuck-AP pair MAC contribution %v, want exactly 0", trial, out[col])
 		}
@@ -65,10 +62,7 @@ func TestStuckPContributesFullScale(t *testing.T) {
 		}
 		x := make([]float64, rows)
 		x[row] = 1
-		out, err := cb.MAC(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := readInto(t, cb, x, nil, 0, nil)
 		if math.Abs(out[col]-want) > 1e-12 {
 			t.Fatalf("trial %d: stuck-P MAC %v, want %v", trial, out[col], want)
 		}
@@ -232,15 +226,9 @@ func TestRetentionDriftAndRefresh(t *testing.T) {
 	if err := cb.Program(w, 1); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := cb.MAC([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := readInto(t, cb, []float64{1, 1}, nil, 0, nil)
 	cb.Tick(100)
-	aged, err := cb.MAC([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	aged := readInto(t, cb, []float64{1, 1}, nil, 0, nil)
 	wantScale := math.Exp(-100.0 / 50.0)
 	if math.Abs(aged[0]-fresh[0]*wantScale) > 1e-9 {
 		t.Fatalf("drift scale: aged %v, fresh %v, want factor %v", aged[0], fresh[0], wantScale)
@@ -249,10 +237,7 @@ func TestRetentionDriftAndRefresh(t *testing.T) {
 	if cb.Age() != 0 {
 		t.Fatalf("refresh did not reset age: %d", cb.Age())
 	}
-	restored, err := cb.MAC([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := readInto(t, cb, []float64{1, 1}, nil, 0, nil)
 	if restored[0] != fresh[0] {
 		t.Fatalf("refresh did not restore current: %v vs %v", restored[0], fresh[0])
 	}

@@ -38,11 +38,6 @@ func TestFaultIntrospection(t *testing.T) {
 		t.Fatal("weak device misreported as stuck")
 	}
 
-	cb.ResetStats()
-	if s := cb.Stats(); s.MACs != 0 {
-		t.Fatalf("stats after reset: %+v", s)
-	}
-
 	a := Stats{MACs: 5, ActiveRowSum: 10}
 	d := a.Diff(Stats{MACs: 2, ActiveRowSum: 4})
 	if d.MACs != 3 || d.ActiveRowSum != 6 {

@@ -12,7 +12,7 @@ import (
 // This file is the frozen read kernel of the session fast path. Once a
 // session compiles (programming, fault injection, BIST/protect all
 // done), the conductance planes are immutable for the life of the
-// session, so everything macCompute re-derives per read — the rowMap/
+// session, so everything macComputeInto re-derives per read — the rowMap/
 // colMap line indirection, the level⁺−level⁻ differential, the ΔG
 // scale, the dead-line masks — can be baked once into a flat row-major
 // term plane. MACReadInto then runs an event-driven axpy over only the
@@ -20,7 +20,7 @@ import (
 // O(Rows·Cols) pointer-chasing.
 //
 // The kernel is a pure cache: every result it produces is bitwise
-// identical to the dense macCompute path (enforced by the differential
+// identical to the dense macComputeInto path (enforced by the differential
 // fuzz tests in kernel_test.go), and a generation stamp invalidates it
 // the moment any mutator touches levels, maps, dead lines or the
 // retention clock. A stale kernel is never rebaked implicitly — reads
@@ -46,7 +46,7 @@ type readKernel struct {
 	// word-AND instead of a per-row branch.
 	rowLive []uint64
 	// fullScale is the hoisted output divisor VRead·(States−1)·ΔG; it is
-	// the same deterministic expression macCompute evaluates per column.
+	// the same deterministic expression macComputeInto evaluates per column.
 	fullScale float64
 }
 
@@ -114,10 +114,9 @@ func (c *Crossbar) Generation() uint64 { return c.gen }
 // retention clock must call it.
 func (c *Crossbar) invalidate() { c.gen++ }
 
-// MACReadInto evaluates the same analog dot product as MAC without the
-// wear side effects — no read disturb, no retention-clock interaction,
-// no mutation of the array's shared counters — writing the Cols column
-// sums into dst, so steady-state readers allocate nothing. Read-noise
+// MACReadInto drives the rows with input levels in [0, 1] and writes the
+// Cols analog column sums, in weight units, into dst, so steady-state
+// readers allocate nothing. A read mutates nothing on the array. Read-noise
 // draws come from the caller's stream (nil disables noise) and activity
 // is accumulated into the caller's stats (nil discards it), so any
 // number of goroutines may read one programmed array concurrently, as
@@ -271,7 +270,7 @@ func (k *readKernel) read(c *Crossbar, dst, input []float64, mask []uint64, nois
 
 // ErrStaleKernel is returned by MACReadPacked when no fresh baked
 // kernel exists. Unlike MACReadInto, the packed path has no dense
-// fallback of its own — the packed mask cannot drive macCompute's
+// fallback of its own — the packed mask cannot drive macComputeInto's
 // full-width walk — so the caller must fall back (typically by
 // materializing indices and using MACReadInto).
 var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")

@@ -299,10 +299,8 @@ func TestFreshnessTableMatchesGenstamp(t *testing.T) {
 		}
 	}
 	// The complement direction: mutators the analyzer sees beyond the
-	// table. MAC mutates only through stochastic read disturb (its own
-	// invalidation is exercised by the interleaved property test), and
-	// the unexported helpers are reached through exported entries.
-	known := map[string]bool{"MAC": true, "writeDevice": true, "applyReadDisturb": true}
+	// table. The unexported helper is reached through exported entries.
+	known := map[string]bool{"writeDevice": true}
 	tabled := map[string]bool{}
 	for _, tc := range freshnessTable {
 		tabled[tc.name] = true

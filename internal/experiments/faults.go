@@ -79,7 +79,7 @@ func FaultResilienceSmoke(ctx context.Context) (FaultResilienceResult, error) {
 // point re-derives the chip from the rate's deterministic seed, so the
 // injected defect population at a given rate is identical across curves.
 //
-// Every sample compiles a fresh wear session on the rate's chip, so each
+// Every sample compiles a fresh session on the rate's chip, so each
 // image sees a newly programmed (and newly faulted, and newly repaired)
 // set of cores, and runs it once with its own encoder.
 func FaultResilienceSweep(ctx context.Context, rates []float64, samples, timesteps, nTrain, nTest int) (FaultResilienceResult, error) {
@@ -100,7 +100,7 @@ func FaultResilienceSweep(ctx context.Context, rates []float64, samples, timeste
 			r := rng.New(Seed + 7)
 			for i := 0; i < samples; i++ {
 				img, label := tm.testDS.Sample(i)
-				run, err := runWearSample(ctx, chip, conv, img, timesteps, snn.NewPoissonEncoder(1.0, r.Split()))
+				run, err := runSample(ctx, chip, conv, img, timesteps, snn.NewPoissonEncoder(1.0, r.Split()))
 				if err != nil {
 					var de *reliability.DegradedError
 					if errors.As(err, &de) {
@@ -125,15 +125,14 @@ func FaultResilienceSweep(ctx context.Context, rates []float64, samples, timeste
 	return res, nil
 }
 
-// runWearSample compiles one wear session for img on chip and runs it
-// once with enc.
-func runWearSample(ctx context.Context, chip *arch.Chip, conv *convert.Converted, img *tensor.Tensor, timesteps int, enc snn.Encoder) (*arch.RunResult, error) {
+// runSample compiles one session for img on chip and runs it once with
+// enc.
+func runSample(ctx context.Context, chip *arch.Chip, conv *convert.Converted, img *tensor.Tensor, timesteps int, enc snn.Encoder) (*arch.RunResult, error) {
 	sess, err := chip.Compile(conv,
 		arch.WithMode(arch.ModeSNN),
 		arch.WithTimesteps(timesteps),
 		arch.WithSharedEncoder(enc),
-		arch.WithInputShape(img.Shape()...),
-		arch.WithWear(true))
+		arch.WithInputShape(img.Shape()...))
 	if err != nil {
 		return nil, err
 	}

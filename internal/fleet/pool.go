@@ -55,7 +55,7 @@ type Config struct {
 	// Replicas is the pool size K (≥ 1).
 	Replicas int
 	// Factory compiles a replica. Sessions must be safe for concurrent
-	// runs (not WithWear / WithSharedEncoder); the pool never calls
+	// runs (not WithSharedEncoder); the pool never calls
 	// their own Run entry points, so their WithSeed is irrelevant.
 	Factory Factory
 	// Seed seeds the pool's RNG parent, from which each request

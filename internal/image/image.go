@@ -55,7 +55,7 @@ const (
 	// FormatVersion is the current image format version. Readers reject
 	// any other version: images are cheap to regenerate, so there is no
 	// cross-version migration path, only a clean typed rejection.
-	FormatVersion uint32 = 2
+	FormatVersion uint32 = 3
 	// headerLen is magic + version + payload length.
 	headerLen = len(Magic) + 4 + 8
 	// checksumLen is the SHA-256 trailer.
@@ -127,10 +127,6 @@ type ChipSpec struct {
 	Crossbar crossbar.Config
 	// WMax is the full-scale weight magnitude.
 	WMax float64
-	// FaultRate and FaultMode configure legacy compile-time fault
-	// injection (zero when the reliability config drives injection).
-	FaultRate float64
-	FaultMode int
 	// Rel is the reliability configuration (nil when unprotected).
 	Rel *reliability.Config
 	// HadNoise records whether the chip carried a device-noise source.
@@ -164,9 +160,6 @@ type SessionConfig struct {
 	SeedSet bool
 	// InputShape is the declared input tensor shape, when given.
 	InputShape []int
-	// Wear records a wear-mode session (not imageable; stored for the
-	// error message on load).
-	Wear bool
 }
 
 // TileState is one programmed super-tile: logical geometry, slot→array

@@ -87,9 +87,6 @@ type FaultProfile struct {
 	// RowDeadRate / ColDeadRate are per-line probabilities of a dead
 	// driver or sense amplifier.
 	RowDeadRate, ColDeadRate float64
-	// ReadDisturbProb is forwarded to crossbar.Config: per-device
-	// per-evaluation probability of a one-level transient upset.
-	ReadDisturbProb float64
 	// DriftTauSteps is forwarded to crossbar.Config: the retention time
 	// constant in timesteps (0 disables drift).
 	DriftTauSteps float64
@@ -118,9 +115,6 @@ type Policy struct {
 	// mitigation, more than this fraction of a core's pairs remain
 	// faulty, the run returns a DegradedError instead of computing.
 	MaxUnmitigatedFrac float64
-	// ScrubEverySteps refreshes (rewrites) protected cores every N
-	// timesteps to undo drift and read disturb; 0 disables scrubbing.
-	ScrubEverySteps int
 }
 
 // DefaultPolicy returns the policy used by the paper-reproduction
