@@ -84,14 +84,16 @@ obs-check:
 	@echo "obs snapshots bitwise identical across parallelism"
 
 # Frozen-kernel equivalence gate: the differential fuzz suite proving the
-# baked read kernels (index and packed, noiseless and noisy) are bitwise
-# identical to the dense read, that Compile leaves every routed array
-# baked, and that no run (Run, RunBatch, RunReference) leaves a kernel
-# stale or an array changed, under the race detector (DESIGN.md §10).
-# The session-level identity matrix runs in sparse-check.
+# baked read kernels (index and packed, graded and binary lane reads,
+# noiseless and noisy) are bitwise identical to the dense read, that
+# Compile leaves every routed array baked, and that no run (Run,
+# RunBatch, RunReference) leaves a kernel stale or an array changed,
+# under the race detector, then 10 s of FuzzMACReadKernel (DESIGN.md
+# §10). The session-level identity matrix runs in sparse-check.
 kernel-check:
-	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked'
+	$(GO) test -race -count=1 ./internal/crossbar -run 'TestMACReadKernel|TestKernelInvalidation|TestKernelFresh|TestMACReadPacked|TestMACReadPackedBinary|TestMACReadPackedLaneGuard'
 	$(GO) test -race -count=1 ./internal/arch -run 'TestCompileBakesKernels|TestRunsNeverMutateArrays'
+	$(GO) test -run '^$$' -fuzz '^FuzzMACReadKernel$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/crossbar
 	@echo "frozen kernels bitwise identical to the dense reference"
 
 # Event-driven identity gate (DESIGN.md §15): the packed-plane property
@@ -99,13 +101,14 @@ kernel-check:
 # session-level Run-vs-RunReference identity matrix at parallelism
 # 1/4/NumCPU under the race detector (stale-kernel conv rows and
 # Bernoulli-input rows at 1% and 100% activity included, every
-# production counter equal across parallelism), and the repeat-cache and
-# counter-determinism test. This is the one named gate that runs the
+# production counter equal across parallelism), the repeat-cache and
+# counter-determinism test, and the check that a σ-0 noise generator
+# leaves the skips on. This is the one named gate that runs the
 # identity matrix; `make race` runs it again with the whole suite.
 # Timing lives in _benchmark and `go test -bench BenchmarkSession`.
 sparse-check:
 	$(GO) test -race -count=1 ./internal/spikeplane
-	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestSuperTileEvaluateReadPacked|TestGatherTable|TestGatherBitsMatchPack'
+	$(GO) test -race -count=1 ./internal/arch -run 'TestSessionReferenceIdentity|TestSessionProductionEngagesPlanes|TestSessionEventDrivenSkipsAndRepeats|TestNoiselessGeneratorKeepsSkips|TestSuperTileEvaluateReadPacked|TestGatherTable|TestGatherBitsMatchPack'
 	@echo "production walk bitwise identical to the reference walk"
 
 # Chip-image determinism gate (DESIGN.md §13): two compiles of the same

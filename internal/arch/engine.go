@@ -255,7 +255,7 @@ func (st *runState) reset() {
 // execEnv parameterizes one run's execution regime.
 type execEnv struct {
 	// noise is the run's private read-noise stream (nil when the chip has
-	// no noise generator).
+	// no noise generator or no read noise to draw).
 	noise *rng.Rand
 	// cross collects the run's crossbar activity.
 	cross crossbar.Stats
@@ -1077,7 +1077,11 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if s.rec != nil && !ref {
 		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)
 	}
-	if s.chip.noise != nil {
+	// The noise stream is reserved either way, so no stream position
+	// moves, but only a chip whose reads draw (σ > 0) hands it to the
+	// run: a generator kept only for fault injection must not cost a
+	// noiseless chip its skips.
+	if s.chip.noise != nil && s.chip.Cfg.ReadNoiseSigma > 0 {
 		env.noise = rs.noise
 	}
 	// Skipping requires a nil read-noise stream: noise draws advance per

@@ -452,6 +452,8 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 // into flat read kernels (see crossbar.BakeKernel). Compile is the one
 // point where the arrays are final — programmed, BIST-repaired and
 // protected — and no run is in flight, so baking here is race-free.
+// Spiking stages read binary spike planes and bake the lane plane; ANN
+// cores read graded planes only and bake the graded kernel.
 func (s *Session) bakeKernels() {
 	for _, hw := range s.snnStages {
 		if hw.snnCore != nil {
@@ -465,7 +467,7 @@ func (s *Session) bakeKernels() {
 	}
 	for _, hw := range s.annStages {
 		if hw.core != nil {
-			hw.core.ST.Bake()
+			hw.core.ST.BakeGraded()
 		}
 	}
 }

@@ -270,6 +270,15 @@ func (st *SuperTile) Bake() {
 	}
 }
 
+// BakeGraded is Bake for an ANN core, whose arrays read graded planes
+// only: each array bakes the graded kernel (crossbar BakeGradedKernel),
+// which reads those planes faster and keeps no binary lane plane.
+func (st *SuperTile) BakeGraded() {
+	for slot := 0; slot < st.stack*st.sets; slot++ {
+		st.acs[st.slotAC[slot]].BakeGradedKernel()
+	}
+}
+
 // EvalScratch holds the buffers one reader goroutine reuses across
 // EvaluateReadInto calls: the M-padded per-AC input window, the per-AC
 // partial sums, and the active-row lists regrouped per stack height.
@@ -499,11 +508,7 @@ func (st *SuperTile) Utilization() float64 {
 func (st *SuperTile) Stats() crossbar.Stats {
 	var total crossbar.Stats
 	for _, ac := range st.acs {
-		s := ac.Stats()
-		total.MACs += s.MACs
-		total.ActiveRowSum += s.ActiveRowSum
-		total.OutputCurrentUA += s.OutputCurrentUA
-		total.ProgramEnergyFJ += s.ProgramEnergyFJ
+		total.ProgramEnergyFJ += ac.Stats().ProgramEnergyFJ
 	}
 	return total
 }

@@ -376,6 +376,46 @@ func TestSessionEventDrivenSkipsAndRepeats(t *testing.T) {
 	}
 }
 
+// TestNoiselessGeneratorKeepsSkips pins that a noise generator alone
+// does not turn the skips off: a chip that carries a generator (as every
+// fault-injecting chip must) but reads at σ 0 draws nothing, so its runs
+// must skip and hit the repeat cache exactly like the same chip without
+// a generator — same outputs, same counters, MACs included.
+func TestNoiselessGeneratorKeepsSkips(t *testing.T) {
+	for _, m := range walkMatrix(t) {
+		if m.name != "snn-mlp-bernoulli-1" {
+			continue
+		}
+		run := func(noise *rng.Rand) []*RunResult {
+			sess, err := NewChip(device.DefaultParams(), crossbar.Config{}, noise).Compile(m.c, m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sess.RunBatch(context.Background(), m.imgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		plain, withGen := run(nil), run(rng.New(1))
+		wantHits := int64(9) // T=10 identical all-ones planes: every step after the first
+		for i := range plain {
+			if !sameBits(plain[i].Output.Data(), withGen[i].Output.Data()) {
+				t.Fatalf("image %d: outputs differ with a σ-0 generator: %v vs %v",
+					i, withGen[i].Output.Data(), plain[i].Output.Data())
+			}
+			p, g := *plain[i], *withGen[i]
+			p.Output, g.Output = nil, nil
+			if p != g {
+				t.Fatalf("image %d: counters differ with a σ-0 generator: %+v vs %+v", i, g, p)
+			}
+			if g.RepeatReads != wantHits {
+				t.Fatalf("image %d: %d repeat reads, want %d", i, g.RepeatReads, wantHits)
+			}
+		}
+	}
+}
+
 // directEnc feeds the raw image every timestep (a graded, constant
 // plane) — the workload the timestep-repeat cache exists for.
 type directEnc struct{}

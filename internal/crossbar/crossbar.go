@@ -113,11 +113,12 @@ type Crossbar struct {
 
 	// wmax maps level States-1 to weight magnitude wmax.
 	wmax float64
-	// stats accumulates programming activity; reads account into the
-	// caller's Stats, so the array's counters never feed a read result.
+	// programEnergyFJ accumulates the synapse programming energy; reads
+	// account into the caller's Stats, so the array keeps no read
+	// counters and never feeds a read result.
 	//nebula:genstamp-exempt activity accounting, not read-visible state
-	stats Stats
-	noise *rng.Rand
+	programEnergyFJ float64
+	noise           *rng.Rand
 
 	// gen counts mutations of the read-visible state (levels, line maps,
 	// dead lines, retention clock); kern is the frozen read kernel baked
@@ -214,8 +215,8 @@ func (c *Crossbar) Program(w *tensor.Tensor, wmax float64) error {
 			c.targetPlus[pi], c.targetMinus[pi] = int16(tp), int16(tm)
 			ap = c.appliedLevel(pi, true, ap)
 			am = c.appliedLevel(pi, false, am)
-			c.stats.ProgramEnergyFJ += math.Abs(float64(int16(ap)-c.levelPlus[pi])) * stepEnergy
-			c.stats.ProgramEnergyFJ += math.Abs(float64(int16(am)-c.levelMinus[pi])) * stepEnergy
+			c.programEnergyFJ += math.Abs(float64(int16(ap)-c.levelPlus[pi])) * stepEnergy
+			c.programEnergyFJ += math.Abs(float64(int16(am)-c.levelMinus[pi])) * stepEnergy
 			c.levelPlus[pi] = int16(ap)
 			c.levelMinus[pi] = int16(am)
 		}
@@ -242,6 +243,12 @@ func (c *Crossbar) EffectiveWeight(row, col int) float64 {
 // quantization, IR drop, read noise, dead lines and retention drift all
 // act on the result. It reads only programmed state (levels, line maps,
 // age) and the supplied noise stream; MACReadInto is its public entry.
+//
+// Each column sums weights before scaling them: the level sum
+// acc = Σ v·(level⁺−level⁻) over the live driven rows, in increasing row
+// order, then the current iDiff = acc·(atten·VRead·1e-3·ΔG)·drift. This
+// is the order the baked kernel reproduces bit for bit (kernel.go); on a
+// binary read acc is an exact integer.
 func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active int, currentSum float64, err error) {
 	if len(input) != c.Rows {
 		return 0, 0, fmt.Errorf("crossbar: input length %d, want %d rows", len(input), c.Rows)
@@ -251,9 +258,8 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 			active++
 		}
 	}
-	atten, drift := c.attenuation(active), c.driftFactor()
-	states := c.P.States()
-	deltaG := (c.P.GParallelUS - c.P.GAntiParallelUS) / float64(states-1) // µS per level
+	scale, drift := c.readScale(active, c.deltaG()), c.driftFactor()
+	fullScale := c.fullScale()
 	for col := 0; col < c.Cols; col++ {
 		pc := c.colMap[col]
 		if c.deadCol != nil && c.deadCol[pc] {
@@ -261,9 +267,9 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 			dst[col] = 0
 			continue
 		}
-		// Differential column current: Σ V_i·ΔG·(level⁺−level⁻). A
-		// never-written array stores no levels and sources no current.
-		var iDiff float64 // in µA
+		// Differential level sum Σ V_i·(level⁺−level⁻). A never-written
+		// array stores no levels and sources no current.
+		var acc float64
 		for row := 0; row < c.Rows && c.levelPlus != nil; row++ {
 			v := input[row]
 			if v == 0 {
@@ -274,27 +280,24 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 				continue
 			}
 			idx := pr*c.physCols + pc
-			g := float64(c.levelPlus[idx]-c.levelMinus[idx]) * deltaG
-			iDiff += v * atten * c.P.VReadMV * 1e-3 * g // mV·µS → µA·1e-3... see scale below
+			acc += v * float64(c.levelPlus[idx]-c.levelMinus[idx])
 		}
-		// Scale: (V in volts)·(G in µS) = µA. Drift scales the stored
-		// polarization uniformly before the read noise is applied.
-		iDiff *= drift
+		// Drift scales the stored polarization uniformly before the read
+		// noise is applied.
+		iDiff := acc * scale * drift
 		if c.Cfg.ReadNoiseSigma > 0 && noise != nil {
 			iDiff *= 1 + c.Cfg.ReadNoiseSigma*noise.NormFloat64()
 		}
 		currentSum += math.Abs(iDiff)
-		// Convert current back to weight units: a full-scale weight wmax
-		// at input 1.0 produces V·(States−1)·ΔG.
-		fullScale := c.P.VReadMV * 1e-3 * float64(states-1) * deltaG
+		// Convert current back to weight units.
 		dst[col] = iDiff / fullScale * c.wmax
 	}
 	return active, currentSum, nil
 }
 
-// Stats returns a copy of the array's own counters: programming energy
+// Stats returns the array's own counters: programming energy only
 // (reads account into their caller's Stats).
-func (c *Crossbar) Stats() Stats { return c.stats }
+func (c *Crossbar) Stats() Stats { return Stats{ProgramEnergyFJ: c.programEnergyFJ} }
 
 // Utilization returns the fraction of synapses with a non-zero programmed
 // level, the quantity behind the paper's morphable-tile motivation.

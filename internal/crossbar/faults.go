@@ -297,10 +297,10 @@ func (c *Crossbar) writeDevice(pi int, plus bool, want int) {
 	states := c.P.States()
 	stepEnergy := c.P.WriteEnergyFJ / float64(states-1)
 	if plus {
-		c.stats.ProgramEnergyFJ += math.Abs(float64(int16(applied)-c.levelPlus[pi])) * stepEnergy
+		c.programEnergyFJ += math.Abs(float64(int16(applied)-c.levelPlus[pi])) * stepEnergy
 		c.levelPlus[pi] = int16(applied)
 	} else {
-		c.stats.ProgramEnergyFJ += math.Abs(float64(int16(applied)-c.levelMinus[pi])) * stepEnergy
+		c.programEnergyFJ += math.Abs(float64(int16(applied)-c.levelMinus[pi])) * stepEnergy
 		c.levelMinus[pi] = int16(applied)
 	}
 }

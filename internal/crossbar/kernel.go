@@ -13,11 +13,17 @@ import (
 // session compiles (programming, fault injection, BIST/protect all
 // done), the conductance planes are immutable for the life of the
 // session, so everything macComputeInto re-derives per read — the rowMap/
-// colMap line indirection, the level⁺−level⁻ differential, the ΔG
-// scale, the dead-line masks — can be baked once into a flat row-major
-// term plane. MACReadInto then runs an event-driven axpy over only the
-// active rows: O(nnz·Cols) sequential memory traffic instead of
-// O(Rows·Cols) pointer-chasing.
+// colMap line indirection, the level⁺−level⁻ differential, the dead-line
+// masks — can be baked once into flat row-major planes. The reads then
+// run event-driven over only the active rows: O(nnz·Cols) sequential
+// memory traffic instead of O(Rows·Cols) pointer-chasing.
+//
+// Every read sums weights before it scales them: a column's level sum
+// acc = Σ v·(level⁺−level⁻) over the live active rows, then
+// iDiff = acc·(atten·VRead·1e-3·ΔG)·drift. A binary read (every active
+// v exactly 1.0) makes acc an exact integer whatever the row order, which
+// lets MACReadPacked add packed 16-bit level lanes, one 64-bit add per
+// four columns, instead of one float multiply-add per column.
 //
 // The kernel is a pure cache: every result it produces is bitwise
 // identical to the dense macComputeInto path (enforced by the differential
@@ -27,27 +33,55 @@ import (
 // may run on many goroutines, so the fast path silently falls back to
 // the dense walk until the owner bakes again.
 
+// laneBits is the width of one packed column lane; a uint64 lane word
+// holds lanesPerWord columns.
+const (
+	laneBits     = 16
+	lanesPerWord = 64 / laneBits
+	laneMask     = 1<<laneBits - 1
+)
+
+// oneBits is the bit pattern of 1.0, the only active value a lane read
+// accepts.
+var oneBits = math.Float64bits(1)
+
 // readKernel is the baked read-path cache of one crossbar.
 type readKernel struct {
 	// gen is the crossbar generation the bake captured; the kernel is
 	// valid only while it equals the crossbar's current generation.
 	gen uint64
-	// terms holds the per-pair differential conductance terms
-	// float64(level⁺−level⁻)·ΔG in logical row-major order
-	// (terms[row·Cols+col]), with the rowMap/colMap indirection folded
-	// in. Rows routed to dead lines keep zero terms and are skipped via
-	// rowDead — they must not be zero-summed, because adding a signed
-	// zero can flip a −0.0 accumulator and break bitwise equality.
-	terms []float64
+	// diffs32 holds the per-pair level differences level⁺−level⁻ in
+	// logical row-major order (diffs32[row·Cols+col]), with the
+	// rowMap/colMap indirection folded in. float32 holds every int16
+	// difference exactly. Rows routed to dead lines keep zero entries
+	// and are skipped via rowLive — they must not be zero-summed,
+	// because adding a signed zero can flip a −0.0 accumulator and
+	// break bitwise equality. Graded reads add v·diff per column.
+	// diffs64 is the same plane as float64, baked instead of diffs32
+	// and lanes for arrays that read graded planes only
+	// (BakeGradedKernel): it costs twice the bytes of diffs32 but saves
+	// the float32 conversion on every element a graded read adds.
+	diffs32 []float32
+	diffs64 []float64
+	// lanes holds the same differences biased to diff+bias ≥ 0 in
+	// laneBits-wide lanes, lanesPerWord columns per word: row r's word
+	// j (lanes[r·laneWords+j]) carries columns 4j..4j+3, column 4j+i
+	// in bits [16i, 16i+16). Binary reads add whole words; lanes is nil
+	// for a graded kernel and when a full-array sum could carry out of a
+	// lane (Rows·2·bias ≥ 2¹⁶), which sends every read down the diffs path.
+	lanes     []uint64
+	laneWords int
+	bias      int
 	// rowDead / colDead are the dead-line masks in logical coordinates.
 	rowDead, colDead []bool
 	// rowLive is the bit-packed complement of rowDead (bit set = live
 	// logical row), so active-row words intersect against it with a
 	// word-AND instead of a per-row branch.
 	rowLive []uint64
-	// fullScale is the hoisted output divisor VRead·(States−1)·ΔG; it is
-	// the same deterministic expression macComputeInto evaluates per column.
-	fullScale float64
+	// deltaG and fullScale are the hoisted level step ΔG and output
+	// divisor VRead·(States−1)·ΔG; they are the same deterministic
+	// expressions macComputeInto evaluates.
+	deltaG, fullScale float64
 }
 
 // BakeKernel (re)builds the frozen read kernel from the current
@@ -55,23 +89,47 @@ type readKernel struct {
 // programming, fault injection and repair are done — and again after any
 // deliberate mutation. Baking never changes read results; it only makes
 // MACReadInto/MACReadPacked take the sparse fast path while the kernel stays
-// fresh.
-func (c *Crossbar) BakeKernel() {
+// fresh. The kernel carries a float32 diffs plane for graded reads and,
+// within the lane guard, a lane plane for binary ones.
+func (c *Crossbar) BakeKernel() { c.bake(false) }
+
+// BakeGradedKernel is BakeKernel for an array that reads graded planes
+// only, such as an ANN core's: it bakes a float64 diffs plane and no
+// lane plane, which reads graded planes faster than the float32 plane.
+// A binary read of such a kernel takes the float path; results are
+// bitwise identical either way.
+func (c *Crossbar) BakeGradedKernel() { c.bake(true) }
+
+// bake builds the kernel; graded selects the float64 plane without
+// lanes.
+func (c *Crossbar) bake(graded bool) {
 	states := c.P.States()
-	deltaG := (c.P.GParallelUS - c.P.GAntiParallelUS) / float64(states-1)
+	bias := states - 1
 	k := &readKernel{
 		gen:       c.gen,
-		terms:     make([]float64, c.Rows*c.Cols),
+		bias:      bias,
 		rowDead:   make([]bool, c.Rows),
 		colDead:   make([]bool, c.Cols),
 		rowLive:   make([]uint64, (c.Rows+63)/64),
-		fullScale: c.P.VReadMV * 1e-3 * float64(states-1) * deltaG,
+		deltaG:    c.deltaG(),
+		fullScale: c.fullScale(),
+	}
+	switch {
+	case graded:
+		k.diffs64 = make([]float64, c.Rows*c.Cols)
+	case c.Rows*2*bias < 1<<laneBits:
+		k.laneWords = (c.Cols + lanesPerWord - 1) / lanesPerWord
+		k.lanes = make([]uint64, c.Rows*k.laneWords)
+		fallthrough
+	default:
+		k.diffs32 = make([]float32, c.Rows*c.Cols)
 	}
 	for col := 0; col < c.Cols; col++ {
 		if c.deadCol != nil && c.deadCol[c.colMap[col]] {
 			k.colDead[col] = true
 		}
 	}
+	lanes, lw := k.lanes, k.laneWords
 	for row := 0; row < c.Rows; row++ {
 		pr := c.rowMap[row]
 		if c.deadRow != nil && c.deadRow[pr] {
@@ -79,17 +137,66 @@ func (c *Crossbar) BakeKernel() {
 			continue
 		}
 		k.rowLive[row>>6] |= 1 << uint(row&63)
-		base := pr * c.physCols
-		trow := k.terms[row*c.Cols : (row+1)*c.Cols]
-		if c.levelPlus == nil {
-			continue // a never-written array's terms stay zero
+		var lp, lm []int16 // a never-written array's differences stay zero
+		if c.levelPlus != nil {
+			base := pr * c.physCols
+			lp, lm = c.levelPlus[base:base+c.physCols], c.levelMinus[base:base+c.physCols]
 		}
-		for col := range trow {
-			idx := base + c.colMap[col]
-			trow[col] = float64(c.levelPlus[idx]-c.levelMinus[idx]) * deltaG
+		switch {
+		case graded:
+			fillDiffs(k.diffs64[row*c.Cols:(row+1)*c.Cols], c.colMap, lp, lm)
+		case lanes != nil:
+			fillLanes(k.diffs32[row*c.Cols:(row+1)*c.Cols], lanes[row*lw:(row+1)*lw], c.colMap, lp, lm, bias)
+		default:
+			fillDiffs(k.diffs32[row*c.Cols:(row+1)*c.Cols], c.colMap, lp, lm)
 		}
 	}
 	c.kern = k
+}
+
+// fillDiffs writes one row's level differences lp[pc]−lm[pc] through
+// the column map; nil levels leave the row zero.
+func fillDiffs[T float32 | float64](drow []T, colMap []int, lp, lm []int16) {
+	if lp == nil {
+		return
+	}
+	drow = drow[:len(colMap)]
+	for col, pc := range colMap {
+		drow[col] = T(lp[pc] - lm[pc])
+	}
+}
+
+// fillLanes is fillDiffs that also packs the row's lane words: column
+// col's difference, biased by bias, lands in word col/4, bits
+// [16·(col%4), 16·(col%4)+16). Four columns go per step, so each lane
+// word is assembled in a register and stored once.
+func fillLanes(drow []float32, lrow []uint64, colMap []int, lp, lm []int16, bias int) {
+	b := uint64(bias)
+	if lp == nil {
+		for j := range lrow {
+			lrow[j] = b | b<<laneBits | b<<(2*laneBits) | b<<(3*laneBits)
+		}
+		if tail := len(colMap) % lanesPerWord; tail != 0 {
+			lrow[len(lrow)-1] &= 1<<(laneBits*uint(tail)) - 1
+		}
+		return
+	}
+	drow = drow[:len(colMap)]
+	col := 0
+	for ; col+lanesPerWord <= len(colMap); col += lanesPerWord {
+		cm := colMap[col : col+lanesPerWord : col+lanesPerWord]
+		d0, d1 := lp[cm[0]]-lm[cm[0]], lp[cm[1]]-lm[cm[1]]
+		d2, d3 := lp[cm[2]]-lm[cm[2]], lp[cm[3]]-lm[cm[3]]
+		dr := drow[col : col+lanesPerWord : col+lanesPerWord]
+		dr[0], dr[1], dr[2], dr[3] = float32(d0), float32(d1), float32(d2), float32(d3)
+		lrow[col/lanesPerWord] = (uint64(int64(d0)) + b) | (uint64(int64(d1))+b)<<laneBits |
+			(uint64(int64(d2))+b)<<(2*laneBits) | (uint64(int64(d3))+b)<<(3*laneBits)
+	}
+	for l := 0; col+l < len(colMap); l++ {
+		d := lp[colMap[col+l]] - lm[colMap[col+l]]
+		drow[col+l] = float32(d)
+		lrow[col/lanesPerWord] |= (uint64(int64(d)) + b) << (laneBits * uint(l))
+	}
 }
 
 // KernelFresh reports whether a baked kernel exists and still matches
@@ -131,6 +238,9 @@ func (c *Crossbar) invalidate() { c.gen++ }
 //
 // When a fresh kernel is baked (BakeKernel) the evaluation takes the
 // event-driven fast path; results are bitwise identical either way.
+// Either way it adds the rows as floats, never as level lanes, even on a
+// binary input: it is the read RunReference goes through, so it stays an
+// independent check of MACReadPacked's lane sum.
 //
 //nebula:hotpath
 func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Rand, stats *Stats) error {
@@ -154,6 +264,25 @@ func (c *Crossbar) MACReadInto(dst, input []float64, active []int, noise *rng.Ra
 		stats.OutputCurrentUA += currentSum
 	}
 	return nil
+}
+
+// deltaG is the conductance step between adjacent levels, in µS.
+func (c *Crossbar) deltaG() float64 {
+	return (c.P.GParallelUS - c.P.GAntiParallelUS) / float64(c.P.States()-1)
+}
+
+// fullScale is the current a full-scale weight wmax produces at input
+// 1.0, V·(States−1)·ΔG: the divisor that converts read current back to
+// weight units.
+func (c *Crossbar) fullScale() float64 {
+	return c.P.VReadMV * 1e-3 * float64(c.P.States()-1) * c.deltaG()
+}
+
+// readScale converts a column's level sum into read current (µA) for
+// activeN driven rows: the IR-drop-attenuated row drive times the
+// conductance step deltaG. (V in volts)·(G in µS) = µA.
+func (c *Crossbar) readScale(activeN int, deltaG float64) float64 {
+	return c.attenuation(activeN) * c.P.VReadMV * 1e-3 * deltaG
 }
 
 // attenuation is the IR-drop drive factor for activeN driven rows.
@@ -200,7 +329,7 @@ func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, 
 			}
 		}
 	}
-	activeN, currentSum = k.read(c, dst, input, mask, noise)
+	activeN, currentSum = k.read(c, dst, input, mask, noise, false)
 	return activeN, currentSum, nil
 }
 
@@ -210,55 +339,40 @@ func (c *Crossbar) macKernel(k *readKernel, dst, input []float64, active []int, 
 // mask, dead rows included, since they still load the source line and
 // count toward IR drop — and the summed |I| of the computed columns.
 //
-// Accumulate: per live active row, in increasing order, dst gets the
-// row's drive input[row]·atten·VRead·1e-3 times its conductance terms,
-// with the same operation grouping (((v·atten)·VRead)·1e-3)·g as the
-// dense walk. Dead rows are masked out, never zero-summed: adding a
-// signed zero can flip a −0.0 accumulator. Re-slicing the term row to
-// len(dst) lets the compiler drop the per-column bounds checks; the
-// 4-wide unroll breaks the store-to-load chain across independent
-// columns without changing any column's own accumulation order.
+// Sum: dst gets each column's level sum Σ v·(level⁺−level⁻) over the
+// live active rows. When lanes is set, the kernel has a lane plane and
+// every live active input is exactly 1.0, the sum is the integer lane
+// sum (sumLanes); otherwise the rows are added in increasing order from
+// whichever diffs plane the kernel holds (sumRows), in the dense walk's
+// order. Both give the same exact integer on a binary read, so the
+// choice never shows.
 //
-// Finalize: column by column in index order, drift scales the stored
-// polarization, then read noise draws once per live column (so the
-// draws stay in the dense path's stream order), and dead sense lines
-// read 0 and draw nothing, exactly as macComputeInto skips them.
+// Finalize: column by column in index order, the sum is scaled to a
+// current, acc·(atten·VRead·1e-3·ΔG)·drift, then read noise draws once
+// per live column (so the draws stay in the dense path's stream order),
+// and dead sense lines read 0 and draw nothing, exactly as
+// macComputeInto skips them.
 //
 //nebula:hotpath
-func (k *readKernel) read(c *Crossbar, dst, input []float64, mask []uint64, noise *rng.Rand) (activeN int, currentSum float64) {
+func (k *readKernel) read(c *Crossbar, dst, input []float64, mask []uint64, noise *rng.Rand, lanes bool) (activeN int, currentSum float64) {
 	for _, w := range mask {
 		activeN += bits.OnesCount64(w)
 	}
-	atten, vread := c.attenuation(activeN), c.P.VReadMV
-	clear(dst)
-	nd := len(dst)
-	cols := len(k.colDead)
-	for wi, w := range mask {
-		for w &= k.rowLive[wi]; w != 0; w &= w - 1 {
-			row := wi<<6 + bits.TrailingZeros64(w)
-			vv := input[row] * atten * vread * 1e-3
-			trow := k.terms[row*cols:]
-			trow = trow[:nd]
-			col := 0
-			for ; col+3 < nd; col += 4 {
-				dst[col] += vv * trow[col]
-				dst[col+1] += vv * trow[col+1]
-				dst[col+2] += vv * trow[col+2]
-				dst[col+3] += vv * trow[col+3]
-			}
-			for ; col < nd; col++ {
-				dst[col] += vv * trow[col]
-			}
-		}
+	switch {
+	case lanes && k.lanes != nil && k.sumLanes(dst, input, mask):
+	case k.diffs64 != nil:
+		sumRows(dst, input, mask, k.rowLive, k.diffs64, len(k.colDead))
+	default:
+		sumRows(dst, input, mask, k.rowLive, k.diffs32, len(k.colDead))
 	}
-	drift := c.driftFactor()
+	scale, drift := c.readScale(activeN, k.deltaG), c.driftFactor()
 	sigma := c.Cfg.ReadNoiseSigma
 	for col := range dst {
 		if k.colDead[col] {
 			dst[col] = 0
 			continue
 		}
-		iDiff := dst[col] * drift
+		iDiff := dst[col] * scale * drift
 		if sigma > 0 && noise != nil {
 			iDiff *= 1 + sigma*noise.NormFloat64()
 		}
@@ -266,6 +380,94 @@ func (k *readKernel) read(c *Crossbar, dst, input []float64, mask []uint64, nois
 		dst[col] = iDiff / k.fullScale * c.wmax
 	}
 	return activeN, currentSum
+}
+
+// sumRows writes dst[col] = Σ input[row]·diff[row][col] over the live
+// active rows of a cols-wide diffs plane, added in increasing row order
+// as the dense walk adds them. Dead rows are
+// masked out, never zero-summed: adding a signed zero can flip a −0.0
+// accumulator. Re-slicing the diffs row to len(dst) lets the compiler
+// drop the per-column bounds checks; the 4-wide unroll breaks the
+// store-to-load chain across independent columns without changing any
+// column's own accumulation order.
+//
+//nebula:hotpath
+func sumRows[T float32 | float64](dst, input []float64, mask, rowLive []uint64, diffs []T, cols int) {
+	clear(dst)
+	nd := len(dst)
+	for wi, w := range mask {
+		for w &= rowLive[wi]; w != 0; w &= w - 1 {
+			row := wi<<6 + bits.TrailingZeros64(w)
+			v := input[row]
+			drow := diffs[row*cols:]
+			drow = drow[:nd]
+			col := 0
+			for ; col+3 < nd; col += 4 {
+				dst[col] += v * float64(drow[col])
+				dst[col+1] += v * float64(drow[col+1])
+				dst[col+2] += v * float64(drow[col+2])
+				dst[col+3] += v * float64(drow[col+3])
+			}
+			for ; col < nd; col++ {
+				dst[col] += v * float64(drow[col])
+			}
+		}
+	}
+}
+
+// sumLanes writes dst[col] = Σ diff[row][col] over the live active rows
+// of a binary read and reports true, or reports false as soon as it
+// meets a live active row whose input is not exactly 1.0 (the caller
+// then takes sumRows, which overwrites all of dst). It adds the rows'
+// biased lane words, one 64-bit add per four columns, then unpacks each
+// column once and removes the bias n·bias of the n rows added. The
+// bake's guard Rows·2·bias < 2¹⁶ keeps every lane sum inside its lane,
+// so no add carries into a neighbour and the result is the exact
+// integer the diffs path sums to. Columns go in blocks of len(buf)
+// words, so the accumulator stays on the stack.
+//
+//nebula:hotpath
+func (k *readKernel) sumLanes(dst, input []float64, mask []uint64) bool {
+	var buf [32]uint64 // one 128-column array (mapping.M) per block
+	nd := len(dst)
+	nw := (nd + lanesPerWord - 1) / lanesPerWord
+	for w0 := 0; w0 < nw; w0 += len(buf) {
+		acc := buf[:min(len(buf), nw-w0)]
+		if w0 > 0 {
+			clear(acc)
+		}
+		n := 0
+		for wi, w := range mask {
+			for w &= k.rowLive[wi]; w != 0; w &= w - 1 {
+				row := wi<<6 + bits.TrailingZeros64(w)
+				if math.Float64bits(input[row]) != oneBits {
+					return false
+				}
+				n++
+				lrow := k.lanes[row*k.laneWords+w0:]
+				lrow = lrow[:len(acc)]
+				for j := range acc {
+					acc[j] += lrow[j]
+				}
+			}
+		}
+		nb := n * k.bias
+		for j, a := range acc {
+			col := (w0 + j) * lanesPerWord
+			if col+lanesPerWord <= nd {
+				d := dst[col : col+lanesPerWord : col+lanesPerWord]
+				d[0] = float64(int(a&laneMask) - nb)
+				d[1] = float64(int(a>>laneBits&laneMask) - nb)
+				d[2] = float64(int(a>>(2*laneBits)&laneMask) - nb)
+				d[3] = float64(int(a>>(3*laneBits)) - nb)
+				continue
+			}
+			for l := 0; col+l < nd; l++ {
+				dst[col+l] = float64(int(a>>(laneBits*uint(l))&laneMask) - nb)
+			}
+		}
+	}
+	return true
 }
 
 // ErrStaleKernel is returned by MACReadPacked when no fresh baked
@@ -305,11 +507,14 @@ var ErrStaleKernel = errors.New("crossbar: read kernel stale or missing")
 //     MACReadInto, whose dense walk reads every value, so the caller
 //     must rebuild the real input from the mask first.
 //
-// The accumulation visits rows in increasing order with the same
-// operation grouping as the dense walk, so results are bitwise
-// identical (±0.0 column sign aside when a trimmed silent read skips
-// the zero-summing the dense path performs — the engine never
-// consumes the sign of a zero).
+// A binary read — every live active input exactly 1.0, as with a ones
+// vector — on a kernel with a lane plane sums the rows' 16-bit level
+// lanes, four columns per 64-bit add; any other read adds the rows as
+// floats in increasing order with the dense walk's grouping. Both give
+// the dense walk's level sum exactly, so results are bitwise identical
+// (±0.0 column sign aside when a trimmed silent read skips the
+// zero-summing the dense path performs — the engine never consumes the
+// sign of a zero).
 //
 //nebula:hotpath
 func (c *Crossbar) MACReadPacked(dst, input []float64, mask []uint64, noise *rng.Rand, stats *Stats) error {
@@ -327,7 +532,7 @@ func (c *Crossbar) MACReadPacked(dst, input []float64, mask []uint64, noise *rng
 	if len(mask) < nw {
 		nw = len(mask)
 	}
-	activeN, currentSum := k.read(c, dst, input, mask[:nw], noise)
+	activeN, currentSum := k.read(c, dst, input, mask[:nw], noise, true)
 	if stats != nil {
 		stats.MACs++
 		stats.ActiveRowSum += int64(activeN)

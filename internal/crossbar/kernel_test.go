@@ -59,6 +59,31 @@ func sparseInput(r *rng.Rand, rows int, activeFrac float64) ([]float64, []int) {
 	return in, act
 }
 
+// binaryInput draws a binary spike vector (active entries exactly 1.0)
+// at the given active fraction and returns it with its increasing
+// active-index list.
+func binaryInput(r *rng.Rand, rows int, activeFrac float64) ([]float64, []int) {
+	in := make([]float64, rows)
+	var act []int
+	for i := range in {
+		if r.Float64() < activeFrac {
+			in[i] = 1
+			act = append(act, i)
+		}
+	}
+	return in, act
+}
+
+// onesVec is the drive a caller with a binary plane passes instead of
+// the real input: 1.0 at every row.
+func onesVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}
+
 // assertBitwise compares two read results bit for bit; an exact-zero
 // tolerance is the kernel's contract, so even a ±0.0 sign flip fails.
 func assertBitwise(t *testing.T, tag string, want, got []float64) {
@@ -96,9 +121,10 @@ func readPair(t *testing.T, ref, sub *Crossbar, in []float64, act []int, noiseSe
 }
 
 // TestMACReadKernelBitwise is the core differential test: across random
-// geometries, sparsities, fault loads, drift ages and noise, the baked
-// kernel must reproduce the dense read bit for bit — both when scanning
-// the input and when driven by an explicit spike list.
+// geometries, sparsities, fault loads, drift ages and noise, graded and
+// binary inputs, the baked kernel — lane or graded — must reproduce the
+// dense read bit for bit, both when scanning the input and when driven
+// by an explicit spike list.
 func TestMACReadKernelBitwise(t *testing.T) {
 	cases := []struct {
 		name string
@@ -141,17 +167,20 @@ func TestMACReadKernelBitwise(t *testing.T) {
 					ref.Tick(age)
 					sub.Tick(age)
 				}
-				sub.BakeKernel()
-				if !sub.KernelFresh() {
-					t.Fatal("kernel stale immediately after bake")
-				}
-
-				for _, frac := range []float64{0, 0.1, 0.5, 0.9, 1} {
-					in, act := sparseInput(r, rows, frac)
-					noiseSeed := r.Uint64()
-					want, got, gotAct := readPair(t, ref, sub, in, act, noiseSeed)
-					assertBitwise(t, tc.name+"/scan", want, got)
-					assertBitwise(t, tc.name+"/active", want, gotAct)
+				for _, bake := range []func(){sub.BakeKernel, sub.BakeGradedKernel} {
+					bake()
+					if !sub.KernelFresh() {
+						t.Fatal("kernel stale immediately after bake")
+					}
+					for _, frac := range []float64{0, 0.1, 0.5, 0.9, 1} {
+						for _, draw := range []func(*rng.Rand, int, float64) ([]float64, []int){sparseInput, binaryInput} {
+							in, act := draw(r, rows, frac)
+							noiseSeed := r.Uint64()
+							want, got, gotAct := readPair(t, ref, sub, in, act, noiseSeed)
+							assertBitwise(t, tc.name+"/scan", want, got)
+							assertBitwise(t, tc.name+"/active", want, gotAct)
+						}
+					}
 				}
 			}
 		})
@@ -402,10 +431,16 @@ func TestKernelInvalidationInterleaved(t *testing.T) {
 
 // FuzzMACReadKernel lets the fuzzer search for a geometry, sparsity,
 // fault load or age where the baked kernel diverges from the dense read.
+// Flag bit 16 drives a binary input, which MACReadPacked reads from its
+// lane plane, both as the real 0/1 vector and as a ones vector; bit 32
+// switches the faults to stuck-P; bit 64 bakes the graded kernel.
 func FuzzMACReadKernel(f *testing.F) {
 	f.Add(uint64(1), uint8(16), uint8(8), uint8(128), uint8(0), uint64(17))
 	f.Add(uint64(2), uint8(1), uint8(1), uint8(0), uint8(7), uint64(5))
 	f.Add(uint64(3), uint8(200), uint8(64), uint8(255), uint8(3), uint64(99))
+	f.Add(uint64(4), uint8(127), uint8(127), uint8(90), uint8(16|8|2), uint64(7))
+	f.Add(uint64(5), uint8(40), uint8(130), uint8(255), uint8(16|32|8|4|1), uint64(3))
+	f.Add(uint64(6), uint8(90), uint8(30), uint8(200), uint8(64|16|8|2), uint64(11))
 	f.Fuzz(func(t *testing.T, seed uint64, rows8, cols8, sparsity, flags uint8, noiseSeed uint64) {
 		rows, cols := int(rows8)+1, int(cols8)+1
 		cfg := Config{}
@@ -420,16 +455,28 @@ func FuzzMACReadKernel(f *testing.F) {
 		}
 		ref, sub := newTwin(seed, rows, cols, cfg)
 		if flags&8 != 0 {
-			ref.InjectStuckFaults(rng.New(seed+9), 0.05, StuckAP)
-			sub.InjectStuckFaults(rng.New(seed+9), 0.05, StuckAP)
+			mode := StuckAP
+			if flags&32 != 0 {
+				mode = StuckP
+			}
+			ref.InjectStuckFaults(rng.New(seed+9), 0.05, mode)
+			sub.InjectStuckFaults(rng.New(seed+9), 0.05, mode)
 		}
 		if cfg.DriftTauSteps > 0 {
 			ref.Tick(int64(sparsity))
 			sub.Tick(int64(sparsity))
 		}
-		sub.BakeKernel()
+		if flags&64 != 0 {
+			sub.BakeGradedKernel()
+		} else {
+			sub.BakeKernel()
+		}
 		r := rng.New(seed ^ 0xA5A5)
-		in, act := sparseInput(r, rows, float64(sparsity)/255)
+		draw := sparseInput
+		if flags&16 != 0 {
+			draw = binaryInput
+		}
+		in, act := draw(r, rows, float64(sparsity)/255)
 		want, got, gotAct := readPair(t, ref, sub, in, act, noiseSeed)
 		assertBitwise(t, "fuzz/scan", want, got)
 		assertBitwise(t, "fuzz/active", want, gotAct)
@@ -438,6 +485,12 @@ func FuzzMACReadKernel(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertBitwise(t, "fuzz/packed", want, packed)
+		if flags&16 != 0 {
+			if err := sub.MACReadPacked(packed, onesVec(rows), packMask(in), rng.New(noiseSeed), nil); err != nil {
+				t.Fatal(err)
+			}
+			assertBitwise(t, "fuzz/packed-ones", want, packed)
+		}
 	})
 }
 
@@ -449,7 +502,8 @@ func packMask(in []float64) []uint64 {
 }
 
 // TestMACReadPackedBitwise is the packed-path differential test: across
-// the same stress configurations as the kernel test, a full-width
+// the same stress configurations as the kernel test, on lane and graded
+// kernels in turn, a full-width
 // MACReadPacked must reproduce the dense read bit for bit, and a
 // column/row-trimmed read must reproduce the leading columns bit for
 // bit (per-column sums are independent and noise draws are in column
@@ -487,7 +541,11 @@ func TestMACReadPackedBitwise(t *testing.T) {
 					ref.Tick(age)
 					sub.Tick(age)
 				}
-				sub.BakeKernel()
+				if trial%2 == 1 {
+					sub.BakeGradedKernel()
+				} else {
+					sub.BakeKernel()
+				}
 
 				for _, frac := range []float64{0, 0.1, 0.5, 1} {
 					in, _ := sparseInput(r, rows, frac)
@@ -522,6 +580,168 @@ func TestMACReadPackedBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// denseRead reads c through the dense walk — its kernel dropped for the
+// read and rebaked after it — into a fresh full-width buffer.
+func denseRead(t *testing.T, c *Crossbar, in []float64, noiseSeed uint64, stats *Stats) []float64 {
+	t.Helper()
+	c.DropKernel()
+	defer c.BakeKernel()
+	return readInto(t, c, in, nil, noiseSeed, stats)
+}
+
+// packedRead is one MACReadPacked of the rows set in in, driven by
+// drive (the real input or a ones vector), into a fresh dst of width nd.
+func packedRead(t *testing.T, c *Crossbar, nd int, drive, in []float64, noiseSeed uint64, stats *Stats) []float64 {
+	t.Helper()
+	out := make([]float64, nd)
+	if err := c.MACReadPacked(out, drive, packMask(in), rng.New(noiseSeed), stats); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMACReadPackedBinary is the lane path's differential test: binary
+// reads through MACReadPacked — driven by the real 0/1 vector and by a
+// ones vector — must equal the dense walk of the same array bit for bit,
+// stats included, across the analog configurations, stuck-AP and
+// stuck-P faults, dead and remapped rows and columns, widths that are
+// not a multiple of four (and wider than one 128-column lane block),
+// row- and column-trimmed reads and all-rows-active reads, and the same
+// trimmed read on the graded kernel, which has no lanes. A read with one
+// active value other than 1.0 must take the float path and match too; a
+// lane read of it would count that row as 1.
+func TestMACReadPackedBinary(t *testing.T) {
+	spares := func(c Config) Config { c.SpareRows, c.SpareCols = 3, 3; return c }
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", spares(Config{})},
+		{"irdrop", spares(Config{IRDropAlpha: 0.25})},
+		{"noise", spares(Config{ReadNoiseSigma: 0.05})},
+		{"drift", spares(Config{DriftTauSteps: 800})},
+		{"everything", kernelCfg()},
+	}
+	widths := []int{1, 3, 5, 30, 63, 97, 127, 128, 130, 150}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(0xB1A5)
+			for trial, cols := range widths {
+				rows := 1 + r.Intn(160)
+				seed := r.Uint64()
+				_, sub := newTwin(seed, rows, cols, tc.cfg)
+				switch trial % 3 {
+				case 0:
+					sub.InjectStuckFaults(rng.New(seed+2), 0.05, StuckAP)
+				case 1:
+					sub.InjectStuckFaults(rng.New(seed+2), 0.05, StuckP)
+				}
+				if trial%2 == 0 {
+					row, col := r.Intn(rows), r.Intn(cols)
+					sub.KillRow(row)
+					sub.KillCol(col)
+					if trial%4 == 0 {
+						sub.RemapRow(row)
+						sub.RemapCol(col)
+						sub.KillRow(r.Intn(rows)) // and one row left dead
+					}
+				}
+				if tc.cfg.DriftTauSteps > 0 {
+					sub.Tick(int64(r.Intn(2000)))
+				}
+				sub.BakeKernel()
+				if sub.kern.lanes == nil {
+					t.Fatalf("%d×%d array at %d levels baked no lane plane", rows, cols, sub.P.States())
+				}
+				ones := onesVec(rows)
+				for _, frac := range []float64{0, 0.1, 0.5, 0.9, 1} {
+					in, act := binaryInput(r, rows, frac)
+					noiseSeed := r.Uint64()
+					var sWant, sIn, sOnes Stats
+					want := denseRead(t, sub, in, noiseSeed, &sWant)
+					assertBitwise(t, tc.name+"/binary", want, packedRead(t, sub, cols, in, in, noiseSeed, &sIn))
+					assertBitwise(t, tc.name+"/ones", want, packedRead(t, sub, cols, ones, in, noiseSeed, &sOnes))
+					for _, s := range []Stats{sIn, sOnes} {
+						if s.MACs != sWant.MACs || s.ActiveRowSum != sWant.ActiveRowSum ||
+							math.Float64bits(s.OutputCurrentUA) != math.Float64bits(sWant.OutputCurrentUA) {
+							t.Fatalf("%s: stats diverged: dense %+v, packed %+v", tc.name, sWant, s)
+						}
+					}
+
+					// Mixed: one live active row driven at 0.5.
+					for _, row := range act {
+						if !sub.kern.rowDead[row] {
+							mixed := append([]float64(nil), in...)
+							mixed[row] = 0.5
+							want := denseRead(t, sub, mixed, noiseSeed, nil)
+							assertBitwise(t, tc.name+"/mixed", want, packedRead(t, sub, cols, mixed, mixed, noiseSeed, nil))
+							break
+						}
+					}
+
+					// Trimmed: silent tail rows dropped, leading columns only.
+					inLen := rows - r.Intn(rows/2+1)
+					clear(in[inLen:])
+					wantTrim := denseRead(t, sub, in, noiseSeed, nil)
+					nd := 1 + r.Intn(cols)
+					assertBitwise(t, tc.name+"/trimmed", wantTrim[:nd],
+						packedRead(t, sub, nd, in[:inLen], in[:inLen], noiseSeed, nil))
+					assertBitwise(t, tc.name+"/trimmed-ones", wantTrim[:nd],
+						packedRead(t, sub, nd, ones[:inLen], in[:inLen], noiseSeed, nil))
+
+					// The graded kernel reads the same binary plane as floats.
+					sub.BakeGradedKernel()
+					assertBitwise(t, tc.name+"/graded-kernel", wantTrim[:nd],
+						packedRead(t, sub, nd, ones[:inLen], in[:inLen], noiseSeed, nil))
+					sub.BakeKernel()
+				}
+			}
+		})
+	}
+}
+
+// TestMACReadPackedBinaryBlank covers the lane bake of a never-written
+// array, which stores no levels: its lanes hold the bare bias, and a
+// binary read, dead row included, must equal the dense walk's zeros.
+func TestMACReadPackedBinaryBlank(t *testing.T) {
+	for _, cols := range []int{5, 8, 130} {
+		c := New(40, cols, device.DefaultParams(), Config{IRDropAlpha: 0.2}, nil)
+		c.KillRow(3)
+		c.BakeKernel()
+		in, _ := binaryInput(rng.New(uint64(cols)), 40, 0.6)
+		want := denseRead(t, c, in, 1, nil)
+		assertBitwise(t, "blank", want, packedRead(t, c, cols, onesVec(40), in, 1, nil))
+	}
+}
+
+// TestMACReadPackedLaneGuard pins the lane guard: a device with 3200
+// levels could carry a full-array lane sum out of its 16 bits, so its
+// bake builds no lane plane and every binary read takes the float path,
+// still bitwise equal to the dense walk at every activity, all rows
+// active included.
+func TestMACReadPackedLaneGuard(t *testing.T) {
+	p := device.DefaultParams()
+	p.PinResolutionNM = 0.1
+	if p.States() != 3200 {
+		t.Fatalf("device has %d levels, want 3200", p.States())
+	}
+	const rows, cols = 128, 37
+	c := New(rows, cols, p, Config{IRDropAlpha: 0.2}, rng.New(3))
+	if err := c.Program(randWeights(rng.New(4), rows, cols, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	c.BakeKernel()
+	if c.kern.lanes != nil {
+		t.Fatal("3200-level array baked a lane plane")
+	}
+	r := rng.New(5)
+	for _, frac := range []float64{0.1, 0.5, 1} {
+		in, _ := binaryInput(r, rows, frac)
+		want := denseRead(t, c, in, 1, nil)
+		assertBitwise(t, "guard", want, packedRead(t, c, cols, onesVec(rows), in, 1, nil))
 	}
 }
 
@@ -597,7 +817,8 @@ func TestMACReadPackedStaleKernel(t *testing.T) {
 }
 
 // benchmarkSparsity measures the dense reference against the baked
-// kernel at one active-row fraction on a full 128×128 array. The suffix
+// kernel (/kernel: float32 diffs; /graded: the ANN cores' float64
+// diffs) at one active-row fraction on a full 128×128 array. The suffix
 // in the benchmark names is the SPARSITY (fraction of silent rows):
 // Sparsity90 drives 10% of the rows.
 func benchmarkSparsity(b *testing.B, activeFrac float64) {
@@ -614,17 +835,66 @@ func benchmarkSparsity(b *testing.B, activeFrac float64) {
 			}
 		}
 	})
-	b.Run("kernel", func(b *testing.B) {
-		cb.BakeKernel()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := cb.MACReadInto(dst, in, act, nil, nil); err != nil {
-				b.Fatal(err)
+	for _, bk := range []struct {
+		name string
+		bake func()
+	}{{"kernel", cb.BakeKernel}, {"graded", cb.BakeGradedKernel}} {
+		b.Run(bk.name, func(b *testing.B) {
+			bk.bake()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := cb.MACReadInto(dst, in, act, nil, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkMACRead_Sparsity90(b *testing.B) { benchmarkSparsity(b, 0.10) }
 func BenchmarkMACRead_Sparsity50(b *testing.B) { benchmarkSparsity(b, 0.50) }
 func BenchmarkMACRead_Sparsity10(b *testing.B) { benchmarkSparsity(b, 0.90) }
+
+// benchmarkBinary times the production packed read of a binary spike
+// plane on the same 128×128 array as benchmarkSparsity: the active rows
+// of the same draw, driven through MACReadPacked with a ones vector.
+// The suffix is again the sparsity: Binary90 drives 10% of the rows.
+func benchmarkBinary(b *testing.B, activeFrac float64) {
+	const rows, cols = 128, 128
+	_, cb := newTwin(99, rows, cols, Config{IRDropAlpha: 0.3})
+	in, _ := sparseInput(rng.New(42), rows, activeFrac)
+	mask := packMask(in)
+	ones := make([]float64, rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	dst := make([]float64, cols)
+	cb.BakeKernel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := cb.MACReadPacked(dst, ones, mask, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMACRead_Binary90(b *testing.B) { benchmarkBinary(b, 0.10) }
+func BenchmarkMACRead_Binary50(b *testing.B) { benchmarkBinary(b, 0.50) }
+func BenchmarkMACRead_Binary10(b *testing.B) { benchmarkBinary(b, 0.90) }
+
+// BenchmarkBakeKernel times baking one programmed 128×128 array, the
+// per-array cost compile and image load pay, for both kernel kinds.
+func BenchmarkBakeKernel(b *testing.B) {
+	_, cb := newTwin(99, 128, 128, Config{IRDropAlpha: 0.3})
+	for _, bk := range []struct {
+		name string
+		bake func()
+	}{{"lanes", cb.BakeKernel}, {"graded", cb.BakeGradedKernel}} {
+		b.Run(bk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bk.bake()
+			}
+		})
+	}
+}

@@ -11,7 +11,7 @@ import (
 // encodes everything the generation-stamp contract counts as
 // read-visible device state (levels, targets, fault records, line maps,
 // dead lines, spare allocator, retention clock, weight range) plus the
-// activity counters needed to reproduce compile-time accounting, straight
+// programming energy needed to reproduce compile-time accounting, straight
 // from the live fields; ImportStateBlob decodes such a blob straight into
 // an array's planes. A chip image persists the programmed conductances
 // bit for bit this way, and a loaded array reads exactly like the one it
@@ -23,7 +23,7 @@ import (
 // array of the same geometry (identity line maps, all-zero level
 // planes, no fault or dead-line records, a full spare free list in
 // allocation order, zero retention age, zero weight range and zero
-// counters). Image writers skip blank arrays — a loader reconstructs
+// programming energy). Image writers skip blank arrays — a loader reconstructs
 // them from geometry alone. The encoding is a pure function of the
 // state, so equal arrays encode to identical bytes.
 func (c *Crossbar) StateBlob() []byte {
@@ -50,11 +50,7 @@ func (c *Crossbar) StateBlob() []byte {
 	w = appendDead(w, c.deadCol)
 	w = appendPlane(w, c.spareRowsFree, nil, false)
 	w = appendPlane(w, c.spareColsFree, nil, false)
-	for _, v := range []uint64{
-		uint64(c.age), math.Float64bits(c.wmax),
-		uint64(c.stats.MACs), uint64(c.stats.ActiveRowSum),
-		math.Float64bits(c.stats.OutputCurrentUA), math.Float64bits(c.stats.ProgramEnergyFJ),
-	} {
+	for _, v := range []uint64{uint64(c.age), math.Float64bits(c.wmax), math.Float64bits(c.programEnergyFJ)} {
 		w = binary.LittleEndian.AppendUint64(w, v)
 	}
 	return w
@@ -65,7 +61,7 @@ func (c *Crossbar) StateBlob() []byte {
 // them without a plane scan.
 func (c *Crossbar) blank() bool {
 	//nebula:lint-ignore float-eq exact zero means never programmed, not approximately zero
-	if c.age != 0 || c.wmax != 0 || c.stats != (Stats{}) {
+	if c.age != 0 || c.wmax != 0 || c.programEnergyFJ != 0 {
 		return false
 	}
 	for _, p := range [][]int16{c.levelPlus, c.levelMinus, c.targetPlus, c.targetMinus} {
@@ -102,7 +98,7 @@ func isRun(s []int, lo, hi int) bool {
 // encoding. The receiver must have been constructed with the same
 // logical and physical geometry (same rows/cols and spare provisioning);
 // everything else — levels, maps, faults, spares, retention clock,
-// weight range, activity counters — is overwritten from the blob.
+// weight range, programming energy — is overwritten from the blob.
 //
 // The blob's framing is checked in full before any field is written, and
 // every claimed element count is bounded by the array's geometry, so a
@@ -142,7 +138,7 @@ func (c *Crossbar) ImportStateBlob(data []byte) error {
 	deadRows, deadCols := r.records(4), r.records(4)
 	spareRows := r.section(c.physRows - c.Rows)
 	spareCols := r.section(c.physCols - c.Cols)
-	var scalars [6]uint64
+	var scalars [3]uint64
 	for i := range scalars {
 		scalars[i] = r.u64()
 	}
@@ -208,12 +204,7 @@ func (c *Crossbar) ImportStateBlob(data []byte) error {
 	}
 	c.age = int64(scalars[0])
 	c.wmax = math.Float64frombits(scalars[1])
-	c.stats = Stats{
-		MACs:            int64(scalars[2]),
-		ActiveRowSum:    int64(scalars[3]),
-		OutputCurrentUA: math.Float64frombits(scalars[4]),
-		ProgramEnergyFJ: math.Float64frombits(scalars[5]),
-	}
+	c.programEnergyFJ = math.Float64frombits(scalars[2])
 	c.DropKernel()
 	return nil
 }

@@ -149,12 +149,12 @@ func TestImportStateBlobDamaged(t *testing.T) {
 // TestImportStateBlobBoundsSpareLists pins the spare free lists' bound:
 // a list may hold at most the array's spare provisioning. The blob of
 // an unprogrammed array ends with the two 4-entry spare lists (u32
-// length, layout byte, one byte per entry) and the six u64 scalars.
+// length, layout byte, one byte per entry) and the three u64 scalars.
 func TestImportStateBlobBoundsSpareLists(t *testing.T) {
 	c := freshStateArray()
 	c.Tick(1)
 	blob := c.StateBlob()
-	tail := len(blob) - 6*8
+	tail := len(blob) - 3*8
 	rowsAt := tail - 2*9
 	splice := func(rows []byte) []byte {
 		out := append([]byte(nil), blob[:rowsAt]...)
@@ -184,5 +184,25 @@ func FuzzImportStateBlob(f *testing.F) {
 	f.Add(programmed.StateBlob())
 	f.Add(sparseStateArray(f).StateBlob())
 	f.Add(faultyStateArray(f).StateBlob())
+	old := programmed.StateBlob()
+	old[0] = stateCodecVersion - 1 // a blob of the previous layout
+	f.Add(old)
 	f.Fuzz(assertImportSafe)
+}
+
+// TestImportStateBlobVersionAndEnergy pins the blob's version tag and
+// its one counter: a blob tagged with another codec version is rejected
+// before any field is read, and the programming energy survives the
+// round trip bit for bit.
+func TestImportStateBlobVersionAndEnergy(t *testing.T) {
+	src := faultyStateArray(t)
+	blob := src.StateBlob()
+	if got, want := importInto(t, blob).Stats(), src.Stats(); got != want || want.ProgramEnergyFJ == 0 {
+		t.Fatalf("imported stats %+v, want %+v (nonzero programming energy)", got, want)
+	}
+	old := append([]byte(nil), blob...)
+	old[0] = stateCodecVersion - 1
+	if err := freshStateArray().ImportStateBlob(old); err == nil {
+		t.Fatal("blob of the previous codec version accepted")
+	}
 }

@@ -13,7 +13,7 @@ import (
 //   - the row and column maps, the four level planes, the fault-record
 //     lists, the dead-line lists and the spare free lists, in that
 //     order;
-//   - the retention age, the weight range and the activity counters
+//   - the retention age, the weight range and the programming energy
 //     (u64 each, floats as their IEEE-754 bits).
 //
 // Planes are shaped to their content:
@@ -39,7 +39,7 @@ import (
 
 // stateCodecVersion tags the blob layout; a decoder rejects versions it
 // does not know instead of misreading them.
-const stateCodecVersion = 3
+const stateCodecVersion = 4
 
 // nilPlane is the length sentinel for a nil plane.
 const nilPlane = ^uint32(0)
