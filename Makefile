@@ -130,4 +130,6 @@ image-check:
 bench-module:
 	cd _benchmark && $(GO) vet . && $(GO) test .
 
-verify: build fmt-check lint flow-lint test race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check bench-module
+# `cover` runs the whole suite without -race, so verify leaves out
+# `test`, which would run it a second time.
+verify: build fmt-check lint flow-lint race smoke bench-smoke chaos-smoke serve-smoke cover obs-check kernel-check image-check sparse-check bench-module

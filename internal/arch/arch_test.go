@@ -121,13 +121,13 @@ func TestSuperTileUtilization(t *testing.T) {
 }
 
 func TestANNCoreSaturation(t *testing.T) {
-	st := NewANNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
+	st := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(4, 2)
 	w.Set(1, 0, 0)
 	w.Set(1, 1, 0)
 	w.Set(1, 2, 0)
 	w.Set(-1, 0, 1)
-	if err := st.Program(w, 1); err != nil {
+	if err := st.Program(w, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	st.ST.Bake()
@@ -156,14 +156,14 @@ func TestANNCoreSaturation(t *testing.T) {
 // coreStep at output position 0, outside any session: the rig owns the
 // replica bank and scratch a run state would.
 type coreRig struct {
-	core *SNNCore
+	core *neuralCore
 	env  execEnv
 	sr   stageRun
 	res  RunResult
 	pl   spikeplane.Plane
 }
 
-func newCoreRig(core *SNNCore) *coreRig {
+func newCoreRig(core *neuralCore) *coreRig {
 	core.ST.Bake()
 	r := &coreRig{core: core, env: execEnv{skip: true}}
 	r.sr.neurons = neuronBank(core)
@@ -188,7 +188,7 @@ func (r *coreRig) step(t *testing.T, in []float64) []float64 {
 func (r *coreRig) membrane(i int) float64 { return r.sr.neurons[i].Membrane() }
 
 func TestSNNCoreIntegrateAndFire(t *testing.T) {
-	core := NewSNNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
+	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(0.4, 0, 0) // quantized to 6/15 = 0.4
 	if err := core.Program(w, 1, 1); err != nil {
@@ -217,7 +217,7 @@ func TestSNNCoreIntegrateAndFire(t *testing.T) {
 
 func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 	// §IV-B4: membrane persists in the device with no refresh.
-	core := NewSNNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
+	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(0.4, 0, 0)
 	if err := core.Program(w, 1, 1); err != nil {
@@ -238,7 +238,7 @@ func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 }
 
 func TestSNNCoreInhibition(t *testing.T) {
-	core := NewSNNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
+	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(2, 1)
 	w.Set(0.5, 0, 0)
 	w.Set(-0.5, 1, 0)
@@ -256,7 +256,7 @@ func TestSNNCoreInhibition(t *testing.T) {
 }
 
 func TestSNNCoreRateTracksInput(t *testing.T) {
-	core := NewSNNCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
+	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(1.0, 0, 0)
 	if err := core.Program(w, 1, 1); err != nil {

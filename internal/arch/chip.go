@@ -13,10 +13,12 @@ import (
 )
 
 // Chip executes converted networks on simulated NEBULA hardware: one
-// neural core per weighted stage (dedicated SNN or ANN cores, Fig. 6(b)),
-// pooling in the NU datapath, digital accumulation at the routing units
-// for the read-out, and a mesh NoC carrying inter-stage spikes (charged
-// as hop counts; see Session.finish).
+// neural core per weighted stage, spiking or continuous by the domain
+// the stage runs in (dedicated SNN or ANN cores, Fig. 6(b)), lowered
+// exactly once per compile; pooling in the NU datapath, digital
+// accumulation at the routing units for the read-out, and a mesh NoC
+// carrying inter-stage spikes (charged as hop counts; see
+// Session.finish).
 //
 // The chip consumes the output of convert.Convert, whose weights are
 // normalized so that every IF threshold is 1 and activations live in
@@ -59,35 +61,33 @@ func NewChip(p device.Params, cfg crossbar.Config, noise *rng.Rand) *Chip {
 	return &Chip{P: p, Cfg: cfg, WMax: 1.0, noise: noise}
 }
 
-// stageHW is the hardware realization of one converted stage.
+// stageHW is the hardware realization of one converted stage. The
+// session's stages before its hybrid cut run spiking (stepStage), the
+// rest continuous (annStage); one type serves both domains.
 type stageHW struct {
 	kind string
 	// name is the converted layer's name, the key counter snapshots and
 	// trace events carry.
 	name string
-	// snnCore / annCore hold the crossbars for weighted stages (only one
-	// is populated depending on the run mode).
-	snnCore *SNNCore
-	annCore *ANNCore
+	// core holds the crossbars of a weighted stage that fits one core.
+	core *neuralCore
 	// conv geometry (kind == "conv")
 	kh, kw, stride, pad int
 	inC, outC, groups   int
 	// gather is the conv stage's receptive-field fetch table, derived
-	// from the geometry and the compiled input shape by programPositions.
+	// from the geometry and the compiled input shape (nil for a
+	// continuous stage compiled without a shape: each run state derives
+	// one for the size it sees).
 	gather *gatherTable
-	// pool (kind == "pool")
-	pool *snn.AvgPoolIF
+	// pool geometry (kind == "pool")
+	poolK, poolStride int
 	// output weights (kind == "output") — digitally accumulated at RUs.
 	outW, outB *tensor.Tensor
-	// spill holds the multi-core ADC-path realization of a dense stage
-	// whose receptive field exceeds one super-tile (nil otherwise).
+	// spill holds the multi-core ADC-path realization of a spiking dense
+	// stage whose receptive field exceeds one super-tile (nil otherwise).
 	spill *RUSpillCore
 	// bias currents injected alongside the crossbar evaluation.
 	bias *tensor.Tensor
-	// kmProgram programs the kernel matrix once the number of
-	// time-multiplexed positions is known (conv stages; invoked by
-	// Compile via programPositions).
-	kmProgram func(positions int) error
 }
 
 // RunResult reports a chip-level inference.
@@ -124,68 +124,85 @@ type RunResult struct {
 	Crossbar crossbar.Stats
 }
 
-// buildSNN lowers a converted network onto hardware SNN cores.
-func (ch *Chip) buildSNN(c *convert.Converted) ([]*stageHW, error) {
-	var stages []*stageHW
-	for _, st := range c.Stages {
+// lower realizes the converted stages in pipeline order, each exactly
+// once: stages before cut onto spiking cores, stages from cut on onto
+// continuous ones. It carries the input's (h, w) through the walk, so
+// the position-replica banks of spiking conv stages and the gather
+// tables of every conv stage come from the same walk. Spiking conv
+// stages need the shape; without one, continuous conv stages leave
+// their gather table to each run state.
+func (ch *Chip) lower(c *convert.Converted, cut int, shape []int) ([]*stageHW, error) {
+	haveShape := len(shape) == 3
+	var h, w int
+	if haveShape {
+		h, w = shape[1], shape[2]
+	}
+	stages := make([]*stageHW, 0, len(c.Stages))
+	for i, st := range c.Stages {
+		spiking := i < cut
 		layer := c.SNN.Layers[st.SNNLayer]
 		switch v := layer.(type) {
 		case *snn.Conv:
 			outC := v.W.Dim(0)
 			kh, kw := v.W.Dim(2), v.W.Dim(3)
 			gcIn := v.W.Dim(1)
-			inC := gcIn * v.Groups
 			rf := gcIn * kh * kw
 			if !FitsInCore(rf, outC) {
 				return nil, fmt.Errorf("arch: stage %s (Rf=%d, K=%d) does not fit one core; multi-core spill is modeled analytically in package energy", v.Name(), rf, outC)
+			}
+			if spiking && !haveShape {
+				return nil, fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
+			}
+			s := &stageHW{kind: "conv", name: v.Name(), kh: kh, kw: kw, stride: v.Stride, pad: v.Pad,
+				inC: gcIn * v.Groups, outC: outC, groups: v.Groups, bias: v.B}
+			if haveShape {
+				gt, err := newGatherTable(gcIn, h, w, kh, kw, v.Stride, v.Pad)
+				if err != nil {
+					return nil, fmt.Errorf("stage %s: %w", v.Name(), err)
+				}
+				s.gather = gt
+				h, w = gt.oh, gt.ow
 			}
 			// Kernel matrix: Rf×outC per Fig. 5. For grouped convolutions
 			// the matrix is block-diagonal over groups; the simulator
 			// keeps one matrix per group and routes each group's input
 			// window to its block (the morphable switches isolate the
-			// per-group column ranges).
-			km := v.W.Reshape(outC, rf).Transpose()
-			core := NewSNNCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-			// Positions allocated lazily at run time (depends on input size).
-			s := &stageHW{kind: "conv", name: v.Name(), snnCore: core, kh: kh, kw: kw,
-				stride: v.Stride, pad: v.Pad, inC: inC, outC: outC, groups: v.Groups}
-			s.kmProgram = func(positions int) error { return ch.programSNN(core, km, positions) }
-			s.bias = v.B
+			// per-group column ranges). A spiking stage owns a replica
+			// bank per (position, group) pair.
+			positions := 1
+			if spiking {
+				positions = s.gather.npos() * v.Groups
+			}
+			var err error
+			if s.core, err = ch.newCore(v.W.Reshape(outC, rf).Transpose(), positions); err != nil {
+				return nil, err
+			}
 			stages = append(stages, s)
 		case *snn.Dense:
 			km := v.W.Transpose() // in×out
 			rf, outC := km.Dim(0), km.Dim(1)
-			if !FitsInCore(rf, outC) {
+			s := &stageHW{kind: "dense", name: v.Name(), outC: outC, bias: v.B}
+			var err error
+			switch {
+			case FitsInCore(rf, outC):
+				s.core, err = ch.newCore(km, 1)
+			case spiking:
 				// Multi-core spill: digitized partial sums reduced at a
 				// routing unit (§IV-B3's Rf > 16M path).
-				sp := NewRUSpillCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-				sp.ADCBits = 8
-				if err := ch.programSpill(sp, km, 1); err != nil {
-					return nil, err
-				}
-				for _, st := range sp.blocks {
-					if err := ch.prepare(st); err != nil {
-						return nil, err
-					}
-				}
-				s := &stageHW{kind: "dense", name: v.Name(), spill: sp, outC: outC}
-				s.bias = v.B
-				stages = append(stages, s)
-				continue
+				s.spill, err = ch.newSpill(km)
+			default:
+				err = fmt.Errorf("arch: stage %s (Rf=%d, K=%d) does not fit one core; the RU spill path is spiking only", v.Name(), rf, outC)
 			}
-			core := NewSNNCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-			if err := ch.programSNN(core, km, 1); err != nil {
+			if err != nil {
 				return nil, err
 			}
-			if err := ch.prepare(core.ST); err != nil {
-				return nil, err
-			}
-			s := &stageHW{kind: "dense", name: v.Name(), snnCore: core, outC: outC}
-			s.bias = v.B
 			stages = append(stages, s)
 		case *snn.AvgPoolIF:
-			stages = append(stages, &stageHW{kind: "pool", name: v.Name(),
-				pool: snn.NewAvgPoolIF(v.Name(), v.K, v.Stride, 1.0, snn.ResetToZero)})
+			if haveShape {
+				h = tensor.ConvOutSize(h, v.K, v.Stride, 0)
+				w = tensor.ConvOutSize(w, v.K, v.Stride, 0)
+			}
+			stages = append(stages, &stageHW{kind: "pool", name: v.Name(), poolK: v.K, poolStride: v.Stride})
 		case *snn.Flatten:
 			stages = append(stages, &stageHW{kind: "flatten", name: v.Name()})
 		case *snn.Output:
@@ -231,29 +248,43 @@ func (ch *Chip) prepare(st *SuperTile) error {
 	return ch.protect(st)
 }
 
-// programSNN lays out a spiking core and writes its devices. Program is
-// configure followed by the device writes, so a restoring chip stops
-// after configure — geometry and neuron banks only — and leaves the
-// device state to the image loader.
-func (ch *Chip) programSNN(core *SNNCore, km *tensor.Tensor, positions int) error {
+// newCore builds, programs and prepares the neural core of kernel
+// matrix km with positions replica banks. Program is configure followed
+// by the device writes, so a restoring chip stops after configure —
+// geometry and neuron banks only — and leaves the device state to the
+// image loader.
+func (ch *Chip) newCore(km *tensor.Tensor, positions int) (*neuralCore, error) {
+	core := newNeuralCore(ch.P, ch.coreCfg(), 1.0, ch.split())
+	var err error
 	if ch.restore {
-		return core.configure(km, ch.WMax, positions)
+		err = core.configure(km, ch.WMax, positions)
+	} else {
+		err = core.Program(km, ch.WMax, positions)
 	}
-	return core.Program(km, ch.WMax, positions)
+	if err != nil {
+		return nil, err
+	}
+	return core, ch.prepare(core.ST)
 }
 
-// programANN is programSNN for continuous cores.
-func (ch *Chip) programANN(core *ANNCore, km *tensor.Tensor) error {
+// newSpill is newCore for a spill core: every block is programmed, then
+// each is prepared in block order.
+func (ch *Chip) newSpill(km *tensor.Tensor) (*RUSpillCore, error) {
+	sp := NewRUSpillCore(ch.P, ch.coreCfg(), 1.0, ch.split())
+	sp.ADCBits = 8
+	var err error
 	if ch.restore {
-		return core.configure(km, ch.WMax)
+		err = sp.configure(km, ch.WMax, 1)
+	} else {
+		err = sp.Program(km, ch.WMax, 1)
 	}
-	return core.Program(km, ch.WMax)
-}
-
-// programSpill is programSNN for spill cores.
-func (ch *Chip) programSpill(sp *RUSpillCore, km *tensor.Tensor, positions int) error {
-	if ch.restore {
-		return sp.configure(km, ch.WMax, positions)
+	if err != nil {
+		return nil, err
 	}
-	return sp.Program(km, ch.WMax, positions)
+	for _, st := range sp.blocks {
+		if err := ch.prepare(st); err != nil {
+			return nil, err
+		}
+	}
+	return sp, nil
 }

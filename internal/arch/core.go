@@ -10,50 +10,28 @@ import (
 	"repro/internal/tensor"
 )
 
-// ANNCore is a neural core configured for ANN inference: multi-level
-// drivers, saturating-ReLU MTJ neurons, continuous outputs.
-type ANNCore struct {
+// neuralCore is the neural core of one weighted stage: a super-tile
+// plus the MTJ neurons of the domain the stage runs in. A spiking core
+// drives 1-bit spikes into integrate-and-fire neurons whose domain-wall
+// position stores the membrane potential between timesteps (§IV-B4) —
+// no SRAM round-trips. A continuous core drives multi-level inputs into
+// saturating-ReLU neurons with continuous outputs.
+type neuralCore struct {
 	ST *SuperTile
-	// Clip is the neuron saturation ceiling in activation units (the
-	// device's finite wall travel); outputs are max(0, min(Clip, x)).
-	Clip float64
-}
-
-// NewANNCore builds an ANN core around a fresh super-tile.
-func NewANNCore(p device.Params, cfg crossbar.Config, clip float64, noise *rng.Rand) *ANNCore {
-	return &ANNCore{ST: NewSuperTile(p, cfg, noise), Clip: clip}
-}
-
-// Program loads the layer kernels (Rf×K) scaled to wmax: configure,
-// then write the devices.
-func (c *ANNCore) Program(w *tensor.Tensor, wmax float64) error {
-	return c.ST.Program(w, wmax)
-}
-
-// configure is the layout half of Program: switch geometry without
-// device writes; the image loader imports the recorded state.
-func (c *ANNCore) configure(km *tensor.Tensor, wmax float64) error {
-	return c.ST.configureFor(km, wmax)
-}
-
-// SNNCore is a neural core configured for spiking inference: 1-bit spike
-// drivers and integrate-and-fire MTJ neurons whose domain-wall position
-// stores the membrane potential between timesteps (§IV-B4) — no SRAM
-// round-trips.
-type SNNCore struct {
-	ST *SuperTile
-	// VTh is the firing threshold in activation units (1 after weight
-	// normalization).
+	// VTh is a full domain-wall traversal in activation units (1 after
+	// weight normalization): the firing threshold of a spiking core and
+	// the saturation ceiling of a continuous one, whose outputs are
+	// max(0, min(VTh, x)).
 	VTh float64
 	// kernels is the kernel count; positions the number of
 	// time-multiplexed output positions, each owning a replica bank of
-	// kernels MTJ neurons in every run's state.
+	// kernels MTJ neurons in every spiking run's state.
 	kernels, positions int
 }
 
-// NewSNNCore builds an SNN core around a fresh super-tile.
-func NewSNNCore(p device.Params, cfg crossbar.Config, vth float64, noise *rng.Rand) *SNNCore {
-	return &SNNCore{ST: NewSuperTile(p, cfg, noise), VTh: vth}
+// newNeuralCore builds a neural core around a fresh super-tile.
+func newNeuralCore(p device.Params, cfg crossbar.Config, vth float64, noise *rng.Rand) *neuralCore {
+	return &neuralCore{ST: NewSuperTile(p, cfg, noise), VTh: vth}
 }
 
 // Program loads the layer kernels and sizes the MTJ neuron banks: one
@@ -61,7 +39,7 @@ func NewSNNCore(p device.Params, cfg crossbar.Config, vth float64, noise *rng.Ra
 // model kernel replication — each replica's neuron holds its own
 // position's membrane in its domain-wall, so no membrane ever visits
 // SRAM (§IV-B4). The neurons themselves live in each run's state.
-func (c *SNNCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
+func (c *neuralCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
 	if err := c.configure(w, wmax, positions); err != nil {
 		return err
 	}
@@ -71,7 +49,7 @@ func (c *SNNCore) Program(w *tensor.Tensor, wmax float64, positions int) error {
 // configure is the layout half of Program: switch geometry and the
 // position-replica bank size, with no device written — the image
 // loader imports the recorded conductance state immediately afterwards.
-func (c *SNNCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
+func (c *neuralCore) configure(km *tensor.Tensor, wmax float64, positions int) error {
 	if positions < 1 {
 		return fmt.Errorf("arch: positions must be ≥ 1")
 	}

@@ -52,8 +52,8 @@ func (s *Session) reserveStreams(n int) []runStreams {
 }
 
 // runState is the per-run mutable half of a compiled session: one entry
-// per spiking stage and per continuous stage, plus the hybrid
-// accumulator. Instances are recycled through the session arena; reset
+// per stage (stages for the spiking front, ann for the continuous tail),
+// plus the hybrid accumulator. Instances are recycled through the session arena; reset
 // returns every component to the post-programming rest state so each
 // run is an independent inference, while keeping every buffer — a warm
 // run allocates nothing per timestep or position (DESIGN.md §15).
@@ -115,8 +115,8 @@ type stageRun struct {
 	winPlane spikeplane.Plane
 
 	// Timestep-repeat cache of a dense in-core stage (skipping walk).
-	// The cached column sums are a pure function of (input values,
-	// conductance generation). reset empties the cache, so a run's
+	// The cached column sums are a pure function of the input values:
+	// no run mutates an array, and reset empties the cache, so a run's
 	// repeat count never depends on which recycled state it was handed;
 	// lastIn is only kept for graded (non-binary) planes, whose bit
 	// pattern underdetermines the values. lastCross is the cached
@@ -126,7 +126,6 @@ type stageRun struct {
 	lastIn    []float64
 	lastSums  []float64
 	lastCross crossbar.Stats
-	lastGen   uint64
 	haveLast  bool
 }
 
@@ -185,14 +184,14 @@ func (a *runArena) put(st *runState) {
 
 // newRunState allocates scratch state shaped for the compiled pipeline.
 func (s *Session) newRunState() *runState {
-	st := &runState{stages: make([]*stageRun, len(s.snnStages)), ann: make([]*annRun, len(s.annStages))}
-	for i, hw := range s.snnStages {
+	st := &runState{stages: make([]*stageRun, s.cut), ann: make([]*annRun, len(s.stages)-s.cut)}
+	for i, hw := range s.stages[:s.cut] {
 		sr := &stageRun{}
 		switch {
-		case hw.snnCore != nil:
-			sr.neurons = neuronBank(hw.snnCore)
-			sr.sums = make([]float64, hw.snnCore.ST.cols)
-			sr.fire = make([]float64, hw.snnCore.ST.cols)
+		case hw.core != nil:
+			sr.neurons = neuronBank(hw.core)
+			sr.sums = make([]float64, hw.core.ST.cols)
+			sr.fire = make([]float64, hw.core.ST.cols)
 			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
 			if gt := hw.gather; gt != nil {
 				sr.colBuf = make([]float64, gt.rfg)
@@ -223,7 +222,7 @@ func (s *Session) newRunState() *runState {
 
 // neuronBank allocates a core's position-replica neurons: kernels MTJ
 // neurons for every output position, at rest.
-func neuronBank(core *SNNCore) []device.SpikingNeuron {
+func neuronBank(core *neuralCore) []device.SpikingNeuron {
 	bank := make([]device.SpikingNeuron, core.kernels*core.positions)
 	for i := range bank {
 		bank[i].P = core.ST.P
@@ -372,15 +371,15 @@ func float64sEqual(a, b []float64) bool {
 // vector's plane is built during the integrate walk (no Pack re-scan).
 //
 // On the skipping walk, stages with useCache consult the
-// timestep-repeat cache: when the input plane and the super-tile's
-// conductance generation both match the previous step, the cached
-// column sums and the read's crossbar-stats delta are replayed instead
-// of recomputed. Membrane integration always runs, so neuron state
+// timestep-repeat cache: when the input plane matches the previous
+// step's, the cached column sums and the read's crossbar-stats delta
+// are replayed instead of recomputed (no run mutates an array, so the
+// sums depend on the input alone). Membrane integration always runs, so neuron state
 // stays cycle-exact and the emitted spikes are bitwise identical to the
 // reference walk.
 //
 //nebula:hotpath
-func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64, pl, outPl *spikeplane.Plane, bias []float64, useCache bool, res *RunResult) ([]float64, error) {
+func (env *execEnv) coreStep(core *neuralCore, sr *stageRun, pos int, in []float64, pl, outPl *spikeplane.Plane, bias []float64, useCache bool, res *RunResult) ([]float64, error) {
 	bank := sr.neurons
 	if (pos+1)*core.kernels > len(bank) {
 		return nil, fmt.Errorf("arch: position %d beyond allocated replicas", pos)
@@ -389,7 +388,7 @@ func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64,
 	res.EDRAMAccesses++
 	env.charge(res, pl, pl.Len()-pl.Count())
 	cache := useCache && env.skip
-	if cache && sr.haveLast && core.ST.GenSum() == sr.lastGen &&
+	if cache && sr.haveLast &&
 		pl.Binary() == sr.lastPlane.Binary() &&
 		pl.EqualWords(&sr.lastPlane) &&
 		(pl.Binary() || float64sEqual(in, sr.lastIn)) {
@@ -418,7 +417,6 @@ func (env *execEnv) coreStep(core *SNNCore, sr *stageRun, pos int, in []float64,
 				sr.lastSums = make([]float64, len(sr.sums))
 			}
 			copy(sr.lastSums, sr.sums)
-			sr.lastGen = core.ST.GenSum()
 			sr.haveLast = true
 		}
 	}
@@ -582,7 +580,7 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 					gt.gather(sr.colBuf, sub, pos)
 					in = sr.colBuf
 				}
-				spikes, err := env.coreStep(hw.snnCore, sr, bankPos, in, wp, nil, bias, false, res)
+				spikes, err := env.coreStep(hw.core, sr, bankPos, in, wp, nil, bias, false, res)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -617,7 +615,7 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 			sr.outPlane.Reset(len(sr.fire))
 			return sr.view, &sr.outPlane, nil
 		default:
-			_, err = env.coreStep(hw.snnCore, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
+			_, err = env.coreStep(hw.core, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -629,8 +627,8 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		return sr.view, &sr.outPlane, nil
 	case "pool":
 		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-		oh := tensor.ConvOutSize(h, hw.pool.K, hw.pool.Stride, 0)
-		ow := tensor.ConvOutSize(w, hw.pool.K, hw.pool.Stride, 0)
+		oh := tensor.ConvOutSize(h, hw.poolK, hw.poolStride, 0)
+		ow := tensor.ConvOutSize(w, hw.poolK, hw.poolStride, 0)
 		if sr.poolOut == nil || sr.poolOut.Dim(0) != c || sr.poolOut.Dim(1) != oh || sr.poolOut.Dim(2) != ow {
 			//nebula:coldpath first step of a fresh run state
 			sr.poolCur, sr.poolOut = tensor.New(c, oh, ow), tensor.New(c, oh, ow)
@@ -648,7 +646,7 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 			return out, &sr.outPlane, nil
 		}
 		env.charge(res, pl, 0)
-		snn.AvgPoolInto(sr.poolCur, x, hw.pool.K, hw.pool.Stride)
+		snn.AvgPoolInto(sr.poolCur, x, hw.poolK, hw.poolStride)
 		sr.poolIF.FireInto(out, sr.poolCur)
 		sr.outPlane.Pack(out.Data())
 		return out, &sr.outPlane, nil
@@ -745,14 +743,14 @@ func addInto(dst, src []float64) {
 	}
 }
 
-// annExec drives one input vector, whose packed plane is pl, through an
-// ANN core with the stage bias injected pre-saturation. The saturated
+// annExec drives one input vector, whose packed plane is pl, through a
+// continuous core with the stage bias injected pre-saturation. The saturated
 // activations land in dst, which must hold core.ST.cols values; when
 // outPl is non-nil the graded plane of dst is built during the same
 // clip walk. sc is the stage's evaluation scratch.
 //
 //nebula:hotpath
-func (env *execEnv) annExec(core *ANNCore, in []float64, pl, outPl *spikeplane.Plane, bias *tensor.Tensor, dst []float64, sc *EvalScratch, res *RunResult) error {
+func (env *execEnv) annExec(core *neuralCore, in []float64, pl, outPl *spikeplane.Plane, bias *tensor.Tensor, dst []float64, sc *EvalScratch, res *RunResult) error {
 	bd := biasData(bias)
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
@@ -779,8 +777,8 @@ func (env *execEnv) annExec(core *ANNCore, in []float64, pl, outPl *spikeplane.P
 		}
 		if v < 0 {
 			v = 0
-		} else if v > core.Clip {
-			v = core.Clip
+		} else if v > core.VTh {
+			v = core.VTh
 		}
 		dst[j] = v
 		if outPl != nil && v != 0 {
@@ -796,13 +794,13 @@ func (env *execEnv) annExec(core *ANNCore, in []float64, pl, outPl *spikeplane.P
 	return nil
 }
 
-// annStage executes one compiled stage in ANN mode; pl is the packed
+// annStage executes one continuous stage; pl is the packed
 // plane of x. Its output and the output's plane live in ar and are
 // valid until the stage's next execution; the plane is nil after the
 // read-out, which ends the pipeline.
 //
 //nebula:hotpath
-func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
+func (env *execEnv) annStage(hw *stageHW, ar *annRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	switch hw.kind {
 	case "conv":
 		if x.NDim() != 3 {
@@ -813,7 +811,7 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, pl *s
 		if !gt.fits(h, w) {
 			if !ar.gather.fits(h, w) {
 				//nebula:coldpath input size the compile did not fix: derived once per run state
-				ag, err := newGatherTable(hw.gcIn, h, w, hw.kh, hw.kw, hw.stride, hw.pad)
+				ag, err := newGatherTable(hw.inC/hw.groups, h, w, hw.kh, hw.kw, hw.stride, hw.pad)
 				if err != nil {
 					return nil, nil, fmt.Errorf("arch: conv stage %s: %w", hw.name, err)
 				}
@@ -821,9 +819,9 @@ func (env *execEnv) annStage(hw *annStageHW, ar *annRun, x *tensor.Tensor, pl *s
 			}
 			gt = ar.gather
 		}
-		subLen := hw.gcIn * h * w
+		subLen := hw.inC / hw.groups * h * w
 		if x.Size() != hw.groups*subLen {
-			return nil, nil, fmt.Errorf("arch: conv stage %s expects %d input channels, got %v", hw.name, hw.groups*hw.gcIn, x.Shape())
+			return nil, nil, fmt.Errorf("arch: conv stage %s expects %d input channels, got %v", hw.name, hw.inC, x.Shape())
 		}
 		if ar.out == nil || ar.out.Dim(1) != gt.oh || ar.out.Dim(2) != gt.ow {
 			//nebula:coldpath first run of a fresh run state
@@ -916,7 +914,7 @@ func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := s.snnBase + i
+	idx := s.obsBase + i
 	d := env.observe(m, res, env.shard.Stage(idx))
 	if env.shard.TraceEnabled() {
 		env.shard.AddTrace(obs.TraceEvent{Timestep: t, Stage: idx, Layer: hw.name, Spikes: d})
@@ -924,12 +922,12 @@ func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun
 	return out, opl, nil
 }
 
-// runANN executes the continuous pipeline over x, attributing each
+// runANN executes the continuous stages over x, attributing each
 // stage's counter delta to its bucket when the run carries a shard.
 func (s *Session) runANN(ctx context.Context, env *execEnv, st *runState, x *tensor.Tensor, res *RunResult) (*tensor.Tensor, error) {
 	pl := &st.annPlane
 	pl.Pack(x.Data())
-	for j, hw := range s.annStages {
+	for j, hw := range s.stages[s.cut:] {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -943,7 +941,7 @@ func (s *Session) runANN(ctx context.Context, env *execEnv, st *runState, x *ten
 			return nil, err
 		}
 		if env.shard != nil {
-			env.observe(m, res, env.shard.Stage(s.annBase+j))
+			env.observe(m, res, env.shard.Stage(s.obsBase+s.cut+j))
 		}
 	}
 	return x, nil
@@ -983,68 +981,50 @@ func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *te
 	return x, pl
 }
 
-// execANN runs one continuous-activation pass.
-func (s *Session) execANN(ctx context.Context, img *tensor.Tensor, env *execEnv, st *runState) (*RunResult, error) {
+// exec runs one inference: T encoded timesteps through the spiking
+// stages, then one pass through the continuous stages. ModeANN has no
+// spiking stage and no timestep; ModeSNN has no continuous stage and
+// reads its result from the read-out accumulator; ModeHybrid folds each
+// timestep's boundary spikes into the AU and feeds its read-out to the
+// continuous tail. Cancellation is checked between timesteps so a hung
+// experiment is killable mid-window.
+func (s *Session) exec(ctx context.Context, img *tensor.Tensor, env *execEnv, enc snn.Encoder, st *runState) (*RunResult, error) {
 	res := &RunResult{}
-	x, err := s.runANN(ctx, env, st, img, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = x.Clone()
-	res.Prediction = x.ArgMax()
-	return res, nil
-}
-
-// execSNN runs T encoded timesteps through the spiking pipeline.
-// Cancellation is checked between timesteps so a hung experiment is
-// killable mid-window.
-func (s *Session) execSNN(ctx context.Context, img *tensor.Tensor, env *execEnv, enc snn.Encoder, st *runState) (*RunResult, error) {
-	res := &RunResult{}
-	for t := 0; t < s.cfg.Timesteps; t++ {
+	x := img
+	for t := 0; t < s.Timesteps(); t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		x, pl := s.encodeObs(env, st, enc, img, t)
-		for i, hw := range s.snnStages {
+		var pl *spikeplane.Plane
+		x, pl = s.encodeObs(env, st, enc, img, t)
+		for i, hw := range s.stages[:s.cut] {
 			var err error
 			x, pl, err = s.stepStageObs(env, i, t, hw, st.stages[i], x, pl, res)
 			if err != nil {
 				return nil, err
 			}
 		}
-	}
-	// The read-out stage integrates increments across timesteps; its
-	// accumulator holds the final class potentials.
-	out := runOutput(st, s.snnStages)
-	res.Output = out
-	res.Prediction = out.ArgMax()
-	return res, nil
-}
-
-// execHybrid runs the spiking front, accumulates boundary spikes at the
-// AU, and finishes with the compiled ANN tail.
-func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execEnv, enc snn.Encoder, st *runState) (*RunResult, error) {
-	res := &RunResult{}
-	for t := 0; t < s.cfg.Timesteps; t++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if st.au != nil {
+			st.au.Accumulate(x)
 		}
-		x, pl := s.encodeObs(env, st, enc, img, t)
-		for i, hw := range s.snnStages {
-			var err error
-			x, pl, err = s.stepStageObs(env, i, t, hw, st.stages[i], x, pl, res)
-			if err != nil {
-				return nil, err
-			}
-		}
-		st.au.Accumulate(x)
 	}
-	// The recovered activations are in the source (unnormalized) scale of
-	// the boundary; renormalize to [0,1] with λ so the normalized weights
-	// of the remaining stages apply directly.
-	st.auOut = st.au.ReadInto(st.auOut)
-	st.auOut.ScaleInPlace(1 / s.lambda)
-	x, err := s.runANN(ctx, env, st, st.auOut, res)
+	switch s.cfg.Mode {
+	case ModeSNN:
+		// The read-out stage integrates increments across timesteps; its
+		// accumulator holds the final class potentials.
+		out := runOutput(st)
+		res.Output = out
+		res.Prediction = out.ArgMax()
+		return res, nil
+	case ModeHybrid:
+		// The recovered activations are in the source (unnormalized)
+		// scale of the boundary; renormalize to [0,1] with λ so the
+		// normalized weights of the remaining stages apply directly.
+		st.auOut = st.au.ReadInto(st.auOut)
+		st.auOut.ScaleInPlace(1 / s.lambda)
+		x = st.auOut
+	}
+	x, err := s.runANN(ctx, env, st, x, res)
 	if err != nil {
 		return nil, err
 	}
@@ -1055,8 +1035,8 @@ func (s *Session) execHybrid(ctx context.Context, img *tensor.Tensor, env *execE
 
 // runOutput reads the final class potentials from the per-run read-out
 // accumulator.
-func runOutput(st *runState, stages []*stageHW) *tensor.Tensor {
-	if n := len(stages); n > 0 {
+func runOutput(st *runState) *tensor.Tensor {
+	if n := len(st.stages); n > 0 {
 		if acc := st.stages[n-1].outAcc; acc != nil {
 			return acc.Clone()
 		}
@@ -1098,16 +1078,7 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	st := s.arena.get(s)
 	st.reset()
 	defer s.arena.put(st)
-	var res *RunResult
-	var err error
-	switch s.cfg.Mode {
-	case ModeANN:
-		res, err = s.execANN(ctx, input, env, st)
-	case ModeSNN:
-		res, err = s.execSNN(ctx, input, env, enc, st)
-	default:
-		res, err = s.execHybrid(ctx, input, env, enc, st)
-	}
+	res, err := s.exec(ctx, input, env, enc, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1138,12 +1109,18 @@ func (s *Session) mergeShards(shards []*obs.RunRecord) error {
 // per-run RNG streams, so a loop of Run calls is bitwise identical to
 // one RunBatch over the same inputs.
 func (s *Session) Run(ctx context.Context, input *tensor.Tensor) (*RunResult, error) {
-	res, shard, err := s.runOne(ctx, input, s.reserveStreams(1)[0], false)
+	return s.runMerged(ctx, input, s.reserveStreams(1)[0])
+}
+
+// runMerged is the body of Run and RunReserved: one production run on
+// the given streams, its shard merged into the recorder on success.
+func (s *Session) runMerged(ctx context.Context, input *tensor.Tensor, rs runStreams) (*RunResult, error) {
+	res, shard, err := s.runOne(ctx, input, rs, false)
 	if err != nil {
 		return nil, err
 	}
 	if shard != nil {
-		if err := s.mergeShards([]*obs.RunRecord{shard}); err != nil {
+		if err := s.rec.MergeRun(shard); err != nil {
 			return nil, err
 		}
 	}
@@ -1184,16 +1161,7 @@ type ReservedStreams struct {
 // and streams. Safe for concurrent use under the same conditions as
 // Run.
 func (s *Session) RunReserved(ctx context.Context, input *tensor.Tensor, rs ReservedStreams) (*RunResult, error) {
-	res, shard, err := s.runOne(ctx, input, runStreams{enc: rs.Enc, noise: rs.Noise}, false)
-	if err != nil {
-		return nil, err
-	}
-	if shard != nil {
-		if err := s.mergeShards([]*obs.RunRecord{shard}); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return s.runMerged(ctx, input, runStreams{enc: rs.Enc, noise: rs.Noise})
 }
 
 // RunBatch executes a batch of inferences across the session's worker

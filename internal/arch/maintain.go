@@ -20,23 +20,18 @@ import (
 // is what keeps a long-running replica honest.
 
 // forEachSuperTile visits every super-tile the compiled pipeline routes
-// reads through, in the fixed pipeline order (spiking cores, their spill
-// blocks, then continuous cores). The order is deterministic, which
-// makes every maintenance pass over it reproducible.
+// reads through, in the fixed pipeline order (spiking cores and their
+// spill blocks, then continuous cores). The order is deterministic,
+// which makes every maintenance pass over it reproducible.
 func (s *Session) forEachSuperTile(f func(st *SuperTile)) {
-	for _, hw := range s.snnStages {
-		if hw.snnCore != nil {
-			f(hw.snnCore.ST)
+	for _, hw := range s.stages {
+		if hw.core != nil {
+			f(hw.core.ST)
 		}
 		if hw.spill != nil {
 			for _, st := range hw.spill.blocks {
 				f(st)
 			}
-		}
-	}
-	for _, hw := range s.annStages {
-		if hw.core != nil {
-			f(hw.core.ST)
 		}
 	}
 }

@@ -26,32 +26,26 @@ func (s *Session) attachObserver(rec *obs.Recorder, healthBefore reliability.Rep
 
 // buildObsLayout derives the counter schema of the compiled pipeline:
 // an input bucket for the encoder in spiking modes, then one bucket per
-// spiking stage, then one per continuous stage. Weighted stages carry a
-// neural-core ordinal and their super-tile count.
+// stage, in the domain it runs in. Weighted stages carry a neural-core
+// ordinal and their super-tile count.
 func (s *Session) buildObsLayout() {
 	l := &obs.Layout{Model: s.model.SNN.Name(), Mode: s.cfg.Mode.String()}
 	if s.cfg.Mode != ModeANN {
 		l.Stages = append(l.Stages, obs.StageInfo{Name: "input", Kind: "encode", Domain: "input", Core: -1})
 	}
+	s.obsBase = len(l.Stages)
 	core := 0
-	s.snnBase = len(l.Stages)
-	for _, hw := range s.snnStages {
+	for i, hw := range s.stages {
 		si := obs.StageInfo{Name: hw.name, Kind: hw.kind, Domain: "snn", Core: -1}
+		if i >= s.cut {
+			si.Domain = "ann"
+		}
 		switch {
-		case hw.snnCore != nil:
+		case hw.core != nil:
 			si.Core, si.Tiles = core, 1
 			core++
 		case hw.spill != nil:
 			si.Core, si.Tiles = core, hw.spill.Blocks()
-			core++
-		}
-		l.Stages = append(l.Stages, si)
-	}
-	s.annBase = len(l.Stages)
-	for _, hw := range s.annStages {
-		si := obs.StageInfo{Name: hw.name, Kind: hw.kind, Domain: "ann", Core: -1}
-		if hw.core != nil {
-			si.Core, si.Tiles = core, 1
 			core++
 		}
 		l.Stages = append(l.Stages, si)
@@ -65,21 +59,9 @@ func (s *Session) buildObsLayout() {
 func (s *Session) compileRecord(healthBefore reliability.Report) obs.ProgramRecord {
 	p := reliabilityRecord(s.chip.health.Delta(healthBefore))
 	p.Compiles = 1
-	for _, hw := range s.snnStages {
-		switch {
-		case hw.snnCore != nil:
-			p.ProgramEnergyFJ += hw.snnCore.ST.Stats().ProgramEnergyFJ
-		case hw.spill != nil:
-			for _, st := range hw.spill.blocks {
-				p.ProgramEnergyFJ += st.Stats().ProgramEnergyFJ
-			}
-		}
-	}
-	for _, hw := range s.annStages {
-		if hw.core != nil {
-			p.ProgramEnergyFJ += hw.core.ST.Stats().ProgramEnergyFJ
-		}
-	}
+	s.forEachSuperTile(func(st *SuperTile) {
+		p.ProgramEnergyFJ += st.Stats().ProgramEnergyFJ
+	})
 	return p
 }
 

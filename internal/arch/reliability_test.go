@@ -5,10 +5,12 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/convert"
 	"repro/internal/crossbar"
 	"repro/internal/device"
 	"repro/internal/mapping"
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -163,5 +165,52 @@ func TestHealthScanDeterministicAndScrub(t *testing.T) {
 	}
 	if r3 == r1 {
 		t.Fatal("different seeds produced identical scans")
+	}
+}
+
+// TestCompileScansOnlyRoutedArrays pins that a compile programs, injects
+// and BISTs exactly the cores its session routes: under write-verify,
+// which retires nothing, the chip scans one array per routed slot, and
+// the observer's program record carries the same scan reads as the chip
+// health. A hybrid compile lowers each stage once, so its tail builds
+// no throwaway spiking core.
+func TestCompileScansOnlyRoutedArrays(t *testing.T) {
+	mlp, _ := chipFixture(t)
+	var lenet *walkModel
+	for _, m := range walkMatrix(t) {
+		if m.name == "hybrid-lenet" {
+			lenet = &m
+		}
+	}
+	cases := []struct {
+		name string
+		c    *convert.Converted
+		opts []Option
+	}{
+		{"ann-mlp", mlp, []Option{WithMode(ModeANN)}},
+		{"snn-mlp", mlp, []Option{WithMode(ModeSNN), WithTimesteps(5)}},
+		{"hybrid-mlp-split1", mlp, []Option{WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(5)}},
+		{"hybrid-mlp-split2", mlp, []Option{WithMode(ModeHybrid), WithHybridSplit(2), WithTimesteps(5)}},
+		{"hybrid-lenet-split2", lenet.c, lenet.opts},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			chip := NewChip(device.DefaultParams(), crossbar.Config{}, rng.New(1))
+			chip.Rel = reliability.StudyConfig(0.01, reliability.ProtectWriteVerify)
+			rec := obs.NewRecorder()
+			sess, err := chip.Compile(tc.c, append(append([]Option(nil), tc.opts...), WithObserver(rec))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := 0
+			sess.forEachSuperTile(func(st *SuperTile) { slots += st.Slots() })
+			h := chip.Health()
+			if h.ArraysScanned != int64(slots) {
+				t.Fatalf("chip scanned %d arrays, session routes %d slots", h.ArraysScanned, slots)
+			}
+			if p := rec.Snapshot().Program; p.BISTReads != h.ScanReads {
+				t.Fatalf("program record BISTReads %d, chip health ScanReads %d", p.BISTReads, h.ScanReads)
+			}
+		})
 	}
 }

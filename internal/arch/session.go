@@ -15,7 +15,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/snn"
-	"repro/internal/tensor"
 )
 
 // This file is the program-once / run-many inference API. Compile performs
@@ -269,9 +268,11 @@ func WithObserver(rec *obs.Recorder) Option { return func(c *sessionConfig) { c.
 const defaultSessionSeed uint64 = 0x9e3779b97f4a7c15
 
 // Session is a compiled inference pipeline: programmed (and protected)
-// crossbar hardware plus the run configuration. The compiled state is
-// read-only during runs — no run mutates an array — so Run and RunBatch
-// are safe for concurrent use unless the session was compiled
+// crossbar hardware plus the run configuration. Its one stage list holds
+// a spiking front and a continuous tail split at the hybrid cut, so a
+// hybrid session programs exactly the cores it routes. The compiled
+// state is read-only during runs — no run mutates an array — so Run and
+// RunBatch are safe for concurrent use unless the session was compiled
 // WithSharedEncoder. The arrays change only through four explicit
 // events: compile-time fault injection and protection (Chip.Rel),
 // AgeRetention, InjectStuckFaults and Scrub.
@@ -280,23 +281,22 @@ type Session struct {
 	cfg   sessionConfig
 	model *convert.Converted
 
-	// snnStages is the spiking pipeline (ModeSNN: all stages; ModeHybrid:
-	// the front up to the cut). annStages is the continuous pipeline
-	// (ModeANN: all stages; ModeHybrid: the tail from the cut).
-	snnStages []*stageHW
-	annStages []*annStageHW
+	// stages is the compiled pipeline in order, each converted stage
+	// lowered once; stages[:cut] run spiking and stages[cut:] continuous
+	// (ModeSNN: cut = len(stages); ModeANN: cut = 0).
+	stages []*stageHW
+	cut    int
 	// lambda is the activation scale at the hybrid boundary.
 	lambda float64
 
 	// rec is the attached metrics recorder (nil: observation disabled).
-	// obsLayout is the counter schema built at compile time; snnBase /
-	// annBase are the bucket offsets of the spiking and continuous
-	// pipelines within it; traceOn caches rec.TraceEnabled(); engineHops
-	// is the mesh distance the engine charges per inter-stage packet.
+	// obsLayout is the counter schema built at compile time; obsBase is
+	// the bucket offset of stage 0 within it (1 after the input bucket of
+	// spiking modes); traceOn caches rec.TraceEnabled(); engineHops is
+	// the mesh distance the engine charges per inter-stage packet.
 	rec        *obs.Recorder
 	obsLayout  *obs.Layout
-	snnBase    int
-	annBase    int
+	obsBase    int
 	traceOn    bool
 	engineHops int64
 
@@ -316,11 +316,13 @@ type Session struct {
 }
 
 // Compile lowers a converted network onto the chip for the requested
-// mode: cores are created and programmed, conv position replicas are
-// allocated, and — when the reliability subsystem is enabled — the fault
-// profile is injected and the BIST/protect pipeline runs, exactly once.
-// All errors are returned as *CompileError wrapping the cause (including
-// *reliability.DegradedError when protection is exhausted).
+// mode: each stage is lowered once, in pipeline order, onto a core of
+// the domain it runs in — spiking before the hybrid cut, continuous
+// from it on. Cores are created and programmed, conv position replicas
+// are allocated, and — when the reliability subsystem is enabled — the
+// fault profile is injected and the BIST/protect pipeline runs, exactly
+// once. All errors are returned as *CompileError wrapping the cause
+// (including *reliability.DegradedError when protection is exhausted).
 func (ch *Chip) Compile(model *convert.Converted, opts ...Option) (*Session, error) {
 	cfg := sessionConfig{}
 	for _, o := range opts {
@@ -340,7 +342,8 @@ func (ch *Chip) Compile(model *convert.Converted, opts ...Option) (*Session, err
 }
 
 // compile is the uncached compilation path shared by Compile, the image
-// cache and the image loader.
+// cache and the image loader: it places the hybrid cut (the end of the
+// pipeline for ModeSNN, 0 for ModeANN) and lowers the model once.
 func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, error) {
 	fail := func(err error) (*Session, error) {
 		return nil, &CompileError{Mode: cfg.Mode, Model: model.SNN.Name(), Err: err}
@@ -365,39 +368,16 @@ func (ch *Chip) compile(model *convert.Converted, cfg sessionConfig) (*Session, 
 	// exactly this compilation's BIST/repair work.
 	healthBefore := ch.health
 
-	s := &Session{chip: ch, cfg: cfg, model: model}
+	s := &Session{chip: ch, cfg: cfg, model: model, cut: len(model.Stages)}
 	var err error
 	switch cfg.Mode {
 	case ModeANN:
-		s.annStages, err = ch.buildANNStages(model, 0)
-		if err == nil && len(cfg.InputShape) == 3 {
-			err = deriveANNGather(s.annStages, cfg.InputShape[1], cfg.InputShape[2])
-		}
-	case ModeSNN:
-		s.snnStages, err = ch.buildSNN(model)
-		if err == nil {
-			_, _, err = ch.programPositions(s.snnStages, cfg.InputShape)
-		}
+		s.cut = 0
 	case ModeHybrid:
-		var splitStage int
-		splitStage, s.lambda, err = hybridCut(model, cfg.HybridSplit)
-		if err == nil {
-			// Build the full spiking pipeline and truncate at the cut, so
-			// core and stream allocation orders match an SNN compile of
-			// the same model.
-			s.snnStages, err = ch.buildSNN(model)
-		}
-		var h, w int
-		if err == nil {
-			s.snnStages = s.snnStages[:model.Stages[splitStage].SNNLayer]
-			h, w, err = ch.programPositions(s.snnStages, cfg.InputShape)
-		}
-		if err == nil {
-			s.annStages, err = ch.buildANNStages(model, splitStage)
-		}
-		if err == nil && h > 0 {
-			err = deriveANNGather(s.annStages, h, w)
-		}
+		s.cut, s.lambda, err = hybridCut(model, cfg.HybridSplit)
+	}
+	if err == nil {
+		s.stages, err = ch.lower(model, s.cut, cfg.InputShape)
 	}
 	if err != nil {
 		if cfg.rec != nil {
@@ -452,22 +432,19 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 // into flat read kernels (see crossbar.BakeKernel). Compile is the one
 // point where the arrays are final — programmed, BIST-repaired and
 // protected — and no run is in flight, so baking here is race-free.
-// Spiking stages read binary spike planes and bake the lane plane; ANN
-// cores read graded planes only and bake the graded kernel.
+// Spiking stages read binary spike planes and bake the lane plane;
+// continuous cores read graded planes only and bake the graded kernel.
 func (s *Session) bakeKernels() {
-	for _, hw := range s.snnStages {
-		if hw.snnCore != nil {
-			hw.snnCore.ST.Bake()
-		}
-		if hw.spill != nil {
+	for i, hw := range s.stages {
+		switch {
+		case hw.core != nil && i < s.cut:
+			hw.core.ST.Bake()
+		case hw.core != nil:
+			hw.core.ST.BakeGraded()
+		case hw.spill != nil:
 			for _, st := range hw.spill.blocks {
 				st.Bake()
 			}
-		}
-	}
-	for _, hw := range s.annStages {
-		if hw.core != nil {
-			hw.core.ST.BakeGraded()
 		}
 	}
 }
@@ -540,64 +517,6 @@ func (s *Session) Parallelism(n int) int {
 		p = 1
 	}
 	return p
-}
-
-// programPositions sizes and protects the position-replica banks of
-// spiking conv stages and derives their gather tables by propagating
-// the input shape through the pipeline. It returns the spatial size of the
-// pipeline's output (0×0 without a shape). Dense-only pipelines need no
-// shape.
-func (ch *Chip) programPositions(stages []*stageHW, shape []int) (h, w int, err error) {
-	haveShape := len(shape) == 3
-	if haveShape {
-		h, w = shape[1], shape[2]
-	}
-	for _, s := range stages {
-		switch s.kind {
-		case "conv":
-			if !haveShape {
-				return 0, 0, fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
-			}
-			gt, err := newGatherTable(s.inC/s.groups, h, w, s.kh, s.kw, s.stride, s.pad)
-			if err != nil {
-				return 0, 0, fmt.Errorf("stage %s: %w", s.name, err)
-			}
-			if err := s.kmProgram(gt.npos() * s.groups); err != nil {
-				return 0, 0, err
-			}
-			if err := ch.prepare(s.snnCore.ST); err != nil {
-				return 0, 0, err
-			}
-			s.gather = gt
-			h, w = gt.oh, gt.ow
-		case "pool":
-			if haveShape {
-				h = tensor.ConvOutSize(h, s.pool.K, s.pool.Stride, 0)
-				w = tensor.ConvOutSize(w, s.pool.K, s.pool.Stride, 0)
-			}
-		}
-	}
-	return h, w, nil
-}
-
-// deriveANNGather derives the gather tables of continuous conv stages
-// by propagating an h×w input through the pipeline.
-func deriveANNGather(stages []*annStageHW, h, w int) error {
-	for _, s := range stages {
-		switch s.kind {
-		case "conv":
-			gt, err := newGatherTable(s.gcIn, h, w, s.kh, s.kw, s.stride, s.pad)
-			if err != nil {
-				return fmt.Errorf("stage %s: %w", s.name, err)
-			}
-			s.gather = gt
-			h, w = gt.oh, gt.ow
-		case "pool":
-			h = tensor.ConvOutSize(h, s.poolK, s.poolStride, 0)
-			w = tensor.ConvOutSize(w, s.poolK, s.poolStride, 0)
-		}
-	}
-	return nil
 }
 
 // hybridCut locates the stage index of the first ANN-domain weighted

@@ -16,7 +16,7 @@ import (
 // of §IV-B3), and the partial sums are reduced and thresholded by digital
 // spike logic at a routing unit — the dashed pipeline stages of Fig. 8.
 //
-// Unlike the in-core SNNCore, membrane potentials here live in RU
+// Unlike a spiking neuralCore, membrane potentials here live in RU
 // registers rather than neuron devices; that is exactly the cost NEBULA's
 // mapping tries to avoid, and the reason spill stages are more expensive
 // in the energy model.

@@ -244,22 +244,6 @@ func (st *SuperTile) NULevel() mapping.NULevel {
 	}
 }
 
-// GenSum folds the generation stamps of the configured arrays (through
-// the retirement indirection) into one fingerprint. Any mutation of
-// read-visible state — reprogramming, fault injection, retention
-// ticks, refresh, slot retirement — changes the fingerprint, so two
-// equal snapshots prove the super-tile's reads are unchanged between
-// them. The engine's timestep-repeat cache keys on it.
-//
-//nebula:hotpath
-func (st *SuperTile) GenSum() uint64 {
-	var h uint64
-	for slot := 0; slot < st.stack*st.sets; slot++ {
-		h = h*1099511628211 + st.acs[st.slotAC[slot]].Generation()
-	}
-	return h
-}
-
 // Bake freezes the read kernel of every configured array (crossbar
 // BakeKernel), switching EvaluateReadInto onto the event-driven fast
 // path and enabling EvaluateReadPacked. Call it when the session's conductances

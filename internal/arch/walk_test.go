@@ -277,7 +277,7 @@ func TestSessionProductionEngagesPlanes(t *testing.T) {
 		}
 		if m.name == "hybrid-mobilenet" {
 			sess := compileWalkSession(t, m.c, 0, m.opts...)
-			if len(sess.annStages) == 0 || sess.annStages[0].kind != "conv" || sess.annStages[0].gather == nil {
+			if sess.cut == len(sess.stages) || sess.stages[sess.cut].kind != "conv" || sess.stages[sess.cut].gather == nil {
 				t.Fatal("the ANN tail should start with a conv stage whose gather table was derived at compile")
 			}
 		}
@@ -539,14 +539,14 @@ func TestCompileBakesKernels(t *testing.T) {
 	c, _ := chipFixture(t)
 	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(20))
 	fresh, stale := 0, 0
-	for _, hw := range sess.snnStages {
-		if hw.snnCore == nil {
+	for _, hw := range sess.stages {
+		if hw.core == nil {
 			continue
 		}
 		// Only slot-routed arrays carry programmed weights; the
 		// unconfigured spares of the super-tile never bake.
-		for _, slot := range hw.snnCore.ST.slotAC {
-			if hw.snnCore.ST.acs[slot].KernelFresh() {
+		for _, slot := range hw.core.ST.slotAC {
+			if hw.core.ST.acs[slot].KernelFresh() {
 				fresh++
 			} else {
 				stale++

@@ -55,7 +55,7 @@ const (
 	// FormatVersion is the current image format version. Readers reject
 	// any other version: images are cheap to regenerate, so there is no
 	// cross-version migration path, only a clean typed rejection.
-	FormatVersion uint32 = 4
+	FormatVersion uint32 = 5
 	// headerLen is magic + version + payload length.
 	headerLen = len(Magic) + 4 + 8
 	// checksumLen is the SHA-256 trailer.
