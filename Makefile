@@ -56,10 +56,12 @@ chaos-smoke:
 
 # Serving-tier smoke: the dynamic-batching frontend under the race
 # detector — coalescing, backpressure, graceful drain, per-request
-# deadlines and bitwise determinism across batch shapes (DESIGN.md §14).
+# deadlines and bitwise determinism across batch shapes (DESIGN.md §14)
+# — then 10 s of FuzzServeDecode over untrusted request bodies.
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -count=1 ./internal/experiments -run TestServeSmoke
+	$(GO) test -run '^$$' -fuzz '^FuzzServeDecode$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
 # Coverage gate: fails if total statement coverage drops below
 # COVER_FLOOR. Writes coverage.out and a browsable coverage.html.

@@ -66,8 +66,8 @@ func NewChip(p device.Params, cfg crossbar.Config, noise *rng.Rand) *Chip {
 // rest continuous (annStage); one type serves both domains.
 type stageHW struct {
 	kind string
-	// name is the converted layer's name, the key counter snapshots and
-	// trace events carry.
+	// name is the converted layer's name, the key counter snapshots
+	// carry.
 	name string
 	// core holds the crossbars of a weighted stage that fits one core.
 	core *neuralCore

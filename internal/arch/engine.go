@@ -291,11 +291,9 @@ func (env *execEnv) mark(res *RunResult) stageMark {
 	return m
 }
 
-// observe folds the delta since m into one shard bucket and returns the
-// stage's spike count for tracing.
-func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 {
-	dSpikes := res.Spikes - m.spikes
-	c.SpikesEmitted += dSpikes
+// observe folds the delta since m into one shard bucket.
+func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) {
+	c.SpikesEmitted += res.Spikes - m.spikes
 	c.Cycles += res.Cycles - m.cycles
 	c.NoCPackets += res.NoCPackets - m.packets
 	c.NoCHops += res.NoCHops - m.hops
@@ -309,7 +307,6 @@ func (env *execEnv) observe(m stageMark, res *RunResult, c *obs.Counters) int64 
 	c.MACReads += d.MACs
 	c.ActiveRowSum += d.ActiveRowSum
 	c.OutputCurrentUA += d.OutputCurrentUA
-	return dSpikes
 }
 
 // charge counts one consumed spike plane: its packed words and the
@@ -902,10 +899,9 @@ func (env *execEnv) annStage(hw *stageHW, ar *annRun, x *tensor.Tensor, pl *spik
 }
 
 // stepStageObs advances spiking stage i by one timestep, attributing
-// the counter delta (and a trace event) to its bucket when the run
-// carries a shard. The nil-shard path is a single branch on top of the
+// the counter delta to its bucket when the run carries a shard. The nil-shard path is a single branch on top of the
 // unobserved stepStage.
-func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
+func (s *Session) stepStageObs(env *execEnv, i int, hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	if env.shard == nil {
 		return env.stepStage(hw, sr, x, pl, res)
 	}
@@ -914,11 +910,7 @@ func (s *Session) stepStageObs(env *execEnv, i, t int, hw *stageHW, sr *stageRun
 	if err != nil {
 		return nil, nil, err
 	}
-	idx := s.obsBase + i
-	d := env.observe(m, res, env.shard.Stage(idx))
-	if env.shard.TraceEnabled() {
-		env.shard.AddTrace(obs.TraceEvent{Timestep: t, Stage: idx, Layer: hw.name, Spikes: d})
-	}
+	env.observe(m, res, env.shard.Stage(s.obsBase+i))
 	return out, opl, nil
 }
 
@@ -952,7 +944,7 @@ func (s *Session) runANN(ctx context.Context, env *execEnv, st *runState, x *ten
 // the pipeline to the input bucket (stage 0 of spiking layouts).
 // IntoEncoders write the run's recycled buffer; PlaneEncoders also
 // build the plane during their own walk (no Pack re-scan).
-func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *tensor.Tensor, t int) (*tensor.Tensor, *spikeplane.Plane) {
+func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *tensor.Tensor) (*tensor.Tensor, *spikeplane.Plane) {
 	pl := &st.encPlane
 	var x *tensor.Tensor
 	switch ie := enc.(type) {
@@ -972,11 +964,7 @@ func (s *Session) encodeObs(env *execEnv, st *runState, enc snn.Encoder, img *te
 		pl.Pack(x.Data())
 	}
 	if sh := env.shard; sh != nil {
-		n := int64(pl.Count())
-		sh.Stage(0).SpikesEmitted += n
-		if sh.TraceEnabled() {
-			sh.AddTrace(obs.TraceEvent{Timestep: t, Stage: 0, Layer: "input", Spikes: n})
-		}
+		sh.Stage(0).SpikesEmitted += int64(pl.Count())
 	}
 	return x, pl
 }
@@ -996,10 +984,10 @@ func (s *Session) exec(ctx context.Context, img *tensor.Tensor, env *execEnv, en
 			return nil, err
 		}
 		var pl *spikeplane.Plane
-		x, pl = s.encodeObs(env, st, enc, img, t)
+		x, pl = s.encodeObs(env, st, enc, img)
 		for i, hw := range s.stages[:s.cut] {
 			var err error
-			x, pl, err = s.stepStageObs(env, i, t, hw, st.stages[i], x, pl, res)
+			x, pl, err = s.stepStageObs(env, i, hw, st.stages[i], x, pl, res)
 			if err != nil {
 				return nil, err
 			}
@@ -1053,9 +1041,12 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	if err := s.checkInput(input); err != nil {
+		return nil, nil, err
+	}
 	env := &execEnv{hops: s.engineHops, ref: ref}
 	if s.rec != nil && !ref {
-		env.shard = obs.NewRunRecord(s.obsLayout, s.traceOn)
+		env.shard = obs.NewRunRecord(s.obsLayout)
 	}
 	// The noise stream is reserved either way, so no stream position
 	// moves, but only a chip whose reads draw (σ > 0) hands it to the
@@ -1084,6 +1075,48 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 	}
 	res.Crossbar = env.cross
 	return res, env.shard, nil
+}
+
+// ErrInputShape marks an input tensor whose size or shape the compiled
+// model cannot take. Runs return it before any crossbar read: the fault
+// is the caller's, never the chip's.
+var ErrInputShape = errors.New("arch: input does not fit the model")
+
+// checkInput holds an input to the contract of the pipeline's first
+// weighted stage, looking through flatten stages: a dense stage or
+// read-out takes exactly its fan-in values; a conv stage takes a C×H×W
+// tensor of its input channels, at the compiled H×W when it runs
+// spiking.
+func (s *Session) checkInput(x *tensor.Tensor) error {
+	for i, hw := range s.stages {
+		want := 0
+		switch hw.kind {
+		case "conv":
+			if x.NDim() != 3 || x.Dim(0) != hw.inC || (i < s.cut && (x.Dim(1) != hw.gather.h || x.Dim(2) != hw.gather.w)) {
+				return fmt.Errorf("%w: stage %s takes %d input channels (compiled %v), got shape %v", ErrInputShape, hw.name, hw.inC, s.cfg.InputShape, x.Shape())
+			}
+			return nil
+		case "dense":
+			if hw.spill != nil {
+				want = hw.spill.rowBounds[len(hw.spill.rowBounds)-1]
+			} else {
+				want = hw.core.ST.rows
+			}
+		case "output":
+			want = hw.outW.Dim(1)
+		case "flatten":
+			continue
+		default:
+			// A pool ahead of the first weighted stage resizes the
+			// input by a rule the run itself checks.
+			return nil
+		}
+		if x.Size() != want {
+			return fmt.Errorf("%w: stage %s takes %d values, got %d (shape %v)", ErrInputShape, hw.name, want, x.Size(), x.Shape())
+		}
+		return nil
+	}
+	return nil
 }
 
 // mergeShards folds a batch's completed shards into the recorder in
@@ -1136,6 +1169,8 @@ func (s *Session) runMerged(ctx context.Context, input *tensor.Tensor, rs runStr
 // by Run and one by RunReference, return bitwise-identical outputs,
 // predictions and spike counts. It records nothing to an attached
 // observer and reports zero skip, packed-word and repeat counters.
+//
+//nebula:test-support the reference walk the identity tests and benchmarks hold Run to
 func (s *Session) RunReference(ctx context.Context, input *tensor.Tensor) (*RunResult, error) {
 	res, _, err := s.runOne(ctx, input, s.reserveStreams(1)[0], true)
 	return res, err

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reliability"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 )
 
@@ -336,7 +335,8 @@ func TestCompileCachedHitMissQuarantine(t *testing.T) {
 	imgs := sessionImages(t, te, 4)
 	ctx := context.Background()
 	rec := &obs.CacheRecorder{}
-	cache, err := image.NewCache(t.TempDir())
+	cacheDir := t.TempDir()
+	cache, err := image.NewCache(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestCompileCachedHitMissQuarantine(t *testing.T) {
 
 	// Corrupt the entry on disk: the next compile must quarantine it,
 	// recompile, and reinstall — never fail.
-	entries, err := filepath.Glob(filepath.Join(cache.Dir(), "*.nebimg"))
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.nebimg"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("cache entries %v (err %v), want exactly one", entries, err)
 	}
@@ -392,7 +392,7 @@ func TestCompileCachedHitMissQuarantine(t *testing.T) {
 	if st := rec.Stats(); st.Quarantines != 1 || st.Misses != 2 || st.Stores != 2 {
 		t.Fatalf("after corruption: stats %+v, want 1 quarantine / 2 misses / 2 stores", st)
 	}
-	if quarantined, _ := filepath.Glob(filepath.Join(cache.Dir(), "*.corrupt")); len(quarantined) != 1 {
+	if quarantined, _ := filepath.Glob(filepath.Join(cacheDir, "*.corrupt")); len(quarantined) != 1 {
 		t.Fatalf("quarantined files %v, want exactly one", quarantined)
 	}
 }
@@ -445,49 +445,28 @@ func TestSessionGetters(t *testing.T) {
 	sess := compileSession(t, c,
 		WithMode(ModeHybrid), WithHybridSplit(1), WithTimesteps(12),
 		WithSeed(7), WithParallelism(3))
-	if sess.Mode() != ModeHybrid {
-		t.Fatalf("Mode() = %v", sess.Mode())
+	if sess.cfg.Mode != ModeHybrid {
+		t.Fatalf("mode = %v", sess.cfg.Mode)
 	}
 	if sess.Timesteps() != 12 {
 		t.Fatalf("Timesteps() = %d", sess.Timesteps())
 	}
-	if sess.HybridSplit() != 1 {
-		t.Fatalf("HybridSplit() = %d", sess.HybridSplit())
-	}
-	if sess.Seed() != 7 {
-		t.Fatalf("Seed() = %d", sess.Seed())
-	}
-	if sess.ParallelismLimit() != 3 {
-		t.Fatalf("ParallelismLimit() = %d", sess.ParallelismLimit())
-	}
-	if sess.EncoderKind() != "poisson" {
-		t.Fatalf("EncoderKind() = %q", sess.EncoderKind())
+	if cfg := sess.cfg.CompileConfig; cfg.HybridSplit != 1 || cfg.Seed != 7 || !cfg.SeedSet || cfg.Parallelism != 3 {
+		t.Fatalf("compile config = %+v", cfg)
 	}
 
 	ann := compileSession(t, c, WithMode(ModeANN))
-	if ann.Timesteps() != 0 || ann.HybridSplit() != 0 {
-		t.Fatalf("ANN session reports timesteps %d, split %d", ann.Timesteps(), ann.HybridSplit())
+	if ann.Timesteps() != 0 {
+		t.Fatalf("ANN session reports timesteps %d", ann.Timesteps())
 	}
-	if ann.Seed() != defaultSessionSeed {
-		t.Fatalf("unseeded session Seed() = %d, want the fixed default", ann.Seed())
-	}
-
-	shared := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(10),
-		WithSharedEncoder(snn.NewPoissonEncoder(1.0, rng.New(1))))
-	if shared.EncoderKind() != "shared" {
-		t.Fatalf("EncoderKind() = %q, want shared", shared.EncoderKind())
-	}
-
-	cfg := sess.Config()
-	if cfg.Mode != ModeHybrid || cfg.Timesteps != 12 || cfg.HybridSplit != 1 ||
-		cfg.Seed != 7 || !cfg.SeedSet || cfg.Parallelism != 3 {
-		t.Fatalf("Config() = %+v", cfg)
+	if ann.cfg.Seed != defaultSessionSeed {
+		t.Fatalf("unseeded session seed = %d, want the fixed default", ann.cfg.Seed)
 	}
 }
 
 // TestCompileConfigRoundTrip checks the CompileConfig ↔ option-list ↔
-// hash contract: Options reproduces the configuration, WithConfig
-// restores it wholesale, and Hash is stable and field-sensitive.
+// hash contract: Options reproduces the configuration, and Hash is
+// stable and field-sensitive.
 func TestCompileConfigRoundTrip(t *testing.T) {
 	cfg := CompileConfig{
 		Mode: ModeHybrid, Timesteps: 9, HybridSplit: 1, Parallelism: 2,
@@ -499,11 +478,6 @@ func TestCompileConfigRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc.CompileConfig, cfg) {
 		t.Fatalf("Options round trip: %+v != %+v", sc.CompileConfig, cfg)
-	}
-	var sc2 sessionConfig
-	WithConfig(cfg)(&sc2)
-	if !reflect.DeepEqual(sc2.CompileConfig, cfg) {
-		t.Fatalf("WithConfig round trip: %+v != %+v", sc2.CompileConfig, cfg)
 	}
 
 	if cfg.Hash() != cfg.Hash() {

@@ -19,7 +19,6 @@ func (s *Session) attachObserver(rec *obs.Recorder, healthBefore reliability.Rep
 		return err
 	}
 	s.rec = rec
-	s.traceOn = rec.TraceEnabled()
 	rec.RecordProgram(s.compileRecord(healthBefore))
 	return nil
 }

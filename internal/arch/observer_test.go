@@ -3,6 +3,7 @@ package arch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
@@ -23,7 +24,7 @@ func obsExport(t *testing.T, rec *obs.Recorder) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	snap := rec.Snapshot()
-	if err := snap.WriteJSON(&b); err != nil {
+	if err := json.NewEncoder(&b).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := snap.WritePrometheus(&b); err != nil {
@@ -203,30 +204,6 @@ func TestObserverBindRejectsSecondSchema(t *testing.T) {
 
 // TestObserverTrace checks the bounded ring: events carry run ordinals
 // assigned at merge time and the ring keeps only the newest entries.
-func TestObserverTrace(t *testing.T) {
-	c, te := chipFixture(t)
-	ctx := context.Background()
-	rec := obs.NewRecorder(obs.WithTrace(16))
-	sess := compileSession(t, c, WithMode(ModeSNN), WithTimesteps(5), WithSeed(42),
-		WithObserver(rec))
-	if _, err := sess.RunBatch(ctx, sessionImages(t, te, 3)); err != nil {
-		t.Fatal(err)
-	}
-	ev := rec.Trace()
-	if len(ev) != 16 {
-		t.Fatalf("trace length %d, want ring capacity 16", len(ev))
-	}
-	for i := 1; i < len(ev); i++ {
-		a, b := ev[i-1], ev[i]
-		if b.Run < a.Run || (b.Run == a.Run && b.Timestep < a.Timestep) {
-			t.Fatalf("trace not in run/timestep order at %d: %+v then %+v", i, a, b)
-		}
-	}
-	if last := ev[len(ev)-1]; last.Run != 2 {
-		t.Fatalf("newest trace event from run %d, want 2", last.Run)
-	}
-}
-
 // cancellingEncoder cancels a context on its n-th Encode call, which
 // lands the cancellation inside a spiking run's timestep loop.
 type cancellingEncoder struct {

@@ -70,9 +70,6 @@ func (ch *Chip) protect(st *SuperTile) error {
 // deterministic for a fixed chip seed.
 func (ch *Chip) Health() reliability.Report { return ch.health }
 
-// ResetHealth clears the cumulative reliability report.
-func (ch *Chip) ResetHealth() { ch.health = reliability.Report{} }
-
 // HealthScan is the chip-scale BIST pass behind `nebula-sim -health`: it
 // provisions the neural cores of a mapped workload, programs each with
 // synthetic weights (the analytic workloads carry no trained values),

@@ -125,10 +125,6 @@ func TestChipHealthResetAndAccumulation(t *testing.T) {
 	if h2 := chip.Health(); h2.ArraysScanned <= h1.ArraysScanned {
 		t.Fatalf("health did not accumulate: %+v vs %+v", h2, h1)
 	}
-	chip.ResetHealth()
-	if h := chip.Health(); h != (reliability.Report{}) {
-		t.Fatalf("reset left state: %+v", h)
-	}
 }
 
 func TestHealthScanDeterministicAndScrub(t *testing.T) {

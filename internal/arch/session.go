@@ -183,16 +183,6 @@ type sessionConfig struct {
 // Option configures Compile.
 type Option func(*sessionConfig)
 
-// WithConfig applies every serializable option at once — the inverse of
-// Session.Config. Options applied after it still override individual
-// fields.
-func WithConfig(c CompileConfig) Option {
-	return func(sc *sessionConfig) {
-		c.InputShape = append([]int(nil), c.InputShape...)
-		sc.CompileConfig = c
-	}
-}
-
 // WithMode selects the operating modality (default ModeANN).
 func WithMode(m Mode) Option { return func(c *sessionConfig) { c.Mode = m } }
 
@@ -216,6 +206,8 @@ func WithParallelism(n int) Option { return func(c *sessionConfig) { c.Paralleli
 // that run's private RNG stream (default: a PoissonEncoder at the model's
 // conversion gain). Spiking modes only. Sessions with a custom factory
 // cannot be imaged: the closure has no serializable form.
+//
+//nebula:test-support the walk-matrix and serve tests build custom encoders with it
 func WithEncoder(f EncoderFactory) Option {
 	return func(c *sessionConfig) { c.encFactory = f; c.encCustom = true }
 }
@@ -292,12 +284,11 @@ type Session struct {
 	// rec is the attached metrics recorder (nil: observation disabled).
 	// obsLayout is the counter schema built at compile time; obsBase is
 	// the bucket offset of stage 0 within it (1 after the input bucket of
-	// spiking modes); traceOn caches rec.TraceEnabled(); engineHops is
-	// the mesh distance the engine charges per inter-stage packet.
+	// spiking modes); engineHops is the mesh distance the engine charges
+	// per inter-stage packet.
 	rec        *obs.Recorder
 	obsLayout  *obs.Layout
 	obsBase    int
-	traceOn    bool
 	engineHops int64
 
 	// mu guards the stream reservation; streams is the session RNG parent
@@ -449,56 +440,12 @@ func (s *Session) bakeKernels() {
 	}
 }
 
-// Mode returns the session's operating mode.
-func (s *Session) Mode() Mode { return s.cfg.Mode }
-
 // Timesteps returns the spiking evidence window (0 for ModeANN).
 func (s *Session) Timesteps() int {
 	if s.cfg.Mode == ModeANN {
 		return 0
 	}
 	return s.cfg.Timesteps
-}
-
-// Seed returns the effective session RNG seed: the explicit WithSeed
-// value, or the fixed default when none was given.
-func (s *Session) Seed() uint64 { return s.cfg.Seed }
-
-// HybridSplit returns the configured number of trailing weighted layers
-// running in the ANN domain (0 outside ModeHybrid).
-func (s *Session) HybridSplit() int {
-	if s.cfg.Mode != ModeHybrid {
-		return 0
-	}
-	return s.cfg.HybridSplit
-}
-
-// ParallelismLimit returns the configured worker bound as given
-// (≤ 0: resolve at run time to the core count); see Parallelism for the
-// effective per-batch value.
-func (s *Session) ParallelismLimit() int { return s.cfg.Parallelism }
-
-// EncoderKind names the session's input-encoder arrangement: "poisson"
-// for the default per-run factory, "custom" for a WithEncoder factory,
-// "shared" for a WithSharedEncoder instance.
-func (s *Session) EncoderKind() string {
-	switch {
-	case s.cfg.sharedEnc != nil:
-		return "shared"
-	case s.cfg.encCustom:
-		return "custom"
-	}
-	return "poisson"
-}
-
-// Config returns the session's serializable compile configuration —
-// everything needed to rebuild an equivalent session over the same
-// model and chip (feed it to WithConfig). The returned value shares no
-// memory with the session.
-func (s *Session) Config() CompileConfig {
-	c := s.cfg.CompileConfig
-	c.InputShape = append([]int(nil), c.InputShape...)
-	return c
 }
 
 // Parallelism returns the worker bound RunBatch will use for n inputs.

@@ -32,8 +32,9 @@ type RUSpillCore struct {
 	// state holds kernels RU membrane registers per position.
 	positions int
 	// ADCBits quantizes each digitized partial sum (0 disables
-	// quantization; the paper uses 4-bit converters with per-layer
-	// scaling handled by the peripheral circuitry).
+	// quantization). Chip.newSpill sets 8 bits; the paper's 4-bit
+	// converters, with per-layer scaling in the peripheral circuitry,
+	// are ROADMAP item 8.
 	ADCBits int
 
 	noise *rng.Rand
@@ -106,8 +107,9 @@ func (c *RUSpillCore) splitNoise() *rng.Rand {
 // Blocks returns the number of spilled cores.
 func (c *RUSpillCore) Blocks() int { return len(c.blocks) }
 
-// quantizePartial models the 4-bit digitization of a partial sum: the
-// converter covers ±1 in weight-normalized units with 2^bits levels.
+// quantizePartial models the ADCBits-bit digitization of a partial sum
+// (8 bits as Chip.newSpill builds it): the converter covers ±1 in
+// weight-normalized units with 2^bits levels.
 func (c *RUSpillCore) quantizePartial(v float64) float64 {
 	if c.ADCBits <= 0 {
 		return v

@@ -224,12 +224,6 @@ func (s *Schedule) Render(w io.Writer) {
 	}
 }
 
-// Summary returns a one-line digest.
-func (s *Schedule) Summary() string {
-	return fmt.Sprintf("%s: %d cores, %d synapse pairs, %.1f µs/pass",
-		s.Workload, len(s.Programs), s.TotalSynapses, s.PassLatencyNS/1e3)
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

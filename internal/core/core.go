@@ -22,13 +22,11 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/energy"
-	"repro/internal/hybrid"
 	"repro/internal/mapping"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/rng"
-	"repro/internal/snn"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -129,39 +127,10 @@ func (p *Pipeline) EvaluateSNN(T, maxSamples int) convert.EvalResult {
 	return p.Converted.Evaluate(p.Test, T, maxSamples, p.Sim.Seed)
 }
 
-// EvaluateHybrid evaluates a hybrid split with nonSpiking ANN layers.
-func (p *Pipeline) EvaluateHybrid(nonSpiking, T, maxSamples int) (float64, error) {
-	m, err := hybrid.Split(p.Converted, nonSpiking)
-	if err != nil {
-		return 0, err
-	}
-	return m.Evaluate(p.Test, T, maxSamples, p.Sim.Seed), nil
-}
-
 // NewChip builds a hardware chip simulator with the pipeline's device and
 // crossbar settings. Pass a noise source to enable analog non-idealities.
 func (s *Simulator) NewChip(noise *rng.Rand) *arch.Chip {
 	return arch.NewChip(s.Device, s.Crossbar, noise)
-}
-
-// RunOnChip executes one test image on simulated hardware in SNN mode,
-// compiling a single-use session. For more than a handful of images use
-// CompileChip once and stream the batch through the returned session.
-func (p *Pipeline) RunOnChip(imageIdx, T int) (*arch.RunResult, int, error) {
-	img, label := p.Test.Sample(imageIdx)
-	chip := p.Sim.NewChip(nil)
-	enc := snn.NewPoissonEncoder(p.Cfg.Convert.Gain, rng.New(p.Sim.Seed+uint64(imageIdx)))
-	sess, err := chip.Compile(p.Converted,
-		arch.WithMode(arch.ModeSNN),
-		arch.WithTimesteps(T),
-		arch.WithSharedEncoder(enc),
-		arch.WithInputShape(img.Shape()...))
-	if err != nil {
-		return nil, 0, err
-	}
-	//nebula:lint-ignore ctxflow single-use convenience entry; deadline-aware callers use CompileChip and RunBatchOnChip
-	res, err := sess.Run(context.Background(), img)
-	return res, label, err
 }
 
 // ChipConfig returns the pipeline's compile configuration for SNN-mode

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/hybrid"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -54,29 +56,31 @@ func TestPipelineSNNAccuracy(t *testing.T) {
 
 func TestPipelineHybrid(t *testing.T) {
 	p := fixture(t)
-	acc, err := p.EvaluateHybrid(1, 100, 60)
+	m, err := hybrid.Split(p.Converted, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc < 0.45 {
+	if acc := m.Evaluate(p.Test, 100, 60, p.Sim.Seed); acc < 0.45 {
 		t.Fatalf("hybrid accuracy %v", acc)
 	}
-	if _, err := p.EvaluateHybrid(99, 100, 10); err == nil {
+	if _, err := hybrid.Split(p.Converted, 99); err == nil {
 		t.Fatal("absurd split accepted")
 	}
 }
 
 func TestPipelineChipRun(t *testing.T) {
 	p := fixture(t)
-	res, label, err := p.RunOnChip(0, 60)
+	sess, err := p.CompileChip(60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _ := p.Test.Sample(0)
+	res, err := sess.Run(context.Background(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles <= 0 || res.Spikes <= 0 {
 		t.Fatalf("no hardware activity: %+v", res)
-	}
-	if label < 0 || label > 9 {
-		t.Fatalf("label %d", label)
 	}
 }
 

@@ -226,6 +226,8 @@ func (c *Crossbar) Program(w *tensor.Tensor, wmax float64) error {
 }
 
 // EffectiveWeight returns the programmed (quantized) weight at (row, col).
+//
+//nebula:test-support the programming, fault and remap tests read programmed weights back through it
 func (c *Crossbar) EffectiveWeight(row, col int) float64 {
 	if c.levelPlus == nil {
 		return 0
@@ -298,21 +300,6 @@ func (c *Crossbar) macComputeInto(dst, input []float64, noise *rng.Rand) (active
 // Stats returns the array's own counters: programming energy only
 // (reads account into their caller's Stats).
 func (c *Crossbar) Stats() Stats { return Stats{ProgramEnergyFJ: c.programEnergyFJ} }
-
-// Utilization returns the fraction of synapses with a non-zero programmed
-// level, the quantity behind the paper's morphable-tile motivation.
-func (c *Crossbar) Utilization() float64 {
-	used := 0
-	for r := 0; r < c.Rows && c.levelPlus != nil; r++ {
-		for col := 0; col < c.Cols; col++ {
-			i := c.rowMap[r]*c.physCols + c.colMap[col]
-			if c.levelPlus[i] != 0 || c.levelMinus[i] != 0 {
-				used++
-			}
-		}
-	}
-	return float64(used) / float64(c.Rows*c.Cols)
-}
 
 // FaultMode selects the stuck state of an injected device fault.
 type FaultMode int

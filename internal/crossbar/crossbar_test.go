@@ -193,16 +193,6 @@ func TestProgramEnergyProportionalToMoves(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	p := device.DefaultParams()
-	cb := New(2, 2, p, Config{}, nil)
-	w := tensor.FromSlice([]float64{1, 0, 0, 0}, 2, 2)
-	cb.Program(w, 1)
-	if u := cb.Utilization(); u != 0.25 {
-		t.Fatalf("utilization %v, want 0.25", u)
-	}
-}
-
 func TestMACInputLengthCheck(t *testing.T) {
 	cb := New(4, 2, device.DefaultParams(), Config{}, nil)
 	if err := cb.MACReadInto(make([]float64, 2), []float64{1}, nil, nil, nil); err == nil {

@@ -401,21 +401,6 @@ func (c *Crossbar) takeSpare(free *[]int, dead []bool) int {
 	return -1
 }
 
-// SparesLeft returns the unconsumed live spare line counts.
-func (c *Crossbar) SparesLeft() (rows, cols int) {
-	for _, s := range c.spareRowsFree {
-		if c.deadRow == nil || !c.deadRow[s] {
-			rows++
-		}
-	}
-	for _, s := range c.spareColsFree {
-		if c.deadCol == nil || !c.deadCol[s] {
-			cols++
-		}
-	}
-	return rows, cols
-}
-
 // Refresh rewrites every logical pair to its programmed target (honoring
 // fault records) and resets the retention clock — the scrub operation
 // that undoes retention drift.

@@ -186,7 +186,7 @@ func TestSpareRemapRestoresLine(t *testing.T) {
 			t.Fatalf("col %d: remapped weight %v, want %v", col, got, want[col])
 		}
 	}
-	if left, _ := cb.SparesLeft(); left != 1 {
+	if left := len(cb.spareRowsFree); left != 1 {
 		t.Fatalf("spare rows left %d, want 1", left)
 	}
 }

@@ -22,7 +22,6 @@
 package device
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -100,16 +99,11 @@ type Synapse struct {
 	P Params
 	// pos is the domain-wall position in [0, LengthNM].
 	pos float64
-	// writeEnergyFJ accumulates programming energy.
-	writeEnergyFJ float64
 }
 
 // NewSynapse returns a synapse with the wall at the AP edge (minimum
 // conductance).
 func NewSynapse(p Params) *Synapse { return &Synapse{P: p} }
-
-// Position returns the wall position in nm.
-func (s *Synapse) Position() float64 { return s.pos }
 
 // Conductance returns the present T1–T3 conductance in µS: a linear mix of
 // the P and AP domain conductances weighted by wall position.
@@ -120,7 +114,7 @@ func (s *Synapse) Conductance() float64 {
 
 // Program drives a current pulse (µA, signed) of the given duration (ns)
 // through the heavy metal, moving the wall. It returns the wall
-// displacement in nm. Programming energy is tracked.
+// displacement in nm.
 func (s *Synapse) Program(currentUA, durationNS float64) float64 {
 	v := s.P.WallVelocity(currentUA)
 	before := s.pos
@@ -131,43 +125,8 @@ func (s *Synapse) Program(currentUA, durationNS float64) float64 {
 	if s.pos > s.P.LengthNM {
 		s.pos = s.P.LengthNM
 	}
-	moved := s.pos - before
-	// Energy scales with the fraction of a full-length traversal.
-	s.writeEnergyFJ += math.Abs(moved) / s.P.LengthNM * s.P.WriteEnergyFJ
-	return moved
+	return s.pos - before
 }
-
-// SetLevel programs the synapse directly to one of its discrete levels
-// (0..States-1), as the compile-time weight loading of §IV-B5 does. It
-// accounts the programming energy of the move.
-func (s *Synapse) SetLevel(level int) error {
-	n := s.P.States()
-	if level < 0 || level >= n {
-		return fmt.Errorf("device: level %d out of [0,%d)", level, n)
-	}
-	target := float64(level) * s.P.PinResolutionNM
-	s.writeEnergyFJ += math.Abs(target-s.pos) / s.P.LengthNM * s.P.WriteEnergyFJ
-	s.pos = target
-	return nil
-}
-
-// Level returns the discrete level nearest the present wall position.
-func (s *Synapse) Level() int {
-	l := int(math.Round(s.pos / s.P.PinResolutionNM))
-	if max := s.P.States() - 1; l > max {
-		l = max
-	}
-	return l
-}
-
-// ReadCurrent returns the read current (µA) for the device's read voltage:
-// I = G·V.
-func (s *Synapse) ReadCurrent() float64 {
-	return s.Conductance() * 1e-6 * s.P.VReadMV * 1e-3 * 1e6 // µS · mV → µA
-}
-
-// WriteEnergy returns the accumulated programming energy in fJ.
-func (s *Synapse) WriteEnergy() float64 { return s.writeEnergyFJ }
 
 // SpikingNeuron is the IF neuron device of Fig. 2(a): the wall position is
 // the membrane potential; when it reaches the far edge the reference-MTJ
@@ -228,32 +187,6 @@ func (n *SpikingNeuron) Spikes() int { return n.spikes }
 func (n *SpikingNeuron) Reset() {
 	n.pos = 0
 	n.spikes = 0
-}
-
-// NonSpikingNeuron is the saturating rectified-linear neuron of Fig. 2(b):
-// interfaced with a transistor in saturation instead of an inverter, its
-// output is proportional to wall displacement and saturates at the device
-// edge. It is stateless between evaluations (the ANN neuron of §IV-B1).
-type NonSpikingNeuron struct {
-	P Params
-}
-
-// NewNonSpikingNeuron returns the ANN neuron device.
-func NewNonSpikingNeuron(p Params) *NonSpikingNeuron { return &NonSpikingNeuron{P: p} }
-
-// Transfer evaluates the saturating ReLU for one 110 ns evaluation: the
-// wall starts at the reset edge, moves in proportion to the (positive)
-// input current, and the normalized displacement in [0, 1] is the output.
-// Negative currents yield 0 — the rectification.
-func (nn *NonSpikingNeuron) Transfer(currentUA float64) float64 {
-	if currentUA <= nn.P.DepinningCurrentUA {
-		return 0
-	}
-	disp := nn.P.WallVelocity(currentUA) * nn.P.PulseNS
-	if disp >= nn.P.LengthNM {
-		return 1
-	}
-	return disp / nn.P.LengthNM
 }
 
 // CharacteristicPoint is one sample of the Fig. 1(b) device curve.

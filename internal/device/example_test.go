@@ -6,15 +6,13 @@ import (
 	"repro/internal/device"
 )
 
-// Program a synapse to a mid-range level and read its conductance.
+// Drive a synapse's wall to the P edge with one long pulse and read its
+// conductance.
 func ExampleSynapse() {
 	s := device.NewSynapse(device.DefaultParams())
-	if err := s.SetLevel(8); err != nil {
-		panic(err)
-	}
-	fmt.Printf("level %d, conductance %.0f µS, read current %.1f µA\n",
-		s.Level(), s.Conductance(), s.ReadCurrent())
-	// Output: level 8, conductance 40 µS, read current 4.0 µA
+	moved := s.Program(10, 1e6)
+	fmt.Printf("moved %.0f nm, conductance %.0f µS\n", moved, s.Conductance())
+	// Output: moved 320 nm, conductance 70 µS
 }
 
 // Integrate-and-fire behaviour of the spiking neuron device: constant
@@ -30,11 +28,4 @@ func ExampleSpikingNeuron() {
 	}
 	fmt.Printf("fired %d times in 45 cycles\n", fires)
 	// Output: fired 3 times in 45 cycles
-}
-
-// The non-spiking neuron realizes a saturating rectification.
-func ExampleNonSpikingNeuron() {
-	n := device.NewNonSpikingNeuron(device.DefaultParams())
-	fmt.Printf("%.0f %.2f %.0f\n", n.Transfer(-5), n.Transfer(31.09), n.Transfer(1e4))
-	// Output: 0 0.50 1
 }

@@ -33,8 +33,8 @@ func TestTableIIITotals(t *testing.T) {
 	if got := s.ChipAreaMM2(); math.Abs(got-86.7) > 1.0 {
 		t.Fatalf("chip area %v, want ≈86.7 mm²", got)
 	}
-	if s.SNNCoreCount() != 182 || s.ANNCoreCount() != 14 {
-		t.Fatalf("core counts: %d SNN, %d ANN", s.SNNCoreCount(), s.ANNCoreCount())
+	if snn, ann := s.SNNCoreCols*s.SNNCoreRows, s.ANNCoreCols*s.ANNCoreRows; snn != 182 || ann != 14 {
+		t.Fatalf("core counts: %d SNN, %d ANN", snn, ann)
 	}
 }
 
@@ -264,94 +264,17 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestInterpolateActivity(t *testing.T) {
-	measured := []float64{0.4, 0.2, 0.1}
-	out := InterpolateActivity(measured, 6, 0.3)
-	if len(out) != 7 {
-		t.Fatalf("length %d", len(out))
-	}
-	if out[0] != 0.3 {
-		t.Fatalf("input rate %v", out[0])
-	}
-	if out[6] != 0.1 {
-		t.Fatalf("final rate %v, want measured tail 0.1", out[6])
-	}
-	// Interior must be monotone non-increasing for a decaying profile.
-	for i := 2; i < len(out); i++ {
-		if out[i] > out[i-1]+1e-12 {
-			t.Fatalf("interpolated profile increased at %d", i)
-		}
-	}
-}
-
-func TestInterpolateActivityEmptyFallsBack(t *testing.T) {
-	out := InterpolateActivity(nil, 4, 0.3)
-	if len(out) != 5 {
-		t.Fatalf("length %d", len(out))
-	}
-	if out[0] != 0.3 {
-		t.Fatalf("fallback input rate %v", out[0])
-	}
-}
-
 func TestMeasuredActivityDrivesSNNModel(t *testing.T) {
 	// A sparser measured profile must reduce the modeled SNN energy.
 	m := NewModel()
 	w := models.FullVGG13(10, 300, 91.6, 90.05)
 	np := mapping.MapWorkload(w)
-	layers := len(w.WeightedLayers())
-	dense := InterpolateActivity([]float64{0.4, 0.35, 0.3}, layers, 0.4)
-	sparse := InterpolateActivity([]float64{0.1, 0.05, 0.02}, layers, 0.1)
+	dense := make([]float64, len(w.WeightedLayers())+1)
+	sparse := make([]float64, len(dense))
+	for i := range dense {
+		dense[i], sparse[i] = 0.35, 0.05
+	}
 	if m.SNNNetwork(np, 300, sparse).EnergyJ >= m.SNNNetwork(np, 300, dense).EnergyJ {
 		t.Fatal("sparser measured activity must reduce energy")
-	}
-}
-
-func TestThroughputMetrics(t *testing.T) {
-	m := NewModel()
-	w := models.FullVGG13(10, 300, 91.6, 90.05)
-	np := mapping.MapWorkload(w)
-	ann := m.ANNNetwork(np)
-	tp := ThroughputOf(np, ann, 1)
-	if tp.InferencesPerSec <= 0 || tp.GOPS <= 0 || tp.TOPSPerWatt <= 0 {
-		t.Fatalf("degenerate throughput %+v", tp)
-	}
-	if tp.EnergyPerInferenceJ != ann.EnergyJ {
-		t.Fatal("energy passthrough broken")
-	}
-	// SNN at T timesteps does T× the raw ops in more time at lower power;
-	// both modes should land at plausible efficiency (> 0.1 TOPS/W for an
-	// in-memory design).
-	snn := m.SNNNetwork(np, w.Timesteps, DefaultActivity(w, DefaultInputRate))
-	tps := ThroughputOf(np, snn, w.Timesteps)
-	if tps.TOPSPerWatt <= tp.TOPSPerWatt {
-		t.Fatalf("SNN ops/W (%v) should beat ANN (%v): binary ops at far lower power", tps.TOPSPerWatt, tp.TOPSPerWatt)
-	}
-}
-
-func TestAreaReports(t *testing.T) {
-	m := NewModel()
-	lenet := mapping.MapWorkload(models.FullLeNet5())
-	ann := m.AreaANN(lenet)
-	snn := m.AreaSNN(lenet)
-	if ann.CoresUsed != lenet.TotalNCs() || snn.CoresUsed != lenet.TotalNCs() {
-		t.Fatal("core counts wrong")
-	}
-	if ann.CoreAreaMM2 <= snn.CoreAreaMM2 {
-		t.Fatal("ANN cores are larger than SNN cores (Table III)")
-	}
-	if !snn.FitsChip || !ann.FitsChip {
-		t.Fatal("LeNet must fit both partitions")
-	}
-	if ann.ChipFraction <= 0 || ann.ChipFraction >= 1 {
-		t.Fatalf("chip fraction %v", ann.ChipFraction)
-	}
-	// AlexNet needs more than 14 ANN cores.
-	alex := mapping.MapWorkload(models.FullAlexNet())
-	if m.AreaANN(alex).FitsChip {
-		t.Fatal("AlexNet cannot fit the 14-core ANN partition in one shot")
-	}
-	if !m.AreaSNN(alex).FitsChip && alex.TotalNCs() <= 182 {
-		t.Fatal("SNN partition fit flag inconsistent")
 	}
 }

@@ -174,13 +174,6 @@ func rowFraction(p mapping.Placement) float64 {
 	return float64(p.Layer.Rf()) / float64(p.StackHeight*mapping.M)
 }
 
-// adcEnergyPerConversionJ derives the per-conversion energy from the ADC
-// power budget: the ADC digitizes up to 128 values per 110 ns cycle
-// (§IV-B5).
-func (m *Model) adcEnergyPerConversionJ() float64 {
-	return m.S.ADCPowerW * m.S.CycleNS * 1e-9 / 128
-}
-
 // ANNLayer evaluates one layer in ANN mode. Multi-bit inputs drive every
 // mapped row each evaluation, so dynamic power is activity-independent.
 func (m *Model) ANNLayer(p mapping.Placement) LayerReport {
@@ -405,33 +398,6 @@ func (m *Model) HybridNetwork(np mapping.NetworkPlacement, T int, nonSpiking int
 	}
 	r.aggregate()
 	return r
-}
-
-// InterpolateActivity resamples a measured per-stage activity profile
-// (e.g. from a scaled model's convert.EvalResult.MeanActivity) onto a
-// network with `layers` weighted layers, by relative depth. It lets
-// spike statistics measured on the trainable scaled models drive the
-// full-size energy analysis in place of the parametric DefaultActivity.
-// The returned profile has layers+1 entries (input rate of each layer
-// plus the final output rate); measured[0] is treated as the input rate.
-func InterpolateActivity(measured []float64, layers int, inputRate float64) []float64 {
-	out := make([]float64, layers+1)
-	if len(measured) == 0 {
-		return DefaultActivity(models.Workload{Layers: make([]models.LayerShape, layers)}, inputRate)
-	}
-	out[0] = inputRate
-	for i := 1; i <= layers; i++ {
-		// Position of layer i in the measured profile.
-		pos := float64(i) / float64(layers) * float64(len(measured)-1)
-		lo := int(pos)
-		hi := lo + 1
-		if hi >= len(measured) {
-			hi = len(measured) - 1
-		}
-		frac := pos - float64(lo)
-		out[i] = measured[lo]*(1-frac) + measured[hi]*frac
-	}
-	return out
 }
 
 // rateAt reads the activity profile with clamping.

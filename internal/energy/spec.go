@@ -143,9 +143,3 @@ func (s Spec) ChipAreaMM2() float64 {
 	auArea := float64(s.AUCols*s.AURows) * 0.0669
 	return annArea + snnArea + auArea
 }
-
-// SNNCoreCount returns the number of SNN neural cores on the chip.
-func (s Spec) SNNCoreCount() int { return s.SNNCoreCols * s.SNNCoreRows }
-
-// ANNCoreCount returns the number of ANN neural cores on the chip.
-func (s Spec) ANNCoreCount() int { return s.ANNCoreCols * s.ANNCoreRows }

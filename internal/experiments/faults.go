@@ -70,6 +70,8 @@ func FaultResilience(ctx context.Context, samples, timesteps int) (FaultResilien
 // FaultResilienceSmoke is the tier-1 smoke configuration: two rates,
 // few samples, short windows — enough to exercise injection, BIST,
 // write-verify, remapping and the degradation path in seconds.
+//
+//nebula:test-support the configuration `make smoke` runs through TestFaultResilienceSmoke
 func FaultResilienceSmoke(ctx context.Context) (FaultResilienceResult, error) {
 	return FaultResilienceSweep(ctx, []float64{0, 0.05}, 4, 10, 150, 60)
 }

@@ -6,7 +6,6 @@ package figio
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -153,12 +152,4 @@ func SensitivityCSV(w io.Writer, r experiments.SensitivityResult) error {
 		rows[i] = []string{row.Knob, f(row.Low), f(row.Baseline), f(row.High), f(row.Span)}
 	}
 	return writeRows(w, []string{"knob", "at_0.5x", "baseline", "at_2x", "span"}, rows)
-}
-
-// Dump is a convenience that panics on write errors (callers writing to
-// in-memory buffers or checked files).
-func Dump(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("figio: %v", err))
-	}
 }

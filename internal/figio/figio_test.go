@@ -94,12 +94,3 @@ func TestSensitivityCSV(t *testing.T) {
 		t.Fatalf("header %v rows %d", header, len(rows))
 	}
 }
-
-func TestDumpPanicsOnError(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dump did not panic")
-		}
-	}()
-	Dump(csv.ErrFieldCount)
-}

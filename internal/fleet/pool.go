@@ -39,7 +39,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/crossbar"
 	"repro/internal/obs"
-	"repro/internal/reliability"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -118,8 +117,6 @@ type replica struct {
 	// under mu (exclusive) by the maintenance scheduler.
 	backoffTicks int
 	waitTicks    int
-	// report is the replica's last scrub outcome, under mu.
-	report reliability.Report
 }
 
 // Pool is a health-aware set of interchangeable compiled sessions. All
@@ -344,6 +341,12 @@ func (p *Pool) serve(ctx context.Context, input *tensor.Tensor, tk Ticket) (*arc
 				p.noteFailed()
 				return nil, err
 			}
+			// A malformed input fails the same way on every replica:
+			// the client's fault, not this replica's.
+			if errors.Is(err, arch.ErrInputShape) {
+				p.noteFailed()
+				return nil, err
+			}
 			lastErr = err
 			// The replica produced a failure: stop routing to it until a
 			// scrub clears it.
@@ -476,7 +479,6 @@ func (p *Pool) scrubReplica(ctx context.Context, r *replica) bool {
 		if p.rec != nil {
 			p.rec.AddScrub()
 		}
-		r.report = rpt
 		if ctx.Err() != nil {
 			// An interrupted scrub proves nothing about the hardware;
 			// leave the replica for the next tick.
@@ -525,7 +527,6 @@ func (p *Pool) recompileReplica(ctx context.Context, r *replica) bool {
 	r.waitTicks = 0
 	r.suspect.Store(false)
 	r.state.Store(stateActive)
-	r.report = reliability.Report{}
 	r.mu.Unlock()
 	if p.rec != nil {
 		p.rec.AddRecompile()
@@ -559,9 +560,6 @@ func (p *Pool) Healthy() int {
 	}
 	return n
 }
-
-// Replicas returns the pool size.
-func (p *Pool) Replicas() int { return len(p.replicas) }
 
 // PoolStats is a point-in-time occupancy snapshot of the pool: the
 // replica state partition plus the number of runs executing right now.
@@ -609,14 +607,6 @@ func (p *Pool) Stats() PoolStats {
 		r.mu.RUnlock()
 	}
 	return st
-}
-
-// Report returns replica i's last scrub report.
-func (p *Pool) Report(i int) reliability.Report {
-	r := p.replicas[i]
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.report
 }
 
 // updateHealthyGauge refreshes the healthy-replica gauge.

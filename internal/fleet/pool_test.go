@@ -125,8 +125,8 @@ func TestPoolRunMatchesStandaloneSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Replicas() != 2 || pool.Healthy() != 2 {
-		t.Fatalf("fresh pool: %d replicas, %d healthy", pool.Replicas(), pool.Healthy())
+	if pool.Stats().Replicas != 2 || pool.Healthy() != 2 {
+		t.Fatalf("fresh pool: %d replicas, %d healthy", pool.Stats().Replicas, pool.Healthy())
 	}
 	for i, img := range imgs {
 		got, err := pool.Run(ctx, img)
@@ -410,11 +410,5 @@ func TestPoolStatsSnapshot(t *testing.T) {
 	}
 	if s.Active+s.Suspect+s.Retired != s.Replicas {
 		t.Fatalf("partition does not sum: %+v", s)
-	}
-
-	// Report is per-replica introspection; a fresh replica's compile
-	// BIST left no pair unmitigated.
-	if r := pool.Report(1); r.Unmitigated != 0 {
-		t.Fatalf("fresh replica scrub report: %+v", r)
 	}
 }

@@ -153,44 +153,3 @@ func (m *Model) Evaluate(data *dataset.Dataset, T, maxSamples int, seed uint64) 
 	}
 	return float64(correct) / float64(n)
 }
-
-// SweepPoint is one row of the Table II style sweep.
-type SweepPoint struct {
-	NonSpiking int
-	Timesteps  int
-	Accuracy   float64
-}
-
-// Sweep evaluates hybrid variants over the given split depths and
-// timestep budgets, producing the data behind Table II and Fig. 17.
-func Sweep(c *convert.Converted, splits, timesteps []int, data *dataset.Dataset, maxSamples int, seed uint64) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, k := range splits {
-		m, err := Split(c, k)
-		if err != nil {
-			return nil, err
-		}
-		for _, T := range timesteps {
-			out = append(out, SweepPoint{
-				NonSpiking: k,
-				Timesteps:  T,
-				Accuracy:   m.Evaluate(data, T, maxSamples, seed),
-			})
-		}
-	}
-	return out, nil
-}
-
-// TailLayerCheck verifies the tail starts at a weighted layer (useful
-// invariant for tests and the energy model).
-func (m *Model) TailLayerCheck() error {
-	layers := m.Folded.Layers()
-	if m.TailStart < 0 || m.TailStart >= len(layers) {
-		return fmt.Errorf("hybrid: tail start %d out of range", m.TailStart)
-	}
-	switch layers[m.TailStart].(type) {
-	case *nn.Conv2D, *nn.Linear:
-		return nil
-	}
-	return fmt.Errorf("hybrid: tail starts at non-weighted layer %s", layers[m.TailStart].Name())
-}

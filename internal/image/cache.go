@@ -51,9 +51,6 @@ func (c *Cache) SetMetrics(m Metrics) *Cache {
 	return c
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // entryPath returns the on-disk path of a key's image.
 func (c *Cache) entryPath(key string) string {
 	return filepath.Join(c.dir, key+".nebimg")

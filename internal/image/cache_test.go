@@ -56,7 +56,8 @@ func TestCacheRejectsInvalidPut(t *testing.T) {
 
 func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	m := &countingMetrics{}
-	cache, err := NewCache(t.TempDir())
+	dir := t.TempDir()
+	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 
 	// Flip a payload bit on disk: the next Get must quarantine the entry
 	// and report a miss rather than hand out bad bytes.
-	path := filepath.Join(cache.Dir(), "k1.nebimg")
+	path := filepath.Join(dir, "k1.nebimg")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	if _, ok := cache.Get("k1"); ok {
 		t.Fatal("Get served a corrupt entry")
 	}
-	if _, err := os.Stat(filepath.Join(cache.Dir(), "k1.corrupt")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "k1.corrupt")); err != nil {
 		t.Fatalf("corrupt entry not renamed aside: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {

@@ -143,15 +143,3 @@ func (m *Model) NetworkTotal(w models.Workload) float64 {
 	}
 	return t
 }
-
-// ArraysUsed reports the crossbar arrays ISAAC provisions for a layer,
-// for utilization comparisons with the morphable mapping.
-func (m *Model) ArraysUsed(l models.LayerShape) int {
-	if l.Kind == models.AvgPool {
-		return 0
-	}
-	n := m.P.ArraySize
-	rf := l.Rf()
-	cols := l.Kernels() * m.columnsPerWeight()
-	return ((rf + n - 1) / n) * ((cols + n - 1) / n)
-}

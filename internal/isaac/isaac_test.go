@@ -113,15 +113,6 @@ func TestDepthwiseSavesMoreThanPointwise(t *testing.T) {
 	}
 }
 
-func TestArraysUsedAccountsColumnSplit(t *testing.T) {
-	m := NewModel()
-	// 128 kernels × 2 columns = 256 columns → 2 column splits.
-	l := models.LayerShape{Kind: models.Conv, InC: 14, OutC: 128, K: 3, Stride: 1, Pad: 1, InH: 8, InW: 8}
-	if got := m.ArraysUsed(l); got != 2 {
-		t.Fatalf("arrays used %d, want 2", got)
-	}
-}
-
 func TestNetworkTotalsSumLayers(t *testing.T) {
 	m := NewModel()
 	w := models.FullLeNet5()

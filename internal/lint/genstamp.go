@@ -67,6 +67,8 @@ func GenstampAnalyzer() *Analyzer {
 // that write device state directly or via same-type callees. The
 // runtime freshness table cross-checks against this so the two gates
 // cannot silently diverge.
+//
+//nebula:test-support the crossbar freshness table test cross-checks its mutator list against it
 func MutatorSurvey(prog *Program) map[string][]string {
 	_, survey := genstampAnalyze(prog)
 	return survey

@@ -3,7 +3,7 @@
 // invariants. It is built only on the standard library (go/parser, go/ast,
 // go/types) so the module stays dependency-free.
 //
-// The suite currently enforces ten rules:
+// The suite currently enforces eleven rules:
 //
 //   - determinism: internal packages other than internal/rng must not
 //     import math/rand (or math/rand/v2) or read the wall clock via
@@ -52,10 +52,16 @@
 //     first parameter, and context.Background()/context.TODO() are
 //     banned — contexts enter at roots (cmd/, examples, tests) and are
 //     threaded down. See ctxflow.go.
+//   - deadexport: every package-scope name in internal/ needs a use in a
+//     non-test file of the module (cmd/, examples/, the root package and
+//     the _benchmark module count); methods that satisfy an interface
+//     are exempt, and deliberate test or bench API is declared with
+//     //nebula:test-support <reason>. See deadexport.go.
 //
 // The first seven rules are per-package and purely syntax/type driven;
-// the last three are flow analyses over the module-wide call graph
-// built by NewProgram (callgraph.go).
+// genstamp, hotalloc and ctxflow are flow analyses over the module-wide
+// call graph built by NewProgram (callgraph.go), and deadexport reads
+// the uses of every package the Program holds.
 //
 // Any finding can be suppressed with a justification comment on the same
 // line or the line directly above it:
@@ -138,6 +144,7 @@ type Package struct {
 	// partial information).
 	TypeErrors []error
 
+	root         string                   // module root the loader read it from
 	suppressions map[string][]suppression // file -> directives
 }
 
@@ -178,6 +185,7 @@ func Analyzers() []*Analyzer {
 		GenstampAnalyzer(),
 		HotallocAnalyzer(),
 		CtxflowAnalyzer(),
+		DeadexportAnalyzer(),
 	}
 }
 
@@ -251,18 +259,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		return out[i].Rule < out[j].Rule
 	})
 	return out
-}
-
-// ErrorCount returns the number of unsuppressed error-severity findings —
-// the quantity that decides the gate's exit status.
-func ErrorCount(findings []Finding) int {
-	n := 0
-	for _, f := range findings {
-		if f.Severity == SeverityError && !f.Suppressed {
-			n++
-		}
-	}
-	return n
 }
 
 // suppression is one parsed //nebula:lint-ignore directive.

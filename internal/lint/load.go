@@ -133,6 +133,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
+		root:  l.Root,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},

@@ -99,7 +99,7 @@ func MustPolicy(ok bool) {
 	if active[0].Severity != SeverityError {
 		t.Fatalf("reliability panic must escalate to error, got %v", active[0].Severity)
 	}
-	if ErrorCount(active) != 1 {
+	if NewReport(active).Errors != 1 {
 		t.Fatalf("escalated finding must fail the gate")
 	}
 }

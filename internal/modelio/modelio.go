@@ -98,6 +98,8 @@ func specOf(l nn.Layer) (layerSpec, error) {
 }
 
 // Load reads a network from r.
+//
+//nebula:test-support the only reader of the files nebula-train -save writes; the round-trip tests hold Save to it
 func Load(r io.Reader) (*nn.Network, error) {
 	var ff fileFormat
 	if err := gob.NewDecoder(r).Decode(&ff); err != nil {

@@ -100,19 +100,6 @@ func (l LayerShape) MACs() int64 {
 	return 0
 }
 
-// Weights returns the number of synaptic weights the layer programs.
-func (l LayerShape) Weights() int64 {
-	switch l.Kind {
-	case Conv:
-		return int64(l.OutC) * int64(l.K*l.K*l.InC)
-	case DWConv:
-		return int64(l.OutC) * int64(l.K*l.K)
-	case FC:
-		return int64(l.OutC) * int64(l.InC)
-	}
-	return 0
-}
-
 // Workload is a full-size benchmark: an ordered list of layers plus the
 // SNN integration window from Table I.
 type Workload struct {
@@ -134,15 +121,6 @@ func (w Workload) WeightedLayers() []LayerShape {
 		}
 	}
 	return out
-}
-
-// TotalMACs sums MACs over all weighted layers.
-func (w Workload) TotalMACs() int64 {
-	var t int64
-	for _, l := range w.WeightedLayers() {
-		t += l.MACs()
-	}
-	return t
 }
 
 // conv is a LayerShape constructor shorthand used by the workload tables.

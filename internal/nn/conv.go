@@ -55,10 +55,6 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, oh, ow}
 }
 
-// ReceptiveField returns KH*KW*(InC/Groups), the number of crossbar rows a
-// single output kernel occupies when flattened per Fig. 5 of the paper.
-func (c *Conv2D) ReceptiveField() int { return c.KH * c.KW * c.InC / c.Groups }
-
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != c.InC {

@@ -16,12 +16,3 @@ func HeInit(w *tensor.Tensor, fanIn int, r *rng.Rand) {
 		d[i] = r.NormFloat64() * std
 	}
 }
-
-// XavierInit fills w with uniform values in ±sqrt(6/(fanIn+fanOut)).
-func XavierInit(w *tensor.Tensor, fanIn, fanOut int, r *rng.Rand) {
-	bound := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	d := w.Data()
-	for i := range d {
-		d[i] = (2*r.Float64() - 1) * bound
-	}
-}

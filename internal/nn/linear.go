@@ -46,10 +46,6 @@ func (l *Linear) OutShape(in []int) []int {
 	return []int{l.Out}
 }
 
-// ReceptiveField returns the number of crossbar rows one output neuron
-// occupies: the full fan-in.
-func (l *Linear) ReceptiveField() int { return l.In }
-
 // Forward implements Layer. A 4-D input is flattened automatically.
 func (l *Linear) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	if x.NDim() != 2 {

@@ -42,44 +42,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, gra
 	}
 	return total / float64(n), grad
 }
-
-// Softmax returns the softmax probabilities of a batch of logits (N×K).
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, k)
-	for i := 0; i < n; i++ {
-		row := logits.Row(i).Data()
-		orow := out.Row(i).Data()
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - m)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}
-
-// Accuracy returns the fraction of rows whose argmax equals the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	n := logits.Dim(0)
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.Row(i).ArgMax() == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
-}

@@ -119,15 +119,6 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// ParamCount returns the total number of scalar parameters.
-func (n *Network) ParamCount() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Value.Size()
-	}
-	return total
-}
-
 // OutShape propagates an input shape (excluding batch) through all layers.
 // It panics if any layer does not implement Shaper.
 func (n *Network) OutShape(in []int) []int {
@@ -139,18 +130,4 @@ func (n *Network) OutShape(in []int) []int {
 		in = s.OutShape(in)
 	}
 	return in
-}
-
-// Summary returns a human-readable multi-line description of the network.
-func (n *Network) Summary(inShape []int) string {
-	s := fmt.Sprintf("Network %q\n", n.name)
-	shape := inShape
-	for i, l := range n.layers {
-		if sh, ok := l.(Shaper); ok {
-			shape = sh.OutShape(shape)
-		}
-		s += fmt.Sprintf("  %2d: %-28s out=%v\n", i, l.Name(), shape)
-	}
-	s += fmt.Sprintf("  params: %d\n", n.ParamCount())
-	return s
 }

@@ -6,7 +6,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 )
 
 // Config holds mesh parameters. Values derive from the 1.2 GHz operating
@@ -188,12 +187,6 @@ func (m *Mesh) Stats() Stats {
 	}
 }
 
-// ResetStats clears counters and link occupancy.
-func (m *Mesh) ResetStats() {
-	m.busyUntil = make(map[link]int64)
-	m.packets, m.flits, m.hopFlits, m.energyPJ, m.lastCycle = 0, 0, 0, 0, 0
-}
-
 // CyclesToNS converts cycles to nanoseconds at the mesh clock.
 func (m *Mesh) CyclesToNS(c int64) float64 {
 	return float64(c) / m.Cfg.ClockHz * 1e9
@@ -211,10 +204,4 @@ func MeanHops(w, h int) float64 {
 // exact placement is not simulated.
 func (m *Mesh) TransferEnergyPJ(bits float64) float64 {
 	return bits * MeanHops(m.Cfg.Width, m.Cfg.Height) * m.Cfg.EnergyPerBitPJ
-}
-
-// Bisection returns the bisection bandwidth in bits per second.
-func (m *Mesh) Bisection() float64 {
-	cut := math.Min(float64(m.Cfg.Width), float64(m.Cfg.Height))
-	return cut * float64(m.Cfg.LinkBits) * m.Cfg.ClockHz
 }

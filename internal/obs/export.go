@@ -2,20 +2,10 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// WriteJSON writes the snapshot as indented JSON. The snapshot contains
-// no maps, so equal snapshots marshal to identical bytes — the property
-// the CI obs-determinism gate diffs on.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
 
 // counterSeries defines the Prometheus series derived from one Counters
 // bucket, in fixed emission order.

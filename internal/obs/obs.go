@@ -118,32 +118,17 @@ func (l *Layout) equal(o *Layout) bool {
 // drops it on the floor when the run fails, so a recorder only ever
 // contains complete runs.
 type RunRecord struct {
-	layout  *Layout
-	stages  []Counters
-	trace   []TraceEvent
-	traceOn bool
+	layout *Layout
+	stages []Counters
 }
 
-// NewRunRecord allocates a shard shaped for the layout. traceOn enables
-// per-timestep trace capture (copied from Recorder.TraceEnabled at run
-// start so the disabled path never looks at the ring).
-func NewRunRecord(l *Layout, traceOn bool) *RunRecord {
-	return &RunRecord{layout: l, stages: make([]Counters, len(l.Stages)), traceOn: traceOn}
+// NewRunRecord allocates a shard shaped for the layout.
+func NewRunRecord(l *Layout) *RunRecord {
+	return &RunRecord{layout: l, stages: make([]Counters, len(l.Stages))}
 }
 
 // Stage returns the counter bucket of stage i for in-place accumulation.
 func (r *RunRecord) Stage(i int) *Counters { return &r.stages[i] }
-
-// TraceEnabled reports whether the run should emit trace events.
-func (r *RunRecord) TraceEnabled() bool { return r.traceOn }
-
-// AddTrace appends a per-timestep trace event; the run ordinal is
-// assigned at merge time.
-func (r *RunRecord) AddTrace(ev TraceEvent) {
-	if r.traceOn {
-		r.trace = append(r.trace, ev)
-	}
-}
 
 // ProgramRecord tallies compile-time activity: crossbar programming
 // energy plus the reliability pipeline's BIST / repair / sparing work.
@@ -188,37 +173,10 @@ type Recorder struct {
 	totals  []Counters
 	runs    int64
 	program ProgramRecord
-	ring    *traceRing
-}
-
-// RecorderOption configures NewRecorder.
-type RecorderOption func(*Recorder)
-
-// WithTrace enables the bounded per-timestep trace ring: the newest
-// `capacity` events are retained, oldest overwritten first.
-func WithTrace(capacity int) RecorderOption {
-	return func(r *Recorder) {
-		if capacity > 0 {
-			r.ring = newTraceRing(capacity)
-		}
-	}
 }
 
 // NewRecorder builds an empty recorder.
-func NewRecorder(opts ...RecorderOption) *Recorder {
-	r := &Recorder{}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
-}
-
-// TraceEnabled reports whether the recorder captures trace events.
-func (r *Recorder) TraceEnabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring != nil
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Bind attaches the recorder to a compiled session's counter schema.
 // The first Bind adopts the layout; subsequent Binds must present an
@@ -255,16 +213,9 @@ func (r *Recorder) MergeRun(rr *RunRecord) error {
 	if r.layout == nil || !r.layout.equal(rr.layout) {
 		return fmt.Errorf("obs: run shard layout does not match the bound recorder (Bind the layout first)")
 	}
-	run := r.runs
 	r.runs++
 	for i := range rr.stages {
 		r.totals[i].Add(rr.stages[i])
-	}
-	if r.ring != nil {
-		for _, ev := range rr.trace {
-			ev.Run = run
-			r.ring.push(ev)
-		}
 	}
 	return nil
 }
@@ -274,21 +225,6 @@ func (r *Recorder) Runs() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runs
-}
-
-// Reset clears counters, program record, run count and trace while
-// keeping the layout binding.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.totals {
-		r.totals[i] = Counters{}
-	}
-	r.runs = 0
-	r.program = ProgramRecord{}
-	if r.ring != nil {
-		r.ring = newTraceRing(cap(r.ring.buf))
-	}
 }
 
 // StageSnapshot pairs a stage's identity with its accumulated counters.
@@ -324,14 +260,4 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.Totals.Add(r.totals[i])
 	}
 	return s
-}
-
-// Trace returns the retained trace events, oldest first.
-func (r *Recorder) Trace() []TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ring == nil {
-		return nil
-	}
-	return r.ring.events()
 }

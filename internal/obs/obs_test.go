@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func testLayout() *Layout {
 
 // shard builds a filled RunRecord for the layout.
 func shard(l *Layout, scale int64) *RunRecord {
-	rr := NewRunRecord(l, false)
+	rr := NewRunRecord(l)
 	rr.Stage(0).SpikesEmitted = 10 * scale
 	c := rr.Stage(1)
 	c.SpikesEmitted = 3 * scale
@@ -100,14 +101,16 @@ func TestSnapshotExportDeterminism(t *testing.T) {
 		}
 		return rec.Snapshot()
 	}
-	var j1, j2, p1, p2 bytes.Buffer
-	if err := build().WriteJSON(&j1); err != nil {
+	var p1, p2 bytes.Buffer
+	j1, err := json.Marshal(build())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteJSON(&j2); err != nil {
+	j2, err := json.Marshal(build())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
+	if !bytes.Equal(j1, j2) {
 		t.Fatal("JSON export is not deterministic")
 	}
 	if err := build().WritePrometheus(&p1); err != nil {
@@ -130,68 +133,6 @@ func TestSnapshotExportDeterminism(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("Prometheus export missing %q\n%s", want, text)
 		}
-	}
-}
-
-func TestTraceRingBoundsAndOrder(t *testing.T) {
-	rec := NewRecorder(WithTrace(4))
-	if !rec.TraceEnabled() {
-		t.Fatal("trace not enabled")
-	}
-	l := testLayout()
-	if err := rec.Bind(l); err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		rr := NewRunRecord(l, rec.TraceEnabled())
-		for ts := 0; ts < 2; ts++ {
-			rr.AddTrace(TraceEvent{Timestep: ts, Stage: 1, Layer: "fc1", Spikes: int64(run*10 + ts)})
-		}
-		if err := rec.MergeRun(rr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	evs := rec.Trace()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want capacity 4", len(evs))
-	}
-	// 6 events pushed into capacity 4: the two oldest (run 0) evicted.
-	want := []TraceEvent{
-		{Run: 1, Timestep: 0, Stage: 1, Layer: "fc1", Spikes: 10},
-		{Run: 1, Timestep: 1, Stage: 1, Layer: "fc1", Spikes: 11},
-		{Run: 2, Timestep: 0, Stage: 1, Layer: "fc1", Spikes: 20},
-		{Run: 2, Timestep: 1, Stage: 1, Layer: "fc1", Spikes: 21},
-	}
-	for i, ev := range evs {
-		if ev != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, want[i])
-		}
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	rec := NewRecorder(WithTrace(8))
-	l := testLayout()
-	if err := rec.Bind(l); err != nil {
-		t.Fatal(err)
-	}
-	rr := shard(l, 5)
-	rr.AddTrace(TraceEvent{Stage: 1})
-	if err := rec.MergeRun(rr); err != nil {
-		t.Fatal(err)
-	}
-	rec.RecordProgram(ProgramRecord{Compiles: 1})
-	rec.Reset()
-	s := rec.Snapshot()
-	if s.Runs != 0 || s.Totals != (Counters{}) || s.Program != (ProgramRecord{}) {
-		t.Fatalf("Reset left state behind: %+v", s)
-	}
-	if len(rec.Trace()) != 0 {
-		t.Fatal("Reset left trace events behind")
-	}
-	// The layout binding survives, so merging continues to work.
-	if err := rec.MergeRun(shard(l, 1)); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -112,12 +112,6 @@ func ANNTraffic() TrafficConfig {
 	return TrafficConfig{ActivationBits: 4, PartialSumBits: 8, ActivityRate: 1, Timesteps: 1}
 }
 
-// SNNTraffic returns the configuration for a T-step spiking run at the
-// given mean output spike rate.
-func SNNTraffic(T int, rate float64) TrafficConfig {
-	return TrafficConfig{ActivationBits: 8, PartialSumBits: 8, ActivityRate: rate, Timesteps: T}
-}
-
 // SimulateTraffic routes one inference worth of packets through the mesh:
 // for each weighted layer, (1) spill cores send their digitized partial
 // sums to the layer's reduction RU, and (2) the layer's output

@@ -137,12 +137,15 @@ func TestSNNTrafficScalesWithRateAndT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := a.SimulateTraffic(SNNTraffic(10, 0.1))
-	big := a.SimulateTraffic(SNNTraffic(40, 0.1))
+	snnTraffic := func(T int, rate float64) TrafficConfig {
+		return TrafficConfig{ActivationBits: 8, PartialSumBits: 8, ActivityRate: rate, Timesteps: T}
+	}
+	small := a.SimulateTraffic(snnTraffic(10, 0.1))
+	big := a.SimulateTraffic(snnTraffic(40, 0.1))
 	if big.ActivationBits <= small.ActivationBits {
 		t.Fatal("traffic must grow with timesteps")
 	}
-	quiet := a.SimulateTraffic(SNNTraffic(10, 0.02))
+	quiet := a.SimulateTraffic(snnTraffic(10, 0.02))
 	if quiet.EnergyJ() >= small.EnergyJ() {
 		t.Fatal("lower spike rates must reduce NoC energy")
 	}

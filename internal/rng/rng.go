@@ -162,28 +162,3 @@ func (r *Rand) NormFloat64() float64 {
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Poisson returns a Poisson-distributed sample with mean lambda using
-// Knuth's algorithm for small lambda and a normal approximation above 30.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*r.NormFloat64()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}

@@ -132,36 +132,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, lambda := range []float64{0.5, 3, 10, 50} {
-		r := New(23)
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(lambda)
-		}
-		mean := float64(sum) / n
-		if math.Abs(mean-lambda) > 0.05*lambda+0.05 {
-			t.Fatalf("Poisson(%v) mean %v", lambda, mean)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(29)
-	for i := 0; i < 10000; i++ {
-		if r.Poisson(100) < 0 {
-			t.Fatal("negative Poisson sample")
-		}
-	}
-	if r.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) must be 0")
-	}
-	if r.Poisson(-1) != 0 {
-		t.Fatal("Poisson(-1) must be 0")
-	}
-}
-
 func TestBernoulliProbability(t *testing.T) {
 	r := New(31)
 	const n = 100000

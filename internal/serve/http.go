@@ -149,6 +149,11 @@ func decodeInput(req InferRequest) (*tensor.Tensor, error) {
 		if d < 1 {
 			return nil, errors.New("shape dimensions must be positive")
 		}
+		// n·d ≤ len(Input) ⇔ d ≤ len(Input)/n: checked before the
+		// product, which could otherwise wrap past the length.
+		if d > len(req.Input)/n {
+			return nil, errors.New("shape does not match input length")
+		}
 		n *= d
 	}
 	if n != len(req.Input) {
@@ -170,6 +175,8 @@ func errorStatus(err error) (int, string) {
 			return http.StatusGatewayTimeout, "deadline_running"
 		}
 		return http.StatusGatewayTimeout, "deadline_queued"
+	case errors.Is(err, arch.ErrInputShape):
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, fleet.ErrExhausted):
 		return http.StatusServiceUnavailable, "exhausted"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

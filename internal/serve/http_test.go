@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -56,11 +57,17 @@ func TestHTTPInfer(t *testing.T) {
 }
 
 func TestHTTPInferBadRequest(t *testing.T) {
-	_, h := testHandler(t, Config{}, HandlerConfig{})
+	s, pool := newTestServer(t, Config{}, 2, 10)
+	h := s.Handler(HandlerConfig{})
 	for name, body := range map[string]InferRequest{
 		"empty":     {},
 		"bad-shape": {Input: []float64{1, 2, 3}, Shape: []int{2, 2}},
 		"zero-dim":  {Input: []float64{1}, Shape: []int{0}},
+		// Well-formed JSON the model cannot take: 2 values against a
+		// 256-input MLP.
+		"short": {Input: []float64{1, 2}},
+		// 3·6148914691236517206 = 2⁶⁴+2 wraps to the input length.
+		"overflow-shape": {Input: []float64{1, 2}, Shape: []int{3, 6148914691236517206}},
 	} {
 		w := postJSON(t, h, "/v1/infer", body)
 		if w.Code != http.StatusBadRequest {
@@ -73,6 +80,10 @@ func TestHTTPInferBadRequest(t *testing.T) {
 		if e.Kind != "bad_request" {
 			t.Fatalf("%s: kind %q, want bad_request", name, e.Kind)
 		}
+	}
+	// A client's malformed input is not a replica fault.
+	if st := pool.Stats(); st.Healthy != 2 || st.Suspect != 0 {
+		t.Fatalf("pool after bad requests: %+v, want 2 healthy, 0 suspect", st)
 	}
 	// Method mapping.
 	req := httptest.NewRequest(http.MethodGet, "/v1/infer", nil)
@@ -94,7 +105,12 @@ func TestHTTPStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A malformed line mid-stream must not break the stream's order.
+	// A line the model cannot take is answered inline as a bad request.
+	// It comes last: its admission reserves a ticket, which would shift
+	// the streams of any later line.
+	if err := enc.Encode(InferRequest{Input: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/infer/stream", &in)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
@@ -102,10 +118,14 @@ func TestHTTPStream(t *testing.T) {
 		t.Fatalf("status %d", w.Code)
 	}
 	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
-	if len(lines) != len(imgs) {
-		t.Fatalf("%d response lines, want %d: %q", len(lines), len(imgs), lines)
+	if len(lines) != len(imgs)+1 {
+		t.Fatalf("%d response lines, want %d: %q", len(lines), len(imgs)+1, lines)
 	}
-	for i, line := range lines {
+	var bad ErrorResponse
+	if err := json.Unmarshal([]byte(lines[len(imgs)]), &bad); err != nil || bad.Kind != "bad_request" {
+		t.Fatalf("short line answered %q (err %v), want kind bad_request", lines[len(imgs)], err)
+	}
+	for i, line := range lines[:len(imgs)] {
 		var resp InferResponse
 		if err := json.Unmarshal([]byte(line), &resp); err != nil {
 			t.Fatalf("line %d: %v", i, err)
@@ -197,4 +217,35 @@ func TestErrorStatusMapping(t *testing.T) {
 			t.Fatalf("errorStatus(%v) = (%d, %q), want (%d, %q)", tc.err, status, kind, tc.status, tc.kind)
 		}
 	}
+}
+
+// FuzzServeDecode holds the request decoder to its contract on
+// arbitrary bodies: decodeInput returns an error, or a tensor whose
+// dims are all ≥ 1 and whose product, computed without overflow,
+// equals the number of input values. It never panics.
+func FuzzServeDecode(f *testing.F) {
+	f.Add([]byte(`{"input":[1,2],"shape":[3,6148914691236517206]}`))
+	f.Add([]byte(`{"input":[1,2,3,4],"shape":[2,2]}`))
+	f.Add([]byte(`{"input":[0.5]}`))
+	f.Add([]byte(`{"input":[1],"shape":[0]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req InferRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+			return
+		}
+		x, err := decodeInput(req)
+		if err != nil {
+			return
+		}
+		n := 1
+		for _, d := range x.Shape() {
+			if d < 1 || n > math.MaxInt/d {
+				t.Fatalf("shape %v accepted for %d values", x.Shape(), len(req.Input))
+			}
+			n *= d
+		}
+		if n != len(req.Input) {
+			t.Fatalf("shape %v accepted for %d values", x.Shape(), len(req.Input))
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -84,59 +83,5 @@ func TestRefractoryCapsRate(t *testing.T) {
 	maxRate := 1.0 / 4
 	if got := spikes / T; math.Abs(got-maxRate) > 0.01 {
 		t.Fatalf("rate %v, want ≈%v", got, maxRate)
-	}
-}
-
-func TestDirectEncoderDeterministic(t *testing.T) {
-	enc := NewDirectEncoder(1.0)
-	img := tensor.FromSlice([]float64{0.3, 0.7}, 2)
-	a := enc.Encode(img)
-	b := enc.Encode(img)
-	for i := range a.Data() {
-		if a.Data()[i] != b.Data()[i] {
-			t.Fatal("direct encoding must be identical every step")
-		}
-		if a.Data()[i] != img.Data()[i] {
-			t.Fatal("gain 1 must pass intensities through")
-		}
-	}
-}
-
-func TestDirectEncoderConvergesFasterThanPoisson(t *testing.T) {
-	// A single IF neuron integrating a constant 0.5 current fires exactly
-	// every 2 steps; under Poisson encoding the same mean rate arrives
-	// with sampling noise. Direct input should track the ideal rate with
-	// lower error at short windows.
-	rate := func(enc Encoder, T int) float64 {
-		d := NewDense("d", tensor.FromSlice([]float64{1}, 1, 1), nil, 1.0, ResetBySubtraction)
-		d.Reset()
-		img := tensor.FromSlice([]float64{0.5}, 1)
-		spikes := 0.0
-		for i := 0; i < T; i++ {
-			out := d.Step(enc.Encode(img))
-			spikes += out.Data()[0]
-		}
-		return spikes / float64(T)
-	}
-	const T = 20
-	direct := rate(NewDirectEncoder(1.0), T)
-	// Poisson error averaged over several seeds.
-	poissonErr := 0.0
-	const trials = 10
-	for s := uint64(0); s < trials; s++ {
-		p := rate(NewPoissonEncoder(1.0, rng.New(s+1)), T)
-		if p > 0.5 {
-			poissonErr += p - 0.5
-		} else {
-			poissonErr += 0.5 - p
-		}
-	}
-	poissonErr /= trials
-	directErr := direct - 0.5
-	if directErr < 0 {
-		directErr = -directErr
-	}
-	if directErr > poissonErr {
-		t.Fatalf("direct error %v not below mean Poisson error %v", directErr, poissonErr)
 	}
 }

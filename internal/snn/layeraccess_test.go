@@ -64,9 +64,9 @@ func TestLayerAccessors(t *testing.T) {
 
 	// The free-standing membrane bank fires like a layer-owned one.
 	s := NewIFState(1.0, ResetToZero)
-	spikes := s.Fire(in)
+	spikes := s.fire(in)
 	if spikes.Size() != 3 {
-		t.Fatalf("Fire returned %d spikes, want 3", spikes.Size())
+		t.Fatalf("fire returned %d spikes, want 3", spikes.Size())
 	}
 	fired := false
 	for _, v := range spikes.Data() {

@@ -86,13 +86,6 @@ func NewIFState(vth float64, mode ResetMode) *IFState {
 	return newIFState(vth, mode)
 }
 
-// Fire integrates one timestep of input current and returns the binary
-// spike tensor — the exported form of the integrate-and-fire update for
-// callers that manage IF state per run instead of per layer.
-func (s *IFState) Fire(current *tensor.Tensor) *tensor.Tensor {
-	return s.fire(current)
-}
-
 // Reset clears membrane and counters. The banks are zeroed in place, so
 // a state reused across inputs of one shape allocates only once.
 func (s *IFState) Reset() {
@@ -112,9 +105,10 @@ func (s *IFState) fire(current *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// FireInto is Fire writing the spikes into out, a caller-owned tensor
-// of the current's size: every element is assigned (1 or 0), so
-// per-timestep callers reuse one output buffer.
+// FireInto integrates one timestep of input current and writes the
+// binary spikes into out, a caller-owned tensor of the current's size:
+// every element is assigned (1 or 0), so per-timestep callers reuse one
+// output buffer.
 //
 //nebula:hotpath
 func (s *IFState) FireInto(out, current *tensor.Tensor) {
@@ -389,14 +383,6 @@ func (o *Output) Step(in *tensor.Tensor) *tensor.Tensor {
 	return o.u.Clone()
 }
 
-// Potentials returns the accumulated output membrane potentials.
-func (o *Output) Potentials() *tensor.Tensor {
-	if o.u == nil {
-		return nil
-	}
-	return o.u.Clone()
-}
-
 // PoissonEncoder converts pixel intensities in [0,1] into Bernoulli spike
 // trains with per-timestep firing probability Gain·intensity, the
 // rate-encoded Poisson approximation of §V-A.
@@ -460,37 +446,6 @@ func (e *PoissonEncoder) EncodeIntoPlane(dst *tensor.Tensor, pl *spikeplane.Plan
 		} else {
 			od[i] = 0
 		}
-	}
-}
-
-// DirectEncoder presents pixel intensities as constant analog input
-// currents instead of stochastic spike trains — the "analog input layer"
-// trick of Rueckauer et al. that removes input sampling noise and reaches
-// a given accuracy in fewer timesteps. The first weighted layer's crossbar
-// receives graded drive (NEBULA's ANN-style multi-level drivers feeding an
-// otherwise spiking pipeline).
-type DirectEncoder struct {
-	Gain float64
-}
-
-// NewDirectEncoder constructs a direct encoder.
-func NewDirectEncoder(gain float64) *DirectEncoder { return &DirectEncoder{Gain: gain} }
-
-// Encode returns the scaled intensities (identical every timestep).
-func (e *DirectEncoder) Encode(img *tensor.Tensor) *tensor.Tensor {
-	out := img.Clone()
-	out.ScaleInPlace(e.Gain)
-	return out
-}
-
-// EncodeInto writes the scaled intensities into a caller-provided
-// tensor of the image's shape. No RNG is involved.
-//
-//nebula:hotpath
-func (e *DirectEncoder) EncodeInto(dst, img *tensor.Tensor) {
-	od := dst.Data()
-	for i, v := range img.Data() {
-		od[i] = v * e.Gain
 	}
 }
 

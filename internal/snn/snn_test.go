@@ -158,8 +158,8 @@ func TestOutputAccumulates(t *testing.T) {
 		t.Fatalf("output potential = %v, want 2", out.Data()[0])
 	}
 	o.Reset()
-	if o.Potentials() != nil {
-		t.Fatal("Potentials after Reset should be nil")
+	if o.u != nil {
+		t.Fatal("membrane after Reset should be nil")
 	}
 }
 

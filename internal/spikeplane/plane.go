@@ -226,14 +226,6 @@ func (it *Iter) Next() (int, bool) {
 	return (it.wi-1)<<6 + tz, true
 }
 
-// IterWords iterates a raw word slice (e.g. a Window view) without
-// needing a Plane wrapper.
-//
-//nebula:hotpath
-func IterWords(words []uint64) Iter {
-	return Iter{words: words}
-}
-
 // IsZeroWords reports whether a raw word slice (e.g. a Window view)
 // has no bit set.
 //
@@ -245,22 +237,6 @@ func IsZeroWords(words []uint64) bool {
 		}
 	}
 	return true
-}
-
-// CountAnd returns the popcount of a AND b over min(len(a), len(b))
-// words — the active-row intersection count against a packed mask.
-//
-//nebula:hotpath
-func CountAnd(a, b []uint64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
 }
 
 // Window extracts bits [lo, hi) of words as a word-aligned view. When

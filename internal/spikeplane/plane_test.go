@@ -141,26 +141,6 @@ func TestPlaneEqualAndCopy(t *testing.T) {
 	}
 }
 
-func TestCountAnd(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for _, n := range refLens {
-		va := densePlane(r, n, 0.4)
-		vb := densePlane(r, n, 0.4)
-		var a, b Plane
-		a.Pack(va)
-		b.Pack(vb)
-		want := 0
-		for i := range va {
-			if va[i] != 0 && vb[i] != 0 {
-				want++
-			}
-		}
-		if got := CountAnd(a.WordSlice(), b.WordSlice()); got != want {
-			t.Fatalf("n=%d: CountAnd=%d want %d", n, got, want)
-		}
-	}
-}
-
 func TestWindow(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	v := densePlane(r, 300, 0.35)
@@ -185,7 +165,7 @@ func TestWindow(t *testing.T) {
 				want = append(want, i-lo)
 			}
 		}
-		it := IterWords(w)
+		it := Iter{words: w}
 		k := 0
 		for {
 			gi, ok := it.Next()

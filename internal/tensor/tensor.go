@@ -137,19 +137,6 @@ func (t *Tensor) Fill(v float64) *Tensor {
 	return t
 }
 
-// Apply replaces each element x with f(x) in place and returns the tensor.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
-// Map returns a new tensor with f applied elementwise.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	return t.Clone().Apply(f)
-}
-
 // AddInPlace adds other elementwise; shapes must match exactly.
 func (t *Tensor) AddInPlace(other *Tensor) *Tensor {
 	t.assertSameShape(other)
@@ -159,37 +146,10 @@ func (t *Tensor) AddInPlace(other *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace subtracts other elementwise.
-func (t *Tensor) SubInPlace(other *Tensor) *Tensor {
-	t.assertSameShape(other)
-	for i, v := range other.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
-// MulInPlace multiplies elementwise (Hadamard product).
-func (t *Tensor) MulInPlace(other *Tensor) *Tensor {
-	t.assertSameShape(other)
-	for i, v := range other.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-	return t
-}
-
-// AxpyInPlace computes t += alpha*other.
-func (t *Tensor) AxpyInPlace(alpha float64, other *Tensor) *Tensor {
-	t.assertSameShape(other)
-	for i, v := range other.data {
-		t.data[i] += alpha * v
 	}
 	return t
 }
@@ -230,34 +190,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on an empty tensor.
-func (t *Tensor) Min() float64 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // AbsMax returns max |x| over all elements (0 for empty tensors).
 func (t *Tensor) AbsMax() float64 {
 	m := 0.0
@@ -283,16 +215,6 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bestIdx
-}
-
-// Dot returns the inner product of two same-shaped tensors.
-func Dot(a, b *Tensor) float64 {
-	a.assertSameShape(b)
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s
 }
 
 // MatMul multiplies a (m×k) by b (k×n) and returns an m×n tensor.

@@ -137,26 +137,9 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("add: got %v", a.Data())
 		}
 	}
-	a.SubInPlace(b)
-	for i, v := range a.Data() {
-		if v != float64(i+1) {
-			t.Fatalf("sub: got %v", a.Data())
-		}
-	}
-	a.MulInPlace(b)
-	wantMul := []float64{4, 10, 18}
-	for i, v := range a.Data() {
-		if v != wantMul[i] {
-			t.Fatalf("mul: got %v", a.Data())
-		}
-	}
 	a.ScaleInPlace(0.5)
-	if a.At(0) != 2 {
+	if a.At(0) != 2.5 {
 		t.Fatalf("scale: got %v", a.Data())
-	}
-	a.AxpyInPlace(2, b)
-	if a.At(0) != 10 { // 2 + 2*4
-		t.Fatalf("axpy: got %v", a.Data())
 	}
 }
 
@@ -177,12 +160,6 @@ func TestReductions(t *testing.T) {
 	if x.Mean() != 1 {
 		t.Fatalf("Mean = %v", x.Mean())
 	}
-	if x.Max() != 4 {
-		t.Fatalf("Max = %v", x.Max())
-	}
-	if x.Min() != -3 {
-		t.Fatalf("Min = %v", x.Min())
-	}
 	if x.AbsMax() != 4 {
 		t.Fatalf("AbsMax = %v", x.AbsMax())
 	}
@@ -191,12 +168,13 @@ func TestReductions(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v", Dot(a, b))
+// dot returns the inner product of two same-shaped tensors.
+func dot(a, b *Tensor) float64 {
+	s := 0.0
+	for i, v := range a.Data() {
+		s += v * b.Data()[i]
 	}
+	return s
 }
 
 func TestMatMulKnown(t *testing.T) {
@@ -339,8 +317,8 @@ func TestCol2ImAdjoint(t *testing.T) {
 	for i := range y.Data() {
 		y.Data()[i] = r.NormFloat64()
 	}
-	lhs := Dot(Im2Col(x, cfg.kh, cfg.kw, cfg.stride, cfg.pad), y)
-	rhs := Dot(x, Col2Im(y, cfg.c, cfg.h, cfg.w, cfg.kh, cfg.kw, cfg.stride, cfg.pad))
+	lhs := dot(Im2Col(x, cfg.kh, cfg.kw, cfg.stride, cfg.pad), y)
+	rhs := dot(x, Col2Im(y, cfg.c, cfg.h, cfg.w, cfg.kh, cfg.kw, cfg.stride, cfg.pad))
 	if math.Abs(lhs-rhs) > 1e-9 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
 	}
