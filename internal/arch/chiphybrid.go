@@ -40,14 +40,9 @@ func (au *AccumulatorUnit) Accumulate(spikes *tensor.Tensor) {
 	au.steps++
 }
 
-// Read returns the recovered activation estimate: rate × λ.
-func (au *AccumulatorUnit) Read() *tensor.Tensor {
-	return au.ReadInto(nil)
-}
-
-// ReadInto is Read writing into dst when dst has the registers' shape
-// (a fresh tensor otherwise); it returns the tensor written, or nil
-// before the first timestep.
+// ReadInto writes the recovered activation estimate, rate × λ, into
+// dst when dst has the registers' shape (a fresh tensor otherwise); it
+// returns the tensor written, or nil before the first timestep.
 func (au *AccumulatorUnit) ReadInto(dst *tensor.Tensor) *tensor.Tensor {
 	if au.counts == nil || au.steps == 0 {
 		return nil

@@ -25,7 +25,7 @@ func TestAccumulatorUnitRecoverRate(t *testing.T) {
 			au.Accumulate(quiet)
 		}
 	}
-	got := au.Read().Data()[0]
+	got := au.ReadInto(nil).Data()[0]
 	if math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("AU read %v, want 0.75", got)
 	}
@@ -33,8 +33,8 @@ func TestAccumulatorUnitRecoverRate(t *testing.T) {
 		t.Fatalf("adder ops %d, want 3 (event-driven adds)", au.Adds)
 	}
 	au.Reset()
-	if au.Read() != nil {
-		t.Fatal("Read after Reset should be nil")
+	if au.ReadInto(nil) != nil {
+		t.Fatal("ReadInto after Reset should be nil")
 	}
 }
 

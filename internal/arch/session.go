@@ -1,9 +1,6 @@
 package arch
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sync"
@@ -88,9 +85,8 @@ type EncoderFactory func(r *rng.Rand) snn.Encoder
 // process-local options — encoder factories, shared encoders, observers,
 // image caches — stay functional-only and never enter an image.
 //
-// Construct one with zero values plus field assignment, or recover one
-// from a compiled session with Session.Config; WithConfig turns it back
-// into an option and Options reconstructs the full option list.
+// Construct one with zero values plus field assignment; Options
+// reconstructs the full option list.
 type CompileConfig struct {
 	// Mode is the operating modality.
 	Mode Mode
@@ -129,37 +125,6 @@ func (c CompileConfig) Options() []Option {
 		opts = append(opts, WithSeed(c.Seed))
 	}
 	return opts
-}
-
-// Hash returns a stable content hash of the configuration: the SHA-256
-// hex digest of a fixed-order little-endian encoding of every field.
-// Two configurations hash equal exactly when they compile identically
-// over the same model and chip.
-func (c CompileConfig) Hash() string {
-	h := sha256.New()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		_, _ = h.Write(b[:]) // sha256 writes never fail
-	}
-	putBool := func(v bool) {
-		if v {
-			put(1)
-		} else {
-			put(0)
-		}
-	}
-	put(uint64(int64(c.Mode)))
-	put(uint64(int64(c.Timesteps)))
-	put(uint64(int64(c.HybridSplit)))
-	put(uint64(int64(c.Parallelism)))
-	put(c.Seed)
-	putBool(c.SeedSet)
-	put(uint64(len(c.InputShape)))
-	for _, d := range c.InputShape {
-		put(uint64(int64(d)))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // sessionConfig collects the full option state of one Compile call: the

@@ -20,8 +20,9 @@ import (
 // package count as users because they are loaded like any other
 // package; the _benchmark module, which the loader skips, is parsed
 // syntactically: a pkg.Name selector resolved through its import spec
-// marks that name used, and any other selector marks every method of
-// that name used.
+// marks that name used, a selector on any other import is no method
+// call, and every remaining selector marks each method of that name
+// used.
 //
 // A name's own declaration is not a use of it: the receiver and body of
 // a method, a self-recursive call, and a type's mentions of itself in
@@ -205,7 +206,8 @@ func testSupportWaiver(docs []*ast.CommentGroup) (waived bool, reasonless *ast.C
 
 // benchmarkUses parses the non-test files of the benchmark module under
 // the module root. It returns the "importpath.Name" selectors made
-// through module imports, and every other selected name.
+// through module imports, and every name selected on something other
+// than an import.
 func benchmarkUses(prog *Program) (qualified, selected map[string]bool) {
 	qualified, selected = map[string]bool{}, map[string]bool{}
 	pkgName := map[string]string{}
@@ -235,7 +237,10 @@ func benchmarkUses(prog *Program) (qualified, selected map[string]bool) {
 		if file == nil {
 			continue
 		}
-		imports := map[string]string{} // local name -> import path
+		// Local name -> import path. Standard-library imports are kept
+		// too, so that a selector such as metrics.Read is not taken for
+		// a method call.
+		imports := map[string]string{}
 		for _, spec := range file.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
@@ -243,7 +248,7 @@ func benchmarkUses(prog *Program) (qualified, selected map[string]bool) {
 			}
 			name, ok := pkgName[path]
 			if !ok {
-				continue
+				name = path[strings.LastIndex(path, "/")+1:]
 			}
 			if spec.Name != nil {
 				name = spec.Name.Name
@@ -282,8 +287,7 @@ func interfacesByMethod(prog *Program) map[string][]*types.Interface {
 			out[name] = append(out[name], iface)
 		}
 	}
-	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-	for _, iface := range errorsInterfaces() {
+	for _, iface := range errorInterfaces() {
 		addIface(iface)
 	}
 	seen := map[*types.Package]bool{}
@@ -324,16 +328,16 @@ func interfacesByMethod(prog *Program) map[string][]*types.Interface {
 	return out
 }
 
-// errorsInterfaces returns the interfaces the errors package asserts
-// inline, where its export data does not show them: errors.Is, As and
-// Unwrap reach these methods through them.
-func errorsInterfaces() []*types.Interface {
+// errorInterfaces returns the error interface and the interfaces the
+// errors package asserts inline, where its export data does not show
+// them: errors.Is, As and Unwrap reach these methods through them.
+func errorInterfaces() []*types.Interface {
 	errType := types.Universe.Lookup("error").Type()
 	tuple := func(t types.Type) *types.Tuple { return types.NewTuple(types.NewVar(token.NoPos, nil, "", t)) }
 	method := func(name string, params, results *types.Tuple) *types.Func {
 		return types.NewFunc(token.NoPos, nil, name, types.NewSignatureType(nil, nil, nil, params, results, false))
 	}
-	var out []*types.Interface
+	out := []*types.Interface{errType.Underlying().(*types.Interface)}
 	for _, m := range []*types.Func{
 		method("Unwrap", nil, tuple(errType)),
 		method("Unwrap", nil, tuple(types.NewSlice(errType))),

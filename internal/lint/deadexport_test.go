@@ -7,7 +7,8 @@ import (
 
 // TestDeadexportFixtureModule runs the rule on a seeded module with a
 // command, a separate _benchmark module and test files. It must flag
-// the name only a test uses, the unused unexported function, the type
+// the name only a test uses, the unused unexported function, a method
+// named like a standard-library function the benchmark calls, the type
 // that only its own method names (and that method), and the waiver
 // with no reason; and it must pass the names cmd/ or _benchmark/ use,
 // a method reached only through fmt.Stringer, a method the benchmark
@@ -33,6 +34,7 @@ func TestDeadexportFixtureModule(t *testing.T) {
 	want := []string{
 		"lib.OnlyTests has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.unused has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
+		"lib.Meter.Println has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.orphan has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.orphan.self has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"//nebula:test-support on lib.Bare gives no reason; name the test or bench that needs it",

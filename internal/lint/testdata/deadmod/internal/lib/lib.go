@@ -33,6 +33,10 @@ func NewMeter() *Meter { return &Meter{n: 4} }
 // Read is selected by name in the _benchmark module.
 func (m *Meter) Read() int { return m.n }
 
+// Println shares its name with fmt.Println, which the benchmark calls:
+// a package selector is no method call, so this is a finding.
+func (m *Meter) Println() {}
+
 // orphan is named only by itself and its own method: both are findings.
 type orphan struct{}
 
