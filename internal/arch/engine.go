@@ -899,8 +899,8 @@ func (env *execEnv) annStage(hw *stageHW, ar *annRun, x *tensor.Tensor, pl *spik
 }
 
 // stepStageObs advances spiking stage i by one timestep, attributing
-// the counter delta to its bucket when the run carries a shard. The nil-shard path is a single branch on top of the
-// unobserved stepStage.
+// the counter delta to its bucket when the run carries a shard. The
+// nil-shard path is a single branch on top of the unobserved stepStage.
 func (s *Session) stepStageObs(env *execEnv, i int, hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *spikeplane.Plane, res *RunResult) (*tensor.Tensor, *spikeplane.Plane, error) {
 	if env.shard == nil {
 		return env.stepStage(hw, sr, x, pl, res)

@@ -66,8 +66,8 @@ func (ch *Chip) protect(st *SuperTile) error {
 }
 
 // Health returns the chip's cumulative reliability report: every core
-// prepared since creation (or the last ResetHealth). Totals are
-// deterministic for a fixed chip seed.
+// prepared since creation. Totals are deterministic for a fixed chip
+// seed.
 func (ch *Chip) Health() reliability.Report { return ch.health }
 
 // HealthScan is the chip-scale BIST pass behind `nebula-sim -health`: it

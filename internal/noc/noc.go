@@ -166,7 +166,7 @@ func (m *Mesh) Send(src, dst Node, bits int, at int64) Result {
 	}
 }
 
-// Stats summarizes traffic since construction or the last ResetStats.
+// Stats summarizes traffic since construction.
 type Stats struct {
 	Packets  int64
 	Flits    int64
