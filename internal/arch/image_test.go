@@ -185,8 +185,8 @@ func TestImageRoundTripBitwiseHybrid(t *testing.T) {
 }
 
 func TestImageRoundTripBitwiseConv(t *testing.T) {
-	// Grouped convolution exercises the position-replica banks and the
-	// spill blocks — the geometry the loader must rebuild exactly.
+	// Grouped convolution exercises the position-replica banks — the
+	// geometry the loader must rebuild exactly.
 	r := rng.New(19)
 	net := nn.NewNetwork("dw",
 		nn.NewConv2D("dw", 4, 4, 3, 3, 1, 1, 4, r),
@@ -201,6 +201,34 @@ func TestImageRoundTripBitwiseConv(t *testing.T) {
 	}
 	assertImageRoundTrip(t, sessionChip, c, sessionImages(t, d, 4),
 		WithMode(ModeSNN), WithTimesteps(10), WithSeed(42), WithInputShape(4, 8, 8))
+}
+
+// TestImageRoundTripBitwiseWalkMatrix runs the image round trip over
+// every imageable row of the walk matrix — spill rows, conv stages and
+// hybrid cuts included — on the noisy session chip, and checks the
+// save→load→save fixed point of each image. Rows with a custom encoder
+// are skipped: such sessions have no image, and their compiled state is
+// the snn-mlp row's.
+func TestImageRoundTripBitwiseWalkMatrix(t *testing.T) {
+	for _, m := range walkMatrix(t) {
+		var cfg sessionConfig
+		for _, o := range m.opts {
+			o(&cfg)
+		}
+		if cfg.encCustom {
+			continue
+		}
+		t.Run(m.name, func(t *testing.T) {
+			data := assertImageRoundTrip(t, sessionChip, m.c, m.imgs[:min(3, len(m.imgs))], m.opts...)
+			loaded, err := LoadSession(bytes.NewReader(data), m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resaved := imageBytes(t, loaded); !bytes.Equal(resaved, data) {
+				t.Fatalf("re-saved image differs from the original (%d vs %d bytes)", len(resaved), len(data))
+			}
+		})
+	}
 }
 
 // TestImageByteIdenticalAcrossCompiles pins the determinism half of the
