@@ -68,7 +68,6 @@ func run() int {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline when the request names none (0 = unbounded)")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "cap on client-requested deadlines (0 = uncapped)")
 	timesteps := flag.Int("timesteps", 20, "SNN evidence window per request")
-	parallel := flag.Int("parallel", 0, "pool batch parallelism (0 = NumCPU)")
 	seed := flag.Uint64("seed", 2020, "pool RNG seed: the determinism anchor for every served result")
 	cacheDir := flag.String("image-cache", "", "chip-image cache directory: replicas past the first rehydrate instead of recompiling (empty = compile each)")
 	maintain := flag.Duration("maintain", 10*time.Second, "pool maintenance interval (scrubs, recompiles)")
@@ -76,7 +75,7 @@ func run() int {
 	flag.Parse()
 
 	if err := serveMain(*port, *replicas, *batch, *batchDelay, *queue, *deadline, *maxDeadline,
-		*timesteps, *parallel, *seed, *cacheDir, *maintain, *drainTimeout); err != nil {
+		*timesteps, *seed, *cacheDir, *maintain, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "nebula-serve: %v\n", err)
 		return 1
 	}
@@ -84,7 +83,7 @@ func run() int {
 }
 
 func serveMain(port, replicas, batch int, batchDelay time.Duration, queue int,
-	deadline, maxDeadline time.Duration, timesteps, parallel int, seed uint64,
+	deadline, maxDeadline time.Duration, timesteps int, seed uint64,
 	cacheDir string, maintain, drainTimeout time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -137,11 +136,10 @@ func serveMain(port, replicas, batch int, batchDelay time.Duration, queue int,
 	fleetRec := &obs.FleetRecorder{}
 	compileStart := time.Now()
 	pool, err := fleet.NewPool(ctx, fleet.Config{
-		Replicas:    replicas,
-		Factory:     factory,
-		Seed:        seed,
-		Parallelism: parallel,
-		Rec:         fleetRec,
+		Replicas: replicas,
+		Factory:  factory,
+		Seed:     seed,
+		Rec:      fleetRec,
 	})
 	if err != nil {
 		return err

@@ -37,7 +37,7 @@ func TestServeMainLifecycle(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- serveMain(port, 1, 2, time.Millisecond, 16,
-			10*time.Second, time.Minute, 5, 1, 2020,
+			10*time.Second, time.Minute, 5, 2020,
 			t.TempDir(), 50*time.Millisecond, 30*time.Second)
 	}()
 

@@ -121,16 +121,13 @@ func TestSuperTileUtilization(t *testing.T) {
 }
 
 func TestANNCoreSaturation(t *testing.T) {
-	st := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(4, 2)
 	w.Set(1, 0, 0)
 	w.Set(1, 1, 0)
 	w.Set(1, 2, 0)
 	w.Set(-1, 0, 1)
-	if err := st.Program(w, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	st.ST.Bake()
+	st := programmedCore(t, w)
+	st.blocks[0].Bake()
 	in := []float64{1, 1, 1, 0}
 	var pl spikeplane.Plane
 	pl.Pack(in)
@@ -164,12 +161,32 @@ type coreRig struct {
 }
 
 func newCoreRig(core *neuralCore) *coreRig {
-	core.ST.Bake()
+	for _, st := range core.blocks {
+		st.Bake()
+	}
 	r := &coreRig{core: core, env: execEnv{skip: true}}
-	r.sr.neurons = neuronBank(core)
-	r.sr.sums = make([]float64, core.ST.cols)
-	r.sr.fire = make([]float64, core.ST.cols)
+	if core.spills() {
+		r.sr.membranes = make([]float64, core.kernels)
+	} else {
+		r.sr.neurons = neuronBank(core)
+	}
+	r.sr.sums = make([]float64, core.kernels)
+	r.sr.fire = make([]float64, core.kernels)
 	return r
+}
+
+// programmedCore lays out and programs a noiseless neural core of
+// kernel matrix w with one output position.
+func programmedCore(t *testing.T, w *tensor.Tensor) *neuralCore {
+	t.Helper()
+	core, err := newNeuralCore(device.DefaultParams(), crossbar.Config{}, nil, w, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.program(w); err != nil {
+		t.Fatal(err)
+	}
+	return core
 }
 
 // step advances one timestep on input spikes in and returns the fired
@@ -188,12 +205,9 @@ func (r *coreRig) step(t *testing.T, in []float64) []float64 {
 func (r *coreRig) membrane(i int) float64 { return r.sr.neurons[i].Membrane() }
 
 func TestSNNCoreIntegrateAndFire(t *testing.T) {
-	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(0.4, 0, 0) // quantized to 6/15 = 0.4
-	if err := core.Program(w, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	core := programmedCore(t, w)
 	// 0.4 increments: fires on the 3rd step (1.2 ≥ 1).
 	rig := newCoreRig(core)
 	fires := 0
@@ -217,12 +231,9 @@ func TestSNNCoreIntegrateAndFire(t *testing.T) {
 
 func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 	// §IV-B4: membrane persists in the device with no refresh.
-	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(0.4, 0, 0)
-	if err := core.Program(w, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	core := programmedCore(t, w)
 	rig := newCoreRig(core)
 	rig.step(t, []float64{1})
 	m1 := rig.membrane(0)
@@ -238,13 +249,10 @@ func TestSNNCoreMembranePersistsAcrossIdleSteps(t *testing.T) {
 }
 
 func TestSNNCoreInhibition(t *testing.T) {
-	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(2, 1)
 	w.Set(0.5, 0, 0)
 	w.Set(-0.5, 1, 0)
-	if err := core.Program(w, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	core := programmedCore(t, w)
 	rig := newCoreRig(core)
 	rig.step(t, []float64{1, 0})
 	up := rig.membrane(0)
@@ -256,12 +264,9 @@ func TestSNNCoreInhibition(t *testing.T) {
 }
 
 func TestSNNCoreRateTracksInput(t *testing.T) {
-	core := newNeuralCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	w := tensor.New(1, 1)
 	w.Set(1.0, 0, 0)
-	if err := core.Program(w, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	core := programmedCore(t, w)
 	rig := newCoreRig(core)
 	r := rng.New(9)
 	const T = 600
@@ -280,15 +285,27 @@ func TestSNNCoreRateTracksInput(t *testing.T) {
 	}
 }
 
+// TestFitsInCore pins that the row partition yields one block exactly
+// when the kernel matrix fits one super-tile.
 func TestFitsInCore(t *testing.T) {
-	if !FitsInCore(2048, 128) {
-		t.Fatal("16M×M must fit")
-	}
-	if FitsInCore(2049, 128) {
-		t.Fatal("Rf beyond 16M must not fit")
-	}
-	if FitsInCore(1024, 512) { // 8 stacks × 4 sets = 32 > 16
-		t.Fatal("over-capacity must not fit")
+	for _, tc := range []struct {
+		rf, k, blocks int
+	}{
+		{2048, 128, 1}, // 16M×M fits
+		{2049, 128, 2}, // Rf beyond 16M spills
+		{1024, 512, 2}, // 8 stacks × 4 sets = 32 > 16: 512 rows per block
+		{384, 600, 1},  // 5 sets: 3 stacks per block
+	} {
+		bounds, err := rowBlocks(tc.rf, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(bounds) - 1; got != tc.blocks {
+			t.Fatalf("%d×%d: %d blocks, want %d", tc.rf, tc.k, got, tc.blocks)
+		}
+		if _, _, err := tileGeometry(tc.rf, tc.k); (err == nil) != (tc.blocks == 1) {
+			t.Fatalf("%d×%d: tileGeometry error %v disagrees with %d blocks", tc.rf, tc.k, err, tc.blocks)
+		}
 	}
 }
 

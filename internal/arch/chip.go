@@ -69,7 +69,7 @@ type stageHW struct {
 	// name is the converted layer's name, the key counter snapshots
 	// carry.
 	name string
-	// core holds the crossbars of a weighted stage that fits one core.
+	// core holds the crossbars of a weighted stage.
 	core *neuralCore
 	// conv geometry (kind == "conv")
 	kh, kw, stride, pad int
@@ -83,9 +83,6 @@ type stageHW struct {
 	poolK, poolStride int
 	// output weights (kind == "output") — digitally accumulated at RUs.
 	outW, outB *tensor.Tensor
-	// spill holds the multi-core ADC-path realization of a spiking dense
-	// stage whose receptive field exceeds one super-tile (nil otherwise).
-	spill *RUSpillCore
 	// bias currents injected alongside the crossbar evaluation.
 	bias *tensor.Tensor
 }
@@ -100,7 +97,8 @@ type RunResult struct {
 	Spikes int64
 	// NoCPackets counts inter-stage transfers.
 	NoCPackets int64
-	// ADCConversions counts spill-path partial-sum digitizations.
+	// ADCConversions counts spill-path partial-sum digitizations: one
+	// per kernel for every row block a spilled core reads.
 	ADCConversions int64
 	// NoCHops counts the mesh hops traversed by inter-stage packets.
 	NoCHops int64
@@ -147,9 +145,6 @@ func (ch *Chip) lower(c *convert.Converted, cut int, shape []int) ([]*stageHW, e
 			kh, kw := v.W.Dim(2), v.W.Dim(3)
 			gcIn := v.W.Dim(1)
 			rf := gcIn * kh * kw
-			if !FitsInCore(rf, outC) {
-				return nil, fmt.Errorf("arch: stage %s (Rf=%d, K=%d) does not fit one core; multi-core spill is modeled analytically in package energy", v.Name(), rf, outC)
-			}
 			if spiking && !haveShape {
 				return nil, fmt.Errorf("model has convolution stages; pass WithInputShape(c, h, w) so position replicas can be sized at compile time")
 			}
@@ -180,20 +175,9 @@ func (ch *Chip) lower(c *convert.Converted, cut int, shape []int) ([]*stageHW, e
 			stages = append(stages, s)
 		case *snn.Dense:
 			km := v.W.Transpose() // in×out
-			rf, outC := km.Dim(0), km.Dim(1)
-			s := &stageHW{kind: "dense", name: v.Name(), outC: outC, bias: v.B}
+			s := &stageHW{kind: "dense", name: v.Name(), outC: km.Dim(1), bias: v.B}
 			var err error
-			switch {
-			case FitsInCore(rf, outC):
-				s.core, err = ch.newCore(km, 1)
-			case spiking:
-				// Multi-core spill: digitized partial sums reduced at a
-				// routing unit (§IV-B3's Rf > 16M path).
-				s.spill, err = ch.newSpill(km)
-			default:
-				err = fmt.Errorf("arch: stage %s (Rf=%d, K=%d) does not fit one core; the RU spill path is spiking only", v.Name(), rf, outC)
-			}
-			if err != nil {
+			if s.core, err = ch.newCore(km, 1); err != nil {
 				return nil, err
 			}
 			stages = append(stages, s)
@@ -248,43 +232,25 @@ func (ch *Chip) prepare(st *SuperTile) error {
 	return ch.protect(st)
 }
 
-// newCore builds, programs and prepares the neural core of kernel
-// matrix km with positions replica banks. Program is configure followed
-// by the device writes, so a restoring chip stops after configure —
-// geometry and neuron banks only — and leaves the device state to the
-// image loader.
+// newCore builds the neural core of kernel matrix km with positions
+// replica banks: the row partition and every block's geometry, then
+// every block's device writes, then each block's preparation in block
+// order. A restoring chip writes nothing — the image loader imports
+// the device state afterwards.
 func (ch *Chip) newCore(km *tensor.Tensor, positions int) (*neuralCore, error) {
-	core := newNeuralCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-	var err error
-	if ch.restore {
-		err = core.configure(km, ch.WMax, positions)
-	} else {
-		err = core.Program(km, ch.WMax, positions)
-	}
+	core, err := newNeuralCore(ch.P, ch.coreCfg(), ch.split(), km, ch.WMax, positions)
 	if err != nil {
 		return nil, err
 	}
-	return core, ch.prepare(core.ST)
-}
-
-// newSpill is newCore for a spill core: every block is programmed, then
-// each is prepared in block order.
-func (ch *Chip) newSpill(km *tensor.Tensor) (*RUSpillCore, error) {
-	sp := NewRUSpillCore(ch.P, ch.coreCfg(), 1.0, ch.split())
-	sp.ADCBits = 8
-	var err error
-	if ch.restore {
-		err = sp.configure(km, ch.WMax, 1)
-	} else {
-		err = sp.Program(km, ch.WMax, 1)
+	if !ch.restore {
+		if err := core.program(km); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range sp.blocks {
+	for _, st := range core.blocks {
 		if err := ch.prepare(st); err != nil {
 			return nil, err
 		}
 	}
-	return sp, nil
+	return core, nil
 }

@@ -78,10 +78,10 @@ type runState struct {
 // fields below them are reused across the stage's timesteps so the
 // steady-state hot loop allocates nothing per step.
 type stageRun struct {
-	// neurons is the position-replica MTJ bank of an in-core stage, one
+	// neurons is the position-replica MTJ bank of a one-block core, one
 	// contiguous slab so the integrate walk streams through memory.
 	neurons []device.SpikingNeuron
-	// membranes are the RU registers of a spill stage.
+	// membranes are the position-replica RU registers of a spilled core.
 	membranes []float64
 	// poolIF is the IF bank following NU average pooling; poolCur
 	// receives the pooled current and poolOut the emitted spikes.
@@ -95,11 +95,9 @@ type stageRun struct {
 	// sums receives the stage's crossbar column sums; fire receives the
 	// spike vector.
 	sums, fire []float64
-	// sc holds the super-tile evaluation scratch (window, partials,
-	// per-height active lists).
+	// sc holds the core's evaluation scratch (window, partials,
+	// per-height active lists, block views).
 	sc EvalScratch
-	// total accumulates a spill stage's digitized block partials.
-	total []float64
 	// colBuf is a conv stage's receptive-field window; convOut is its
 	// output plane.
 	colBuf  []float64
@@ -110,8 +108,7 @@ type stageRun struct {
 
 	// outPlane is the stage's packed output spike plane.
 	outPlane spikeplane.Plane
-	// winPlane is the packed scratch for conv receptive-field windows
-	// and spill-block views.
+	// winPlane is the packed scratch for conv receptive-field windows.
 	winPlane spikeplane.Plane
 
 	// Timestep-repeat cache of a dense in-core stage (skipping walk).
@@ -189,20 +186,18 @@ func (s *Session) newRunState() *runState {
 		sr := &stageRun{}
 		switch {
 		case hw.core != nil:
-			sr.neurons = neuronBank(hw.core)
-			sr.sums = make([]float64, hw.core.ST.cols)
-			sr.fire = make([]float64, hw.core.ST.cols)
+			if hw.core.spills() {
+				sr.membranes = make([]float64, hw.core.kernels*hw.core.positions)
+			} else {
+				sr.neurons = neuronBank(hw.core)
+			}
+			sr.sums = make([]float64, hw.core.kernels)
+			sr.fire = make([]float64, hw.core.kernels)
 			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
 			if gt := hw.gather; gt != nil {
 				sr.colBuf = make([]float64, gt.rfg)
 				sr.convOut = tensor.New(hw.outC, gt.oh, gt.ow)
 			}
-		case hw.spill != nil:
-			sr.membranes = make([]float64, hw.spill.kernels*hw.spill.positions)
-			sr.sums = make([]float64, hw.spill.kernels)
-			sr.total = make([]float64, hw.spill.kernels)
-			sr.fire = make([]float64, hw.spill.kernels)
-			sr.view = tensor.FromSlice(sr.fire, len(sr.fire))
 		case hw.kind == "pool":
 			sr.poolIF = snn.NewIFState(1.0, snn.ResetToZero)
 		case hw.kind == "output":
@@ -225,7 +220,7 @@ func (s *Session) newRunState() *runState {
 func neuronBank(core *neuralCore) []device.SpikingNeuron {
 	bank := make([]device.SpikingNeuron, core.kernels*core.positions)
 	for i := range bank {
-		bank[i].P = core.ST.P
+		bank[i].P = core.blocks[0].P
 	}
 	return bank
 }
@@ -345,6 +340,53 @@ func (env *execEnv) read(st *SuperTile, dst, in []float64, pl *spikeplane.Plane,
 	return st.EvaluateReadPacked(dst, in, pl, env.noise, stats, sc)
 }
 
+// readCore drives one read of in, whose packed plane is pl, through a
+// neural core into dst (length K). A one-block core reads in the
+// current domain: one super-tile read of the whole plane. A spilled
+// core reads each block's row window of the plane, digitizes every
+// block's partial sums at adcBits bits (one conversion per kernel and
+// one cycle per block) and sums them at the routing unit. A silent
+// block adds quantizePartial(0) = +0 to every sum, so the skipping walk
+// skips its read and its conversions. A nil in stands for a binary
+// plane's values in every block.
+//
+//nebula:hotpath
+func (env *execEnv) readCore(core *neuralCore, dst, in []float64, pl *spikeplane.Plane, stats *crossbar.Stats, sc *EvalScratch, res *RunResult) error {
+	if !core.spills() {
+		return env.read(core.blocks[0], dst, in, pl, stats, sc)
+	}
+	if pl.Len() != core.rows() {
+		return fmt.Errorf("arch: plane length %d, want Rf %d", pl.Len(), core.rows())
+	}
+	if len(sc.partial) != core.kernels {
+		//nebula:coldpath first spilled read of a fresh scratch
+		sc.partial = make([]float64, core.kernels)
+	}
+	clear(dst)
+	for b, st := range core.blocks {
+		lo, hi := core.rowBounds[b], core.rowBounds[b+1]
+		// Block bounds are multiples of M, so the window is a subslice.
+		win := spikeplane.Window(pl.WordSlice(), lo, hi, nil)
+		if env.skip && spikeplane.IsZeroWords(win) {
+			continue
+		}
+		sc.view.AsView(win, hi-lo, pl.Binary())
+		var bin []float64
+		if in != nil {
+			bin = in[lo:hi]
+		}
+		if err := env.read(st, sc.partial, bin, &sc.view, stats, sc); err != nil {
+			return err
+		}
+		for k, v := range sc.partial {
+			dst[k] += quantizePartial(v)
+		}
+		res.ADCConversions += int64(core.kernels)
+		res.Cycles++ // one digitization cycle per block (≤128/cycle)
+	}
+	return nil
+}
+
 // float64sEqual reports bitwise equality of two value vectors.
 //
 //nebula:hotpath
@@ -360,14 +402,15 @@ func float64sEqual(a, b []float64) bool {
 	return true
 }
 
-// coreStep advances one in-core spiking position by one timestep against
-// the run's private neuron bank: the input plane pl drives the
-// super-tile read, the summed currents (plus bias) integrate at the
-// bank's MTJ neurons, and the spike vector returned aliases sr.fire,
-// valid until the stage's next step. When outPl is non-nil the fire
-// vector's plane is built during the integrate walk (no Pack re-scan).
+// coreStep advances one spiking position of a core by one timestep
+// against the run's private neuron bank: the input plane pl drives the
+// core read, and the summed currents (plus bias) integrate at the
+// bank's MTJ neurons — or, for a spilled core, at its RU registers. The
+// spike vector returned aliases sr.fire, valid until the stage's next
+// step. When outPl is non-nil the fire vector's plane is built during
+// the integrate walk (no Pack re-scan).
 //
-// On the skipping walk, stages with useCache consult the
+// On the skipping walk, one-block stages with useCache consult the
 // timestep-repeat cache: when the input plane matches the previous
 // step's, the cached column sums and the read's crossbar-stats delta
 // are replayed instead of recomputed (no run mutates an array, so the
@@ -377,14 +420,21 @@ func float64sEqual(a, b []float64) bool {
 //
 //nebula:hotpath
 func (env *execEnv) coreStep(core *neuralCore, sr *stageRun, pos int, in []float64, pl, outPl *spikeplane.Plane, bias []float64, useCache bool, res *RunResult) ([]float64, error) {
-	bank := sr.neurons
-	if (pos+1)*core.kernels > len(bank) {
+	lo, hi := pos*core.kernels, (pos+1)*core.kernels
+	if hi > max(len(sr.neurons), len(sr.membranes)) {
 		return nil, fmt.Errorf("arch: position %d beyond allocated replicas", pos)
 	}
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
 	env.charge(res, pl, pl.Len()-pl.Count())
-	cache := useCache && env.skip
+	// A one-block read on the skipping walk lands in a private stats
+	// bucket, folded below with the exact adds a cache hit replays —
+	// that shared fold is what makes a hit's accounting bitwise
+	// identical to a miss (a scalar after-minus-before delta would round
+	// differently than the original per-array accumulation). A spilled
+	// core's block reads accumulate straight into the run's stats.
+	bucket := env.skip && !core.spills()
+	cache := useCache && bucket
 	if cache && sr.haveLast &&
 		pl.Binary() == sr.lastPlane.Binary() &&
 		pl.EqualWords(&sr.lastPlane) &&
@@ -392,17 +442,12 @@ func (env *execEnv) coreStep(core *neuralCore, sr *stageRun, pos int, in []float
 		copy(sr.sums, sr.lastSums)
 		res.RepeatReads++
 	} else {
-		// A skipping walk's read lands in a private stats bucket, folded
-		// below with the exact adds a cache hit replays — that shared
-		// fold is what makes a hit's accounting bitwise identical to a
-		// miss (a scalar after-minus-before delta would round
-		// differently than the original per-array accumulation).
 		stats := &env.cross
-		if env.skip {
+		if bucket {
 			sr.lastCross = crossbar.Stats{}
 			stats = &sr.lastCross
 		}
-		if err := env.read(core.ST, sr.sums, in, pl, stats, &sr.sc); err != nil {
+		if err := env.readCore(core, sr.sums, in, pl, stats, &sr.sc, res); err != nil {
 			return nil, err
 		}
 		if cache {
@@ -417,13 +462,13 @@ func (env *execEnv) coreStep(core *neuralCore, sr *stageRun, pos int, in []float
 			sr.haveLast = true
 		}
 	}
-	if env.skip {
+	if bucket {
 		env.cross.MACs += sr.lastCross.MACs
 		env.cross.ActiveRowSum += sr.lastCross.ActiveRowSum
 		env.cross.OutputCurrentUA += sr.lastCross.OutputCurrentUA
 	}
 	sums := sr.sums
-	res.Cycles++ // cycle 2: drive crossbars, integrate at NU
+	res.Cycles++ // cycle 2: drive crossbars, integrate at NU (reduce and activate at the RU when spilled)
 	if bias != nil {
 		for i := range sums {
 			if i < len(bias) {
@@ -431,78 +476,14 @@ func (env *execEnv) coreStep(core *neuralCore, sr *stageRun, pos int, in []float
 			}
 		}
 	}
-	res.Spikes += integrateBank(sr.fire, outPl, core.ST.P, core.VTh, bank[pos*core.kernels:(pos+1)*core.kernels], sums)
+	if core.spills() {
+		res.Spikes += fireRegisters(sr.fire, outPl, core.VTh, sr.membranes[lo:hi], sums)
+	} else {
+		res.Spikes += integrateBank(sr.fire, outPl, core.blocks[0].P, core.VTh, sr.neurons[lo:hi], sums)
+	}
 	res.Cycles++ // cycle 3: OB → eDRAM
 	res.EDRAMAccesses++
 	return sr.fire, nil
-}
-
-// spillStep advances one spill-stage position against the run's private
-// RU membrane registers: every block reads its row slice of the input
-// plane, each partial sum is digitized, the RU reduces them and updates
-// the digital membranes, and threshold crossings emit spikes (reset by
-// subtraction, matching the converted network). The spike vector
-// returned aliases sr.fire; its plane is built in sr.outPlane during
-// the threshold walk.
-//
-//nebula:hotpath
-func (env *execEnv) spillStep(sp *RUSpillCore, sr *stageRun, pos int, in, bias []float64, pl *spikeplane.Plane, res *RunResult) ([]float64, error) {
-	membranes := sr.membranes
-	if (pos+1)*sp.kernels > len(membranes) {
-		return nil, fmt.Errorf("arch: position %d beyond allocated registers", pos)
-	}
-	if len(in) != sp.rowBounds[len(sp.rowBounds)-1] {
-		return nil, fmt.Errorf("arch: input length %d, want %d", len(in), sp.rowBounds[len(sp.rowBounds)-1])
-	}
-	res.Cycles++ // fetch
-	res.EDRAMAccesses++
-	total := sr.total
-	clear(total)
-	env.charge(res, pl, pl.Len()-pl.Count())
-	for b, st := range sp.blocks {
-		lo, hi := sp.rowBounds[b], sp.rowBounds[b+1]
-		// Window the stage's plane onto this block's rows (block bounds
-		// are 64-aligned, so the view is a subslice). A silent block
-		// contributes quantizePartial(0) = +0 to every kernel, exactly
-		// what total already holds, so the skipping walk skips its reads
-		// and conversion charges. The membrane loop below always runs,
-		// because residual potentials can cross threshold on zero input.
-		win := spikeplane.Window(pl.WordSlice(), lo, hi, nil)
-		if env.skip && spikeplane.IsZeroWords(win) {
-			continue
-		}
-		sr.winPlane.AsView(win, hi-lo, pl.Binary())
-		if err := env.read(st, sr.sums, in[lo:hi], &sr.winPlane, &env.cross, &sr.sc); err != nil {
-			return nil, err
-		}
-		// Digitize the block's partial sums (one conversion per kernel).
-		for kIdx, v := range sr.sums {
-			total[kIdx] += sp.quantizePartial(v)
-		}
-		res.ADCConversions += int64(sp.kernels)
-		res.Cycles++ // one digitization cycle per block (≤128/cycle)
-	}
-	res.Cycles++ // reduce + activate at the RU
-	bank := membranes[pos*sp.kernels : (pos+1)*sp.kernels]
-	out := sr.fire
-	clear(out)
-	sr.outPlane.Reset(sp.kernels)
-	for kIdx := range bank {
-		inc := total[kIdx]
-		if bias != nil && kIdx < len(bias) {
-			inc += bias[kIdx]
-		}
-		bank[kIdx] += inc
-		if bank[kIdx] >= sp.VTh {
-			out[kIdx] = 1
-			sr.outPlane.Set(kIdx)
-			bank[kIdx] -= sp.VTh
-			res.Spikes++
-		}
-	}
-	res.Cycles++ // write back
-	res.EDRAMAccesses++
-	return out, nil
 }
 
 // biasData unwraps an optional bias tensor.
@@ -511,6 +492,18 @@ func biasData(b *tensor.Tensor) []float64 {
 		return nil
 	}
 	return b.Data()
+}
+
+// quiet reports whether the skipping walk may skip a silent input to
+// spiking weighted stage hw, whole or per window. Zero input integrates
+// nothing at MTJ neurons (integrateBank ignores zero increments), so
+// no neuron state moves — unless a bias is injected, or the core
+// spills: an RU register can hold a residual above threshold that
+// fires on zero input.
+//
+//nebula:hotpath
+func (env *execEnv) quiet(hw *stageHW) bool {
+	return env.skip && hw.bias == nil && !hw.core.spills()
 }
 
 // stepStage advances one spiking stage by one timestep. pl is the
@@ -538,10 +531,10 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		od := out.Data()
 		// Pre-zero the output so skipped positions need no writes, and
 		// take the whole-stage exit on a silent input (zero windows
-		// integrate nothing, so no neuron state moves; a bias would
-		// break that, hence the guard).
+		// integrate nothing, so no neuron state moves).
 		clear(od)
-		if env.skip && hw.bias == nil && pl.IsZero() {
+		quiet := env.quiet(hw)
+		if quiet && pl.IsZero() {
 			res.SilentStageSkips++
 			env.charge(res, pl, pl.Len())
 			sr.outPlane.Reset(len(od))
@@ -566,7 +559,7 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 					bankPos = pos*hw.groups + g
 				}
 				gt.gatherBits(wp, pl, g*subLen, pos)
-				if env.skip && bias == nil && wp.IsZero() {
+				if quiet && wp.IsZero() {
 					// Silent window: the replica bank integrates nothing
 					// and every output slot stays zero.
 					env.charge(res, wp, gt.rfg)
@@ -596,31 +589,23 @@ func (env *execEnv) stepStage(hw *stageHW, sr *stageRun, x *tensor.Tensor, pl *s
 		res.NoCHops += env.hops
 		return out, &sr.outPlane, nil
 	case "dense":
-		in := x.Data()
-		var err error
-		switch {
-		case hw.spill != nil:
-			_, err = env.spillStep(hw.spill, sr, 0, in, biasData(hw.bias), pl, res)
-		case env.skip && hw.bias == nil && pl.IsZero():
-			// Whole-stage skip: integrateBank ignores zero increments, so
-			// the read would touch no neuron and emit no spike — return
-			// the zero vector without charging cycles, packets or
-			// accesses.
+		if env.quiet(hw) && pl.IsZero() {
+			// Whole-stage skip: the read would touch no neuron and emit
+			// no spike — return the zero vector without charging cycles,
+			// packets or accesses.
 			res.SilentStageSkips++
 			env.charge(res, pl, pl.Len())
 			clear(sr.fire)
 			sr.outPlane.Reset(len(sr.fire))
 			return sr.view, &sr.outPlane, nil
-		default:
-			_, err = env.coreStep(hw.core, sr, 0, in, pl, &sr.outPlane, biasData(hw.bias), true, res)
 		}
-		if err != nil {
+		if _, err := env.coreStep(hw.core, sr, 0, x.Data(), pl, &sr.outPlane, biasData(hw.bias), true, res); err != nil {
 			return nil, nil, err
 		}
 		res.NoCPackets++
 		res.NoCHops += env.hops
-		// Both step kinds emit into sr.fire, which sr.view wraps, and
-		// fill sr.outPlane during their integrate or threshold walk.
+		// coreStep emits into sr.fire, which sr.view wraps, and fills
+		// sr.outPlane during its integrate walk.
 		return sr.view, &sr.outPlane, nil
 	case "pool":
 		c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -742,7 +727,7 @@ func addInto(dst, src []float64) {
 
 // annExec drives one input vector, whose packed plane is pl, through a
 // continuous core with the stage bias injected pre-saturation. The saturated
-// activations land in dst, which must hold core.ST.cols values; when
+// activations land in dst, which must hold core.kernels values; when
 // outPl is non-nil the graded plane of dst is built during the same
 // clip walk. sc is the stage's evaluation scratch.
 //
@@ -751,10 +736,10 @@ func (env *execEnv) annExec(core *neuralCore, in []float64, pl, outPl *spikeplan
 	bd := biasData(bias)
 	res.Cycles++ // cycle 1: eDRAM → IB
 	res.EDRAMAccesses++
-	if err := env.read(core.ST, dst, in, pl, &env.cross, sc); err != nil {
+	if err := env.readCore(core, dst, in, pl, &env.cross, sc, res); err != nil {
 		return err
 	}
-	res.Cycles++ // cycle 2: drive crossbars, threshold at NU
+	res.Cycles++ // cycle 2: drive crossbars, threshold at NU (reduce and activate at the RU when spilled)
 	if outPl != nil {
 		outPl.Reset(len(dst))
 	}
@@ -822,7 +807,7 @@ func (env *execEnv) annStage(hw *stageHW, ar *annRun, x *tensor.Tensor, pl *spik
 		}
 		if ar.out == nil || ar.out.Dim(1) != gt.oh || ar.out.Dim(2) != gt.ow {
 			//nebula:coldpath first run of a fresh run state
-			ar.out, ar.col, ar.row = tensor.New(hw.outC, gt.oh, gt.ow), make([]float64, gt.rfg), make([]float64, hw.core.ST.cols)
+			ar.out, ar.col, ar.row = tensor.New(hw.outC, gt.oh, gt.ow), make([]float64, gt.rfg), make([]float64, hw.core.kernels)
 		}
 		if pl.Len() != x.Size() {
 			return nil, nil, fmt.Errorf("arch: conv stage %s: plane length %d, input %d", hw.name, pl.Len(), x.Size())
@@ -853,7 +838,7 @@ func (env *execEnv) annStage(hw *stageHW, ar *annRun, x *tensor.Tensor, pl *spik
 	case "dense":
 		if ar.out == nil {
 			//nebula:coldpath first run of a fresh run state
-			ar.row = make([]float64, hw.core.ST.cols)
+			ar.row = make([]float64, hw.core.kernels)
 			//nebula:coldpath
 			ar.out = tensor.FromSlice(ar.row, len(ar.row))
 		}
@@ -1082,41 +1067,55 @@ func (s *Session) runOne(ctx context.Context, input *tensor.Tensor, rs runStream
 // is the caller's, never the chip's.
 var ErrInputShape = errors.New("arch: input does not fit the model")
 
-// checkInput holds an input to the contract of the pipeline's first
-// weighted stage, looking through flatten stages: a dense stage or
-// read-out takes exactly its fan-in values; a conv stage takes a C×H×W
-// tensor of its input channels, at the compiled H×W when it runs
-// spiking.
+// checkInput holds an input to the pipeline's shape contract by
+// walking its shape through the stages as a run does. A conv stage
+// takes a C×H×W tensor of its input channels — at the compiled H×W when
+// it runs spiking — whose padded size covers its kernel; a pool takes a
+// C×H×W tensor at least its window in size; flatten makes a vector; and
+// the first dense stage or read-out takes exactly its fan-in values,
+// which fixes every later size.
 func (s *Session) checkInput(x *tensor.Tensor) error {
+	shape := x.Shape()
 	for i, hw := range s.stages {
-		want := 0
 		switch hw.kind {
 		case "conv":
-			if x.NDim() != 3 || x.Dim(0) != hw.inC || (i < s.cut && (x.Dim(1) != hw.gather.h || x.Dim(2) != hw.gather.w)) {
-				return fmt.Errorf("%w: stage %s takes %d input channels (compiled %v), got shape %v", ErrInputShape, hw.name, hw.inC, s.cfg.InputShape, x.Shape())
+			if len(shape) != 3 || shape[0] != hw.inC || shape[1]+2*hw.pad < hw.kh || shape[2]+2*hw.pad < hw.kw ||
+				(i < s.cut && (shape[1] != hw.gather.h || shape[2] != hw.gather.w)) {
+				return fmt.Errorf("%w: stage %s takes %d input channels and a %d×%d kernel at pad %d (compiled %v), got shape %v from input %v",
+					ErrInputShape, hw.name, hw.inC, hw.kh, hw.kw, hw.pad, s.cfg.InputShape, shape, x.Shape())
 			}
-			return nil
-		case "dense":
-			if hw.spill != nil {
-				want = hw.spill.rowBounds[len(hw.spill.rowBounds)-1]
-			} else {
-				want = hw.core.ST.rows
+			shape = []int{hw.outC, tensor.ConvOutSize(shape[1], hw.kh, hw.stride, hw.pad), tensor.ConvOutSize(shape[2], hw.kw, hw.stride, hw.pad)}
+		case "pool":
+			if len(shape) != 3 || shape[1] < hw.poolK || shape[2] < hw.poolK {
+				return fmt.Errorf("%w: stage %s takes a C×H×W map of at least %d×%d, got shape %v from input %v",
+					ErrInputShape, hw.name, hw.poolK, hw.poolK, shape, x.Shape())
 			}
-		case "output":
-			want = hw.outW.Dim(1)
+			shape = []int{shape[0], tensor.ConvOutSize(shape[1], hw.poolK, hw.poolStride, 0), tensor.ConvOutSize(shape[2], hw.poolK, hw.poolStride, 0)}
 		case "flatten":
-			continue
+			shape = []int{shapeSize(shape)}
 		default:
-			// A pool ahead of the first weighted stage resizes the
-			// input by a rule the run itself checks.
+			want := 0
+			if hw.kind == "output" {
+				want = hw.outW.Dim(1)
+			} else {
+				want = hw.core.rows()
+			}
+			if n := shapeSize(shape); n != want {
+				return fmt.Errorf("%w: stage %s takes %d values, got %d (shape %v from input %v)", ErrInputShape, hw.name, want, n, shape, x.Shape())
+			}
 			return nil
 		}
-		if x.Size() != want {
-			return fmt.Errorf("%w: stage %s takes %d values, got %d (shape %v)", ErrInputShape, hw.name, want, x.Size(), x.Shape())
-		}
-		return nil
 	}
 	return nil
+}
+
+// shapeSize is the element count of a tensor shape.
+func shapeSize(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // mergeShards folds a batch's completed shards into the recorder in

@@ -39,12 +39,8 @@ func (s *Session) buildObsLayout() {
 		if i >= s.cut {
 			si.Domain = "ann"
 		}
-		switch {
-		case hw.core != nil:
-			si.Core, si.Tiles = core, 1
-			core++
-		case hw.spill != nil:
-			si.Core, si.Tiles = core, hw.spill.Blocks()
+		if hw.core != nil {
+			si.Core, si.Tiles = core, len(hw.core.blocks)
 			core++
 		}
 		l.Stages = append(l.Stages, si)

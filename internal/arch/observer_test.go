@@ -48,8 +48,8 @@ func assertObsDeterminism(t *testing.T, c *convert.Converted, imgs []*tensor.Ten
 		}
 	}
 	want := obsExport(t, recSeq)
-	if recSeq.Runs() != int64(len(imgs)) {
-		t.Fatalf("sequential recorder counted %d runs, want %d", recSeq.Runs(), len(imgs))
+	if recSeq.Snapshot().Runs != int64(len(imgs)) {
+		t.Fatalf("sequential recorder counted %d runs, want %d", recSeq.Snapshot().Runs, len(imgs))
 	}
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
 		rec := obs.NewRecorder()
@@ -239,8 +239,8 @@ func TestRunCancelMidTimestep(t *testing.T) {
 	if enc.calls != 5 {
 		t.Fatalf("encoder ran %d timesteps after cancellation, want 5 (prompt exit)", enc.calls)
 	}
-	if rec.Runs() != 0 {
-		t.Fatalf("recorder merged %d runs from a cancelled inference, want 0", rec.Runs())
+	if rec.Snapshot().Runs != 0 {
+		t.Fatalf("recorder merged %d runs from a cancelled inference, want 0", rec.Snapshot().Runs)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestRunBatchCancelMidBatch(t *testing.T) {
 	if enc.calls != T+5 {
 		t.Fatalf("encoder ran %d timesteps after cancellation, want %d (prompt exit)", enc.calls, T+5)
 	}
-	if rec.Runs() != 0 {
-		t.Fatalf("recorder kept %d runs from an aborted batch, want 0 (discard contract)", rec.Runs())
+	if rec.Snapshot().Runs != 0 {
+		t.Fatalf("recorder kept %d runs from an aborted batch, want 0 (discard contract)", rec.Snapshot().Runs)
 	}
 }
 
@@ -284,13 +284,13 @@ func TestRunBatchErrorDiscardsShards(t *testing.T) {
 	if _, err := sess.RunBatch(ctx, bad); err == nil {
 		t.Fatal("batch with a malformed input succeeded")
 	}
-	if rec.Runs() != 0 {
-		t.Fatalf("recorder kept %d runs from a failed batch, want 0", rec.Runs())
+	if rec.Snapshot().Runs != 0 {
+		t.Fatalf("recorder kept %d runs from a failed batch, want 0", rec.Snapshot().Runs)
 	}
 	if _, err := sess.RunBatch(ctx, imgs); err != nil {
 		t.Fatalf("batch after failure: %v", err)
 	}
-	if rec.Runs() != int64(len(imgs)) {
-		t.Fatalf("recorder counted %d runs, want %d", rec.Runs(), len(imgs))
+	if rec.Snapshot().Runs != int64(len(imgs)) {
+		t.Fatalf("recorder counted %d runs, want %d", rec.Snapshot().Runs, len(imgs))
 	}
 }

@@ -392,14 +392,14 @@ func (s *Session) finish(healthBefore reliability.Report) error {
 // continuous cores read graded planes only and bake the graded kernel.
 func (s *Session) bakeKernels() {
 	for i, hw := range s.stages {
-		switch {
-		case hw.core != nil && i < s.cut:
-			hw.core.ST.Bake()
-		case hw.core != nil:
-			hw.core.ST.BakeGraded()
-		case hw.spill != nil:
-			for _, st := range hw.spill.blocks {
+		if hw.core == nil {
+			continue
+		}
+		for _, st := range hw.core.blocks {
+			if i < s.cut {
 				st.Bake()
+			} else {
+				st.BakeGraded()
 			}
 		}
 	}

@@ -201,6 +201,17 @@ func TestSessionCompileConvNeedsShape(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("conv model without WithInputShape: want *CompileError, got %v", err)
 	}
+	// A continuous conv stage takes any size whose windows fit, but the
+	// dense stage after it fixes the conv output: a 4×10×10 input to the
+	// model compiled for 4×8×8 is the caller's fault, caught before any
+	// read.
+	ann := compileSession(t, c, WithMode(ModeANN), WithInputShape(4, 8, 8))
+	if _, err := ann.Run(context.Background(), tensor.New(4, 10, 10)); !errors.Is(err, ErrInputShape) {
+		t.Fatalf("4×10×10 input: want ErrInputShape, got %v", err)
+	}
+	if _, err := ann.Run(context.Background(), tensor.New(4, 8, 8)); err != nil {
+		t.Fatalf("4×8×8 input: %v", err)
+	}
 }
 
 func TestSessionSharedEncoderSerializes(t *testing.T) {

@@ -1,7 +1,9 @@
 package arch
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/convert"
@@ -13,70 +15,56 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/snn"
-	"repro/internal/spikeplane"
 	"repro/internal/tensor"
 )
 
 func TestRUSpillCoreProgramBlocks(t *testing.T) {
-	c := NewRUSpillCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
 	// 3000 rows × 64 kernels: 1 column set → 16 ACs of rows per block
 	// (2048) → 2 blocks.
-	km := tensor.New(3000, 64)
-	if err := c.Program(km, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Blocks() != 2 {
-		t.Fatalf("blocks %d, want 2", c.Blocks())
+	c := programmedCore(t, tensor.New(3000, 64))
+	if len(c.blocks) != 2 || c.rowBounds[1] != 2048 || c.rows() != 3000 {
+		t.Fatalf("%d blocks with bounds %v, want 2 split at 2048", len(c.blocks), c.rowBounds)
 	}
 	// 300 rows × 600 kernels: 5 column sets → 3 stacks per block (384
 	// rows) → 1 block.
-	c2 := NewRUSpillCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
-	if err := c2.Program(tensor.New(300, 600), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Blocks() != 1 {
-		t.Fatalf("blocks %d, want 1", c2.Blocks())
+	if c2 := programmedCore(t, tensor.New(300, 600)); len(c2.blocks) != 1 {
+		t.Fatalf("blocks %d, want 1", len(c2.blocks))
 	}
 }
 
 func TestRUSpillCoreRejectsColumnSpill(t *testing.T) {
-	c := NewRUSpillCore(device.DefaultParams(), crossbar.Config{}, 1.0, nil)
-	if err := c.Program(tensor.New(100, 3000), 1, 1); err == nil {
+	if _, err := newNeuralCore(device.DefaultParams(), crossbar.Config{}, nil, tensor.New(100, 3000), 1, 1); err == nil {
 		t.Fatal("column spill accepted")
 	}
 }
 
 func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
-	// A spill core with quantization disabled must reproduce the in-core
-	// SNN dynamics on a kernel that happens to fit both.
+	// A spilled core must reproduce the software SNN dynamics with the
+	// same per-block 8-bit conversion: RU registers integrate the sum of
+	// the digitized block partials and reset by subtraction.
 	r := rng.New(4)
-	const rf, k = 2100, 32 // forces 2 blocks in the spill core
+	const rf, k = 2100, 32 // forces 2 blocks: rows [0, 2048) and [2048, 2100)
 	km := tensor.New(rf, k)
 	for i := range km.Data() {
 		km.Data()[i] = (2*r.Float64() - 1) * 0.05
 	}
-	// An off-grid threshold avoids exact membrane/threshold ties (the
-	// quantized weight grid makes sums land exactly on 1.0, where
-	// floating-point summation order would decide the comparison).
+	// An off-grid threshold avoids exact membrane/threshold ties.
 	const vth = 0.9973
-	sp := NewRUSpillCore(device.DefaultParams(), crossbar.Config{}, vth, nil)
-	if err := sp.Program(km, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	core := programmedCore(t, km)
+	core.VTh = vth
+	rig := newCoreRig(core)
 
 	// Software reference with identical device quantization: use the
-	// crossbar-quantized weights.
-	ref := snn.NewDense("ref", quantizedTranspose(km, 1), nil, vth, snn.ResetBySubtraction)
-
-	// Drive the spill core through the session engine's spillStep, with
-	// the registers and scratch a run state would own.
-	for _, b := range sp.blocks {
-		b.Bake()
-	}
-	env := execEnv{skip: true}
-	sr := stageRun{membranes: make([]float64, k), sums: make([]float64, k), total: make([]float64, k), fire: make([]float64, k)}
-	var res RunResult
-	var pl spikeplane.Plane
+	// crossbar-quantized weights, and digitize each block's partial sum
+	// to the nearest of the ±1-range converter's 2^8 levels (half away
+	// from zero), clipped to ±1. Partial sums of binary inputs are
+	// multiples of the 1/15 weight grid, which never lands within 1/30
+	// of a level step of a rounding tie, so summation order cannot
+	// decide a conversion.
+	wq := quantizedTranspose(km, 1)
+	bounds := []int{0, 2048, rf}
+	membranes := make([]float64, k)
+	adc := int64(0)
 	for step := 0; step < 30; step++ {
 		in := make([]float64, rf)
 		for i := range in {
@@ -84,20 +72,30 @@ func TestRUSpillCoreMatchesInCoreDynamics(t *testing.T) {
 				in[i] = 1
 			}
 		}
-		pl.Pack(in)
-		hw, err := env.spillStep(sp, &sr, 0, in, nil, &pl, &res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw := ref.Step(tensor.FromSlice(append([]float64(nil), in...), rf))
+		hw := rig.step(t, in)
 		for kIdx := 0; kIdx < k; kIdx++ {
-			if hw[kIdx] != sw.Data()[kIdx] {
-				t.Fatalf("step %d kernel %d: hw %v vs sw %v", step, kIdx, hw[kIdx], sw.Data()[kIdx])
+			total := 0.0
+			for b := 0; b+1 < len(bounds); b++ {
+				part := 0.0
+				for i := bounds[b]; i < bounds[b+1]; i++ {
+					part += in[i] * wq.At(kIdx, i)
+				}
+				total += math.Max(-1, math.Min(1, math.Round(part*128)/128))
+			}
+			membranes[kIdx] += total
+			sw := 0.0
+			if membranes[kIdx] >= vth {
+				sw = 1
+				membranes[kIdx] -= vth
+			}
+			if hw[kIdx] != sw {
+				t.Fatalf("step %d kernel %d: hw %v vs sw %v", step, kIdx, hw[kIdx], sw)
 			}
 		}
+		adc += 2 * k // 20% input activity leaves no block silent
 	}
-	if res.ADCConversions == 0 {
-		t.Fatal("spill path recorded no conversions")
+	if rig.res.ADCConversions != adc {
+		t.Fatalf("spill path recorded %d conversions, want %d", rig.res.ADCConversions, adc)
 	}
 }
 
@@ -142,8 +140,8 @@ func TestChipRunsSpilledDenseStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The mapping agrees this layer spills onto the ADC path.
-	if FitsInCore(3072, 32) {
-		t.Fatal("test premise broken: layer fits one core")
+	if bounds, err := rowBlocks(3072, 32); err != nil || len(bounds) != 3 {
+		t.Fatalf("test premise broken: row blocks %v (%v), want 2", bounds, err)
 	}
 	fcShape := models.LayerShape{Kind: models.FC, InC: 3072, OutC: 32, InH: 1, InW: 1}
 	if !mapping.Map(fcShape).NeedsADC() {
@@ -161,5 +159,64 @@ func TestChipRunsSpilledDenseStage(t *testing.T) {
 	}
 	if res.Output.Size() != 4 {
 		t.Fatalf("output size %d", res.Output.Size())
+	}
+}
+
+// TestChipADCConversionsMatchMapping holds the chip's spill-path
+// conversion count to the analytic mapper on the walk matrix's spill
+// rows, whose weighted stages are dense or groups-1 conv with K ≤ 128:
+// on the reference walk, which skips no block, every spilled stage
+// digitizes mapping.Map's ADCConversionsPerEval × Evaluations partial
+// sums per timestep when it runs spiking and once in the continuous
+// pass.
+func TestChipADCConversionsMatchMapping(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range walkMatrix(t) {
+		if !strings.Contains(m.name, "spill") {
+			continue
+		}
+		sess := compileWalkSession(t, m.c, 0, m.opts...)
+		var want int64
+		spilled := 0
+		for i, hw := range sess.stages {
+			if hw.core == nil {
+				continue
+			}
+			shape := models.LayerShape{Kind: models.FC, InC: hw.core.rows(), OutC: hw.outC, InH: 1, InW: 1}
+			if hw.kind == "conv" {
+				if hw.groups != 1 || hw.kh != hw.kw {
+					t.Fatalf("%s: stage %s is outside the compared shapes", m.name, hw.name)
+				}
+				shape = models.LayerShape{Kind: models.Conv, InC: hw.inC, OutC: hw.outC, K: hw.kh,
+					Stride: hw.stride, Pad: hw.pad, InH: hw.gather.h, InW: hw.gather.w}
+			}
+			if hw.outC > mapping.M {
+				t.Fatalf("%s: stage %s has %d kernels; the models agree only for K ≤ %d", m.name, hw.name, hw.outC, mapping.M)
+			}
+			pl := mapping.Map(shape)
+			if pl.NeedsADC() != hw.core.spills() {
+				t.Fatalf("%s: stage %s: mapper ADC path %v, chip spills %v", m.name, hw.name, pl.NeedsADC(), hw.core.spills())
+			}
+			if hw.core.spills() {
+				spilled++
+			}
+			per := int64(pl.ADCConversionsPerEval * pl.Evaluations)
+			if i < sess.cut {
+				per *= int64(sess.Timesteps())
+			}
+			want += per
+		}
+		if spilled == 0 {
+			t.Fatalf("%s: no stage spills", m.name)
+		}
+		for i, img := range m.imgs {
+			res, err := sess.RunReference(ctx, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ADCConversions != want {
+				t.Fatalf("%s input %d: %d ADC conversions, mapper predicts %d", m.name, i, res.ADCConversions, want)
+			}
+		}
 	}
 }

@@ -63,10 +63,13 @@ func NewSuperTile(p device.Params, cfg crossbar.Config, noise *rng.Rand) *SuperT
 // switches for stack = ceil(Rf/M) and sets = ceil(K/M) and programs the
 // constituent ACs. The layer must fit: stack·sets ≤ 16 and Rf ≤ 16M.
 func (st *SuperTile) Program(w *tensor.Tensor, wmax float64) error {
-	if err := st.configureFor(w, wmax); err != nil {
+	if w.NDim() != 2 {
+		return fmt.Errorf("arch: kernel matrix must be 2-D, got %v", w.Shape())
+	}
+	if err := st.Configure(w.Dim(0), w.Dim(1), wmax); err != nil {
 		return err
 	}
-	return st.write(w)
+	return st.write(w, 0)
 }
 
 // Configure sets the morphable-switch geometry for an Rf×K kernel
@@ -88,17 +91,9 @@ func (st *SuperTile) Configure(rf, k int, wmax float64) error {
 	return nil
 }
 
-// configureFor is Configure for the geometry of kernel matrix w.
-func (st *SuperTile) configureFor(w *tensor.Tensor, wmax float64) error {
-	if w.NDim() != 2 {
-		return fmt.Errorf("arch: kernel matrix must be 2-D, got %v", w.Shape())
-	}
-	return st.Configure(w.Dim(0), w.Dim(1), wmax)
-}
-
-// write programs the configured ACs with their M×M slices of w, the
-// device half of Program.
-func (st *SuperTile) write(w *tensor.Tensor) error {
+// write programs the configured ACs with their M×M slices of rows
+// [rowOff, rowOff+Rf) of w, the device half of Program.
+func (st *SuperTile) write(w *tensor.Tensor, rowOff int) error {
 	for s := 0; s < st.sets; s++ {
 		colLo := s * mapping.M
 		colHi := min(colLo+mapping.M, st.cols)
@@ -108,7 +103,7 @@ func (st *SuperTile) write(w *tensor.Tensor) error {
 			sub := tensor.New(mapping.M, mapping.M)
 			for r := rowLo; r < rowHi; r++ {
 				for c := colLo; c < colHi; c++ {
-					sub.Set(w.At(r, c), r-rowLo, c-colLo)
+					sub.Set(w.At(rowOff+r, c), r-rowLo, c-colLo)
 				}
 			}
 			if err := st.ac(s, h).Program(sub, st.wmax); err != nil {
@@ -265,7 +260,9 @@ func (st *SuperTile) BakeGraded() {
 
 // EvalScratch holds the buffers one reader goroutine reuses across
 // EvaluateReadInto calls: the M-padded per-AC input window, the per-AC
-// partial sums, and the active-row lists regrouped per stack height.
+// partial sums, and the active-row lists regrouped per stack height —
+// plus, for a spilled neural core, one block's partial sums and its
+// window view of the stage plane (execEnv.readCore).
 // A zero EvalScratch is ready to use; buffers grow on first use and are
 // reused afterwards. Scratches must not be shared between concurrent
 // readers.
@@ -277,6 +274,9 @@ type EvalScratch struct {
 	idx    []int     // materialized plane indices for the packed-path fallback
 	ones   []float64 // M ones: a binary plane's row values for the packed read
 	dense  []float64 // a binary plane's rebuilt values for the packed-path fallback
+
+	partial []float64        // one row block's column sums
+	view    spikeplane.Plane // one row block's window of the stage plane
 }
 
 // EvaluateReadInto drives one input vector (length Rf, values in [0, 1])
@@ -508,11 +508,4 @@ func (st *SuperTile) InjectStuckFaults(r *rng.Rand, fraction float64, mode cross
 		}
 	}
 	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -137,8 +137,10 @@ var (
 // cache's binary branch), an SNN with a
 // grouped (depthwise) conv stage, an SNN whose 3072-input dense stage
 // spills onto the RU/ADC path, the MLP as a hybrid (split 1) and as an
-// ANN, hybrid LeNet-5 split 2, a hybrid depthwise MobileNetV1 and ANN
-// LeNet-5.
+// ANN, hybrid LeNet-5 split 2, a hybrid depthwise MobileNetV1, ANN
+// LeNet-5, and three more spill rows: the wide MLP as an ANN, a hybrid
+// whose continuous tail starts with a 3072-input dense stage, and an
+// SNN whose 3×3×256 conv stage (Rf 2304) spills.
 func walkMatrix(t *testing.T) []walkModel {
 	t.Helper()
 	mlp, te := chipFixture(t)
@@ -173,6 +175,24 @@ func walkMatrix(t *testing.T) []walkModel {
 			nn.NewReLU("relu1"),
 			nn.NewLinear("fc2", 32, 4, r),
 		), wide)
+		tailData := dataset.Generate(dataset.Spec{Name: "wide3", Classes: 4, Channels: 3, Size: 16, Noise: 0.1, Jitter: 1}, 16, 11)
+		tr := rng.New(29)
+		tail := conv(nn.NewNetwork("wide-tail",
+			nn.NewConv2D("conv", 3, 12, 3, 3, 1, 1, 1, tr),
+			nn.NewReLU("relu0"),
+			nn.NewFlatten("flat"),
+			nn.NewLinear("fc1", 12*16*16, 32, tr), // Rf = 3072 > 2048: spills after the cut
+			nn.NewReLU("relu1"),
+			nn.NewLinear("fc2", 32, 4, tr),
+		), tailData)
+		deep := dataset.Generate(dataset.Spec{Name: "deep", Classes: 4, Channels: 256, Size: 4, Noise: 0.1, Jitter: 1}, 16, 5)
+		cr := rng.New(23)
+		convSpill := conv(nn.NewNetwork("deep-conv",
+			nn.NewConv2D("conv", 256, 8, 3, 3, 1, 1, 1, cr), // Rf = 2304 > 2048: spills
+			nn.NewReLU("relu"),
+			nn.NewFlatten("flat"),
+			nn.NewLinear("fc", 8*4*4, 4, cr),
+		), deep)
 		lenet := conv(models.NewLeNet5(1, 16, 10, rng.New(6)), te)
 		small := dataset.Generate(dataset.Spec{Name: "x", Classes: 4, Channels: 1, Size: 8, Noise: 0.1, Jitter: 1}, 16, 3)
 		mobile := conv(models.NewMobileNetV1(1, 8, 4, rng.New(8)), small)
@@ -198,6 +218,11 @@ func walkMatrix(t *testing.T) []walkModel {
 			{"hybrid-mobilenet", mobile, imgs(small, 4), []Option{WithMode(ModeHybrid), WithHybridSplit(4),
 				WithTimesteps(8), WithSeed(42), WithInputShape(1, 8, 8)}},
 			{"ann-lenet", lenet, imgs(te, 8), []Option{WithMode(ModeANN), WithSeed(42), WithInputShape(1, 16, 16)}},
+			{"ann-spill", spill, imgs(wide, 3), []Option{WithMode(ModeANN), WithSeed(42), WithInputShape(12, 16, 16)}},
+			{"hybrid-spill-tail", tail, imgs(tailData, 3), []Option{WithMode(ModeHybrid), WithHybridSplit(2),
+				WithTimesteps(10), WithSeed(42), WithInputShape(3, 16, 16)}},
+			{"snn-conv-spill", convSpill, imgs(deep, 3), []Option{WithMode(ModeSNN), WithTimesteps(10), WithSeed(42),
+				WithInputShape(256, 4, 4)}},
 		}
 	})
 	return walkModels
@@ -545,11 +570,13 @@ func TestCompileBakesKernels(t *testing.T) {
 		}
 		// Only slot-routed arrays carry programmed weights; the
 		// unconfigured spares of the super-tile never bake.
-		for _, slot := range hw.core.ST.slotAC {
-			if hw.core.ST.acs[slot].KernelFresh() {
-				fresh++
-			} else {
-				stale++
+		for _, st := range hw.core.blocks {
+			for _, slot := range st.slotAC {
+				if st.acs[slot].KernelFresh() {
+					fresh++
+				} else {
+					stale++
+				}
 			}
 		}
 	}

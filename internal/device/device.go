@@ -136,8 +136,6 @@ type SpikingNeuron struct {
 	P Params
 	// pos is the wall position (membrane state).
 	pos float64
-	// spikes counts emitted spikes since the last Reset.
-	spikes int
 }
 
 // NewSpikingNeuron returns a neuron with the wall at the reset edge.
@@ -176,17 +174,12 @@ func (n *SpikingNeuron) Integrate(currentUA, durationNS float64) bool {
 	// reset of §II-B3. Residual overdrive is discarded (hardware
 	// reset returns the wall fully to the left edge).
 	n.pos = 0
-	n.spikes++
 	return true
 }
 
-// Spikes returns the spike count since Reset.
-func (n *SpikingNeuron) Spikes() int { return n.spikes }
-
-// Reset returns the wall to the reset edge and clears the counter.
+// Reset returns the wall to the reset edge.
 func (n *SpikingNeuron) Reset() {
 	n.pos = 0
-	n.spikes = 0
 }
 
 // CharacteristicPoint is one sample of the Fig. 1(b) device curve.

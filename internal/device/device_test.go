@@ -109,9 +109,6 @@ func TestSpikingNeuronFiresAndResets(t *testing.T) {
 	if n.Membrane() != 0 {
 		t.Fatalf("membrane %v after fire, want 0", n.Membrane())
 	}
-	if n.Spikes() != 1 {
-		t.Fatalf("spike count %d", n.Spikes())
-	}
 }
 
 func TestSpikingNeuronSubthresholdPersistence(t *testing.T) {
@@ -157,10 +154,13 @@ func TestSpikingNeuronRateLinearity(t *testing.T) {
 	p := DefaultParams()
 	rate := func(cur float64) float64 {
 		n := NewSpikingNeuron(p)
+		spikes := 0
 		for i := 0; i < 1000; i++ {
-			n.Integrate(cur, p.PulseNS)
+			if n.Integrate(cur, p.PulseNS) {
+				spikes++
+			}
 		}
-		return float64(n.Spikes())
+		return float64(spikes)
 	}
 	lo, hi := rate(4), rate(8)
 	if hi <= lo {

@@ -251,8 +251,11 @@ func TestSpikingActivityReducesDeepLayerEnergy(t *testing.T) {
 	act := DefaultActivity(w, DefaultInputRate)
 	snn := m.SNNNetwork(np, w.Timesteps, act)
 	weighted := w.WeightedLayers()
-	first := snn.Layers[0].Total() / float64(weighted[0].MACs())
-	last := snn.Layers[9].Total() / float64(weighted[9].MACs()) // conv5_2
+	// A layer's MACs per pass: every output neuron reads its receptive
+	// field once.
+	macs := func(l models.LayerShape) float64 { return float64(l.OutputNeurons()) * float64(l.Rf()) }
+	first := snn.Layers[0].Total() / macs(weighted[0])
+	last := snn.Layers[9].Total() / macs(weighted[9]) // conv5_2
 	if last >= first {
 		t.Fatalf("deep-layer energy/MAC %v not below shallow %v", last, first)
 	}

@@ -1,5 +1,5 @@
 // Package fleet is the runtime resilience layer: a health-aware pool of
-// identically compiled inference sessions behind one Run/RunBatch API.
+// identically compiled inference sessions behind one Run API.
 //
 // PR 2's reliability subsystem defends a single chip at compile time —
 // BIST, sparing, retirement — but a long-running process degrades in
@@ -23,16 +23,15 @@
 // chips, and only pristine replicas serve, so the result of a request
 // is a pure function of (input, reservation index, pool seed): bitwise
 // identical no matter which replica serves it, how many times it is
-// retried, or what parallelism RunBatch uses. A Pool seeded like a
-// standalone session reproduces that session's Run/RunBatch outputs bit
-// for bit.
+// retried, or how concurrent requests interleave. A Pool seeded like a
+// standalone session reproduces that session's Run outputs bit for
+// bit.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -71,8 +70,8 @@ type Config struct {
 	// RetryBudget bounds the re-executions of one request after a
 	// failed attempt (default 2).
 	RetryBudget int
-	// Parallelism bounds RunBatch worker goroutines (≤ 0: NumCPU).
-	// Results are bitwise independent of the setting.
+	// Parallelism is read by nothing: every request runs on its
+	// caller's goroutine. It stays while the benchmark module sets it.
 	Parallelism int
 	// BackoffBaseTicks / BackoffMaxTicks bound the exponential backoff,
 	// measured in maintenance ticks (wall-clock-free, so schedules are
@@ -121,7 +120,7 @@ type replica struct {
 
 // Pool is a health-aware set of interchangeable compiled sessions. All
 // methods are safe for concurrent use; Maintain may run concurrently
-// with Run/RunBatch (it excludes per replica, not pool-wide).
+// with Run (it excludes per replica, not pool-wide).
 type Pool struct {
 	cfg      Config
 	replicas []*replica
@@ -212,92 +211,10 @@ func (p *Pool) ServeReserved(ctx context.Context, input *tensor.Tensor, tk Ticke
 // Run executes one inference on some healthy replica, transparently
 // retrying on another replica if the attempt fails, bounded by the
 // retry budget and ctx's deadline. Each call reserves the next stream
-// pair, so a loop of Run calls is bitwise identical to one RunBatch
-// over the same inputs — and to a standalone session with the pool's
-// seed.
+// pair, so a loop of Run calls is bitwise identical to a standalone
+// session with the pool's seed.
 func (p *Pool) Run(ctx context.Context, input *tensor.Tensor) (*arch.RunResult, error) {
 	return p.serve(ctx, input, p.reserve(1)[0])
-}
-
-// RunBatch executes a batch across the pool's worker bound and returns
-// one result per input, in input order. Stream pairs are reserved in
-// input order before any worker starts; attempts and retries may land
-// on any replica at any parallelism without changing a single output
-// bit. The first request to exhaust its retries fails the batch.
-func (p *Pool) RunBatch(ctx context.Context, inputs []*tensor.Tensor) ([]*arch.RunResult, error) {
-	if len(inputs) == 0 {
-		return nil, nil
-	}
-	tickets := p.reserve(len(inputs))
-	results := make([]*arch.RunResult, len(inputs))
-	par := p.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	if par > len(inputs) {
-		par = len(inputs)
-	}
-	if par <= 1 {
-		for i, in := range inputs {
-			res, err := p.serve(ctx, in, tickets[i])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: batch input %d: %w", i, err)
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(inputs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := cctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				res, err := p.serve(cctx, inputs[i], tickets[i])
-				if err != nil {
-					errs[i] = err
-					cancel()
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range inputs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Prefer the lowest-index real failure over cancellations it caused.
-	var first error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("fleet: batch input %d: %w", i, err)
-		if !errors.Is(err, context.Canceled) {
-			return nil, wrapped
-		}
-		if first == nil {
-			first = wrapped
-		}
-	}
-	if first != nil {
-		return nil, first
-	}
-	return results, nil
 }
 
 // serve is the routed attempt loop of one request: pick a serveable

@@ -138,9 +138,11 @@ func TestPoolRunMatchesStandaloneSession(t *testing.T) {
 }
 
 // TestPoolRunBatchDeterministicUnderFailover is the keystone of the
-// determinism contract: batches at parallelism 1, 4 and NumCPU, with
-// run faults armed and a replica killed mid-batch, still reproduce the
-// standalone sequential session bit for bit.
+// determinism contract: batches served at parallelism 1, 4 and NumCPU,
+// with run faults armed and a replica killed mid-batch, still reproduce
+// the standalone sequential session bit for bit. A batch reserves its
+// tickets in input order and serves them concurrently, as the serving
+// tier does.
 func TestPoolRunBatchDeterministicUnderFailover(t *testing.T) {
 	c, _ := fleetFixture(t)
 	ctx := context.Background()
@@ -149,11 +151,10 @@ func TestPoolRunBatchDeterministicUnderFailover(t *testing.T) {
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
 		rec := &obs.FleetRecorder{}
 		pool, err := NewPool(ctx, Config{
-			Replicas:    3,
-			Factory:     testFactory(c),
-			Seed:        fleetSeed,
-			Parallelism: par,
-			Rec:         rec,
+			Replicas: 3,
+			Factory:  testFactory(c),
+			Seed:     fleetSeed,
+			Rec:      rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +169,7 @@ func TestPoolRunBatchDeterministicUnderFailover(t *testing.T) {
 			defer wg.Done()
 			pool.Kill(1)
 		}()
-		got, err := pool.RunBatch(ctx, imgs)
+		got, err := serveBatch(ctx, pool, imgs, par)
 		wg.Wait()
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -187,6 +188,35 @@ func TestPoolRunBatchDeterministicUnderFailover(t *testing.T) {
 			t.Fatalf("parallelism %d: kill recorded %d retirements: %+v", par, s.Retirements, s)
 		}
 	}
+}
+
+// serveBatch reserves one ticket per input in input order and serves
+// the batch on par goroutines, returning the results in input order and
+// every failure, joined.
+func serveBatch(ctx context.Context, pool *Pool, imgs []*tensor.Tensor, par int) ([]*arch.RunResult, error) {
+	tickets := make([]Ticket, len(imgs))
+	for i := range tickets {
+		tickets[i] = pool.ReserveTicket()
+	}
+	results := make([]*arch.RunResult, len(imgs))
+	errs := make([]error, len(imgs))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i], errs[i] = pool.ServeReserved(ctx, imgs[i], tickets[i])
+			}
+		}()
+	}
+	for i := range imgs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return results, errors.Join(errs...)
 }
 
 func TestPoolRetryBudgetExhaustedSurfaces(t *testing.T) {

@@ -3,12 +3,9 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -18,11 +15,10 @@ import (
 // of the module. The loader never parses _test.go files, so a name that
 // only its own tests call has no use here. cmd/, examples/ and the root
 // package count as users because they are loaded like any other
-// package; the _benchmark module, which the loader skips, is parsed
-// syntactically: a pkg.Name selector resolved through its import spec
-// marks that name used, a selector on any other import is no method
-// call, and every remaining selector marks each method of that name
-// used.
+// package; so does the _benchmark module, which LoadAll skips: it is
+// type-checked on its own against the loaded packages (its replace
+// directive points at the root), so each of its selectors resolves to
+// the one field, method or name it selects.
 //
 // A name's own declaration is not a use of it: the receiver and body of
 // a method, a self-recursive call, and a type's mentions of itself in
@@ -122,10 +118,9 @@ func runDeadexport(prog *Program) []Finding {
 			}
 		}
 	}
-	qualified, selected := benchmarkUses(prog)
-	for _, d := range order {
-		if !isMethod(d.obj) && qualified[d.pkg.Path+"."+d.obj.Name()] {
-			used[d.obj] = true
+	for obj := range benchmarkUses(prog) {
+		if sites[obj] != nil {
+			used[obj] = true
 		}
 	}
 
@@ -140,7 +135,7 @@ func runDeadexport(prog *Program) []Finding {
 		if waived || used[d.obj] {
 			continue
 		}
-		if isMethod(d.obj) && (selected[d.obj.Name()] || satisfiesInterface(d.obj.(*types.Func), ifaces)) {
+		if isMethod(d.obj) && satisfiesInterface(d.obj.(*types.Func), ifaces) {
 			continue
 		}
 		out = append(out, findingAt(d.pkg.Fset, d.ident.Pos(), fmt.Sprintf(
@@ -204,73 +199,27 @@ func testSupportWaiver(docs []*ast.CommentGroup) (waived bool, reasonless *ast.C
 	return false, nil
 }
 
-// benchmarkUses parses the non-test files of the benchmark module under
-// the module root. It returns the "importpath.Name" selectors made
-// through module imports, and every name selected on something other
-// than an import.
-func benchmarkUses(prog *Program) (qualified, selected map[string]bool) {
-	qualified, selected = map[string]bool{}, map[string]bool{}
-	pkgName := map[string]string{}
-	root := ""
-	for _, p := range prog.Pkgs {
-		if p.Types != nil {
-			pkgName[p.Path] = p.Types.Name()
-		}
-		if root == "" {
-			root = p.root
-		}
+// benchmarkUses type-checks the non-test files of the benchmark module
+// under the module root against the loaded packages and returns every
+// object its code uses. A module without a benchmark has no uses.
+func benchmarkUses(prog *Program) map[types.Object]bool {
+	uses := map[types.Object]bool{}
+	if len(prog.Pkgs) == 0 {
+		return uses
 	}
-	if root == "" {
-		return qualified, selected
-	}
-	dir := filepath.Join(root, benchmarkDir)
-	ents, err := os.ReadDir(dir)
+	ml := prog.Pkgs[0].loader
+	l, err := ml.over(filepath.Join(ml.Root, benchmarkDir))
 	if err != nil {
-		return qualified, selected
+		return uses
 	}
-	fset := token.NewFileSet()
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		file, _ := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
-		if file == nil {
-			continue
-		}
-		// Local name -> import path. Standard-library imports are kept
-		// too, so that a selector such as metrics.Read is not taken for
-		// a method call.
-		imports := map[string]string{}
-		for _, spec := range file.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil {
-				continue
-			}
-			name, ok := pkgName[path]
-			if !ok {
-				name = path[strings.LastIndex(path, "/")+1:]
-			}
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = path
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok {
-					qualified[path+"."+sel.Sel.Name] = true
-					return true
-				}
-			}
-			selected[sel.Sel.Name] = true
-			return true
-		})
+	p, err := l.Load(l.Module)
+	if err != nil {
+		return uses
 	}
-	return qualified, selected
+	for _, obj := range p.Info.Uses {
+		uses[originOf(obj)] = true
+	}
+	return uses
 }
 
 // interfacesByMethod indexes by method name every interface declared or

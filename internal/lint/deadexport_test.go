@@ -35,6 +35,7 @@ func TestDeadexportFixtureModule(t *testing.T) {
 		"lib.OnlyTests has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.unused has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.Meter.Println has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
+		"lib.Meter.Count has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.orphan has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"lib.orphan.self has no non-test user; delete it, or mark deliberate test or bench API //nebula:test-support <reason>",
 		"//nebula:test-support on lib.Bare gives no reason; name the test or bench that needs it",

@@ -144,7 +144,7 @@ type Package struct {
 	// partial information).
 	TypeErrors []error
 
-	root         string                   // module root the loader read it from
+	loader       *Loader                  // the loader that read it
 	suppressions map[string][]suppression // file -> directives
 }
 

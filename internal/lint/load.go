@@ -129,11 +129,11 @@ func (l *Loader) Load(path string) (*Package, error) {
 	}
 
 	p := &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		root:  l.Root,
+		Path:   path,
+		Dir:    dir,
+		Fset:   l.fset,
+		Files:  files,
+		loader: l,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -192,10 +192,32 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// importPkg resolves an import: intra-module paths load from source,
-// everything else goes to the stdlib importer (gc export data first,
-// falling back to type-checking the standard library from source).
+// over returns a loader for the module rooted at root that imports
+// through l: every package l has loaded, and every standard-library
+// package, resolves to the very package l type-checked against, so
+// objects keep their identity across the two modules. It reads a
+// module that imports l's through a replace directive, such as the
+// benchmark module under the root.
+func (l *Loader) over(root string) (*Loader, error) {
+	module, err := ModulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	o := &Loader{Root: root, Module: module, fset: l.fset, pkgs: map[string]*Package{}, std: l.std, stdS: l.stdS}
+	for path, p := range l.pkgs {
+		o.pkgs[path] = p
+	}
+	return o, nil
+}
+
+// importPkg resolves an import: packages the loader holds and
+// intra-module paths load from source, everything else goes to the
+// stdlib importer (gc export data first, falling back to type-checking
+// the standard library from source).
 func (l *Loader) importPkg(path string) (*types.Package, error) {
+	if p := l.pkgs[path]; p != nil && p.Types != nil {
+		return p.Types, nil
+	}
 	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
 		p, err := l.Load(path)
 		if err != nil {

@@ -9,5 +9,5 @@ import (
 
 func main() {
 	m := deadlib.NewMeter()
-	fmt.Println(deadlib.UsedByBench(), m.Read())
+	fmt.Println(deadlib.UsedByBench(), m.Read(), deadlib.NewTally().Count)
 }

@@ -37,6 +37,16 @@ func (m *Meter) Read() int { return m.n }
 // a package selector is no method call, so this is a finding.
 func (m *Meter) Println() {}
 
+// Count shares its name with Tally's field, which the benchmark reads:
+// a field selector is no method call, so this is a finding.
+func (m *Meter) Count() int { return m.n }
+
+// Tally is returned to the benchmark, which reads its Count field.
+type Tally struct{ Count int }
+
+// NewTally returns a tally.
+func NewTally() Tally { return Tally{Count: 1} }
+
 // orphan is named only by itself and its own method: both are findings.
 type orphan struct{}
 

@@ -85,21 +85,6 @@ func (l LayerShape) OutputNeurons() int { return l.OutC * l.OutH() * l.OutW() }
 // InputNeurons returns the number of input activations.
 func (l LayerShape) InputNeurons() int { return l.InC * l.InH * l.InW }
 
-// MACs returns the multiply-accumulate count of one inference pass.
-func (l LayerShape) MACs() int64 {
-	switch l.Kind {
-	case Conv:
-		return int64(l.OutputNeurons()) * int64(l.K*l.K*l.InC)
-	case DWConv:
-		return int64(l.OutputNeurons()) * int64(l.K*l.K)
-	case FC:
-		return int64(l.OutC) * int64(l.InC)
-	case AvgPool:
-		return int64(l.OutputNeurons()) * int64(l.K*l.K)
-	}
-	return 0
-}
-
 // Workload is a full-size benchmark: an ordered list of layers plus the
 // SNN integration window from Table I.
 type Workload struct {

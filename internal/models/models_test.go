@@ -65,9 +65,6 @@ func TestLayerShapeGeometry(t *testing.T) {
 	if l.OutputNeurons() != 64*32*32 {
 		t.Fatalf("conv outputs = %d", l.OutputNeurons())
 	}
-	if l.MACs() != int64(64*32*32)*27 {
-		t.Fatalf("conv MACs = %d", l.MACs())
-	}
 
 	d := dwconv("d", 128, 3, 2, 1, 16, 16)
 	if d.Rf() != 9 {
@@ -78,8 +75,8 @@ func TestLayerShapeGeometry(t *testing.T) {
 	}
 
 	f := fc("f", 512, 10)
-	if f.Rf() != 512 || f.MACs() != 5120 || f.OutputNeurons() != 10 {
-		t.Fatalf("fc geometry wrong: Rf=%d MACs=%d", f.Rf(), f.MACs())
+	if f.Rf() != 512 || f.OutputNeurons() != 10 {
+		t.Fatalf("fc geometry wrong: Rf=%d outputs=%d", f.Rf(), f.OutputNeurons())
 	}
 }
 
@@ -151,7 +148,7 @@ func TestPaperWorkloadsTableI(t *testing.T) {
 		}
 		var macs int64
 		for _, l := range w.WeightedLayers() {
-			macs += l.MACs()
+			macs += layerMACs(l)
 		}
 		if macs <= 0 {
 			t.Fatalf("%s has no MACs", w.Name)
@@ -174,14 +171,18 @@ func TestPaperWorkloadsTableI(t *testing.T) {
 	}
 }
 
+// layerMACs is a weighted layer's multiply-accumulate count per pass:
+// every output neuron reads its receptive field once.
+func layerMACs(l LayerShape) int64 { return int64(l.OutputNeurons()) * int64(l.Rf()) }
+
 func TestVGGMACsDominatedByConv(t *testing.T) {
 	w := FullVGG13(10, 300, 91.6, 90.05)
 	var convMACs, fcMACs int64
 	for _, l := range w.WeightedLayers() {
 		if l.Kind == FC {
-			fcMACs += l.MACs()
+			fcMACs += layerMACs(l)
 		} else {
-			convMACs += l.MACs()
+			convMACs += layerMACs(l)
 		}
 	}
 	if convMACs < 10*fcMACs {

@@ -220,13 +220,6 @@ func (r *Recorder) MergeRun(rr *RunRecord) error {
 	return nil
 }
 
-// Runs returns the number of merged runs.
-func (r *Recorder) Runs() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs
-}
-
 // StageSnapshot pairs a stage's identity with its accumulated counters.
 type StageSnapshot struct {
 	StageInfo
