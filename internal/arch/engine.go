@@ -1069,30 +1069,37 @@ var ErrInputShape = errors.New("arch: input does not fit the model")
 
 // checkInput holds an input to the pipeline's shape contract by
 // walking its shape through the stages as a run does. A conv stage
-// takes a C×H×W tensor of its input channels — at the compiled H×W when
-// it runs spiking — whose padded size covers its kernel; a pool takes a
-// C×H×W tensor at least its window in size; flatten makes a vector; and
+// takes a C×H×W map of its input channels — at the compiled H×W when it
+// runs spiking — whose padded size covers its kernel; a pool takes a
+// C×H×W map at least its window in size; flatten makes a vector; and
 // the first dense stage or read-out takes exactly its fan-in values,
-// which fixes every later size.
+// which fixes every later size. The walk keeps the shape in scalars, so
+// a valid input costs no allocation.
 func (s *Session) checkInput(x *tensor.Tensor) error {
-	shape := x.Shape()
+	n, spatial := x.Size(), x.NDim() == 3
+	var c, h, w int
+	if spatial {
+		c, h, w = x.Dim(0), x.Dim(1), x.Dim(2)
+	}
 	for i, hw := range s.stages {
 		switch hw.kind {
 		case "conv":
-			if len(shape) != 3 || shape[0] != hw.inC || shape[1]+2*hw.pad < hw.kh || shape[2]+2*hw.pad < hw.kw ||
-				(i < s.cut && (shape[1] != hw.gather.h || shape[2] != hw.gather.w)) {
-				return fmt.Errorf("%w: stage %s takes %d input channels and a %d×%d kernel at pad %d (compiled %v), got shape %v from input %v",
-					ErrInputShape, hw.name, hw.inC, hw.kh, hw.kw, hw.pad, s.cfg.InputShape, shape, x.Shape())
+			if !spatial || c != hw.inC || h+2*hw.pad < hw.kh || w+2*hw.pad < hw.kw ||
+				(i < s.cut && (h != hw.gather.h || w != hw.gather.w)) {
+				return fmt.Errorf("%w: stage %s takes a C×H×W map of %d channels covering its %d×%d kernel at pad %d (compiled %v), got input %v",
+					ErrInputShape, hw.name, hw.inC, hw.kh, hw.kw, hw.pad, s.cfg.InputShape, x.Shape())
 			}
-			shape = []int{hw.outC, tensor.ConvOutSize(shape[1], hw.kh, hw.stride, hw.pad), tensor.ConvOutSize(shape[2], hw.kw, hw.stride, hw.pad)}
+			c, h, w = hw.outC, tensor.ConvOutSize(h, hw.kh, hw.stride, hw.pad), tensor.ConvOutSize(w, hw.kw, hw.stride, hw.pad)
+			n = c * h * w
 		case "pool":
-			if len(shape) != 3 || shape[1] < hw.poolK || shape[2] < hw.poolK {
-				return fmt.Errorf("%w: stage %s takes a C×H×W map of at least %d×%d, got shape %v from input %v",
-					ErrInputShape, hw.name, hw.poolK, hw.poolK, shape, x.Shape())
+			if !spatial || h < hw.poolK || w < hw.poolK {
+				return fmt.Errorf("%w: stage %s takes a C×H×W map of at least %d×%d, got input %v",
+					ErrInputShape, hw.name, hw.poolK, hw.poolK, x.Shape())
 			}
-			shape = []int{shape[0], tensor.ConvOutSize(shape[1], hw.poolK, hw.poolStride, 0), tensor.ConvOutSize(shape[2], hw.poolK, hw.poolStride, 0)}
+			h, w = tensor.ConvOutSize(h, hw.poolK, hw.poolStride, 0), tensor.ConvOutSize(w, hw.poolK, hw.poolStride, 0)
+			n = c * h * w
 		case "flatten":
-			shape = []int{shapeSize(shape)}
+			spatial = false
 		default:
 			want := 0
 			if hw.kind == "output" {
@@ -1100,22 +1107,13 @@ func (s *Session) checkInput(x *tensor.Tensor) error {
 			} else {
 				want = hw.core.rows()
 			}
-			if n := shapeSize(shape); n != want {
-				return fmt.Errorf("%w: stage %s takes %d values, got %d (shape %v from input %v)", ErrInputShape, hw.name, want, n, shape, x.Shape())
+			if n != want {
+				return fmt.Errorf("%w: stage %s takes %d values, got %d from input %v", ErrInputShape, hw.name, want, n, x.Shape())
 			}
 			return nil
 		}
 	}
 	return nil
-}
-
-// shapeSize is the element count of a tensor shape.
-func shapeSize(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
 }
 
 // mergeShards folds a batch's completed shards into the recorder in

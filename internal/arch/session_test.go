@@ -222,3 +222,19 @@ func TestSessionSharedEncoderSerializes(t *testing.T) {
 		t.Fatalf("shared-encoder session parallelism = %d, want 1", p)
 	}
 }
+
+// TestCheckInputAllocatesNothing pins that the shape walk every run
+// starts with costs a valid input no allocation on any walk-matrix row.
+func TestCheckInputAllocatesNothing(t *testing.T) {
+	for _, m := range walkMatrix(t) {
+		sess := compileWalkSession(t, m.c, 0, m.opts...)
+		img := m.imgs[0]
+		if n := testing.AllocsPerRun(20, func() {
+			if err := sess.checkInput(img); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: checkInput allocated %v times", m.name, n)
+		}
+	}
+}

@@ -204,7 +204,7 @@ func testSupportWaiver(docs []*ast.CommentGroup) (waived bool, reasonless *ast.C
 // object its code uses. A module without a benchmark has no uses.
 func benchmarkUses(prog *Program) map[types.Object]bool {
 	uses := map[types.Object]bool{}
-	if len(prog.Pkgs) == 0 {
+	if len(prog.Pkgs) == 0 || prog.Pkgs[0].loader == nil {
 		return uses
 	}
 	ml := prog.Pkgs[0].loader

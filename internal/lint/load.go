@@ -210,10 +210,10 @@ func (l *Loader) over(root string) (*Loader, error) {
 	return o, nil
 }
 
-// importPkg resolves an import: packages the loader holds and
-// intra-module paths load from source, everything else goes to the
-// stdlib importer (gc export data first, falling back to type-checking
-// the standard library from source).
+// importPkg resolves an import: a package the loader holds resolves to
+// itself, other intra-module paths load from source, and everything
+// else goes to the stdlib importer (gc export data first, falling back
+// to type-checking the standard library from source).
 func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if p := l.pkgs[path]; p != nil && p.Types != nil {
 		return p.Types, nil
